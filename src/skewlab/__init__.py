@@ -28,8 +28,7 @@ from .errors import (AmbiguousBranch, BrokenPath, BumpEscape, ConfigError,
 from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, LewowiczMap,
                     PHEstimates, RotationFamily, ScalarField, SkewProduct,
                     TranslationMap, VectorField, certify_partial_hyperbolicity,
-                    cocycle, fiber_inverse, fiber_jacobian, fiber_map, lewowicz,
-                    lewowicz_fixed_point_type, lewowicz_inverse)
+                    cocycle, lewowicz, lewowicz_fixed_point_type, lewowicz_inverse)
 from .holonomy import (HolonomyMap, PathHolonomy, SuLeg, SuPath, project_su,
                        stable_holonomy, unstable_holonomy)
 from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
@@ -38,6 +37,5 @@ from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
                        variation_cover_bound, variation_subadditivity_check)
 from .perturbation import (BumpTranslation, DestroyParams, DestroyResult,
                            PerturbedFamily, apply_bump, apply_bump_inverse,
-                           bump_jacobian, destroy_trivial_class, perturb_skew,
-                           select_translation_pair)
-from .torus import BumpProfile, Region, TorusPoint, bump_eval, torus_dist, wrap
+                           bump_jacobian, destroy_trivial_class, perturb_skew)
+from .torus import BumpProfile, Region, TorusPoint, torus_dist, wrap

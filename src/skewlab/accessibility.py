@@ -16,7 +16,7 @@ import numpy as np
 from .anosov import HeteroclinicQuad
 from .fiber import SkewProduct
 from .holonomy import DEFAULT_TOL, PathHolonomy, SuLeg, SuPath, project_su
-from .torus import Region, lift, mod1, torus_dist, wrapped_diff
+from .torus import Region, cell_grid, lift, mod1, torus_dist, wrapped_diff
 
 DIAMETER_TRIVIAL = 1e-6
 CURVE_BAND = (0.75, 1.25)
@@ -371,12 +371,7 @@ def trivial_set_scan(sp: SkewProduct, quads, fiber_grid_n: int, tol: float,
                      region: Region | None = None, generators=None) -> TrivialScanResult:
     """Grid points fixed by all generator loop maps, with the displacement field."""
     gens = standard_generators(sp, quads) if generators is None else list(generators)
-    if region is None:
-        ticks = (np.arange(fiber_grid_n) + 0.5) / fiber_grid_n
-        uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
-        grid = np.stack([uu.ravel(), vv.ravel()], axis=-1)
-    else:
-        grid = region.grid(fiber_grid_n)
+    grid = cell_grid(fiber_grid_n) if region is None else region.grid(fiber_grid_n)
     fixed = np.ones(len(grid), dtype=bool)
     max_disp = np.zeros(len(grid))
     for gen in gens:

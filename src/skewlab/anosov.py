@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AmbiguousBranch, ConstructionFailed, NotAnosov, NotFound
-from .torus import TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
+from .torus import TorusPoint, lift, mod1, points_equal, torus_dist, wrap, wrapped_diff
 
 EIGEN_RESIDUAL_TOL = 1e-12
 LEAF_RESIDUAL_TOL = 1e-10
@@ -312,7 +312,7 @@ def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad, full: bool = True):
             _, resid = leaf_coordinate(a, kind, frm, to)
             if resid > LEAF_RESIDUAL_TOL:
                 problems.append(f"leg {kind} {frm}->{to} residual {resid:.2e}")
-    if quad.p1 == quad.p2 or points_close(quad.p1, quad.p2):
+    if points_equal(quad.p1, quad.p2, tol=1e-9):
         problems.append("p1 and p2 coincide")
     r1, r2 = quad.U1_radius, quad.U2_radius
     if torus_dist(quad.w1, quad.w2) <= r1 + r2:
@@ -371,10 +371,6 @@ def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad, full: bool = True):
             problems.append("tail margin: x orbit approaches a ball")
     if problems:
         raise ConstructionFailed("; ".join(problems))
-
-
-def points_close(a, b, tol: float = 1e-9) -> bool:
-    return bool(torus_dist(a, b) < tol)
 
 
 def _detect_exact_period(a: LinearAnosov, x, max_denominator: int):

@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import numpy as np
 from . import __version__
 from .accessibility import classify_class, explore_classes, standard_generators, trivial_set_scan
 from .anosov import build_quad
-from .config import SCENARIOS, ExperimentConfig, build_skew_product
+from .config import SCENARIOS, ExperimentConfig, build_base, build_skew_product
 from .errors import ConfigError, PostconditionFailure, SearchExhausted, SkewLabError
 from .ergodic import ergodic_scan
 from .fiber import certify_partial_hyperbolicity, lewowicz_fixed_point_type, SkewProduct
@@ -102,21 +100,8 @@ def _scenario_classify(config, out):
     region = Region(center=tuple(config.classify.seed_region_center),
                     half=tuple(config.classify.seed_region_half))
     seeds = region.sample(rng, config.classify.n_seeds)
-    threads = config.threads or os.cpu_count() or 1
-    chunks = np.array_split(seeds, max(1, min(threads, len(seeds))))
-
-    def run_chunk(chunk):
-        if len(chunk) == 0:
-            return []
-        return explore_classes(sp, [quad], chunk, K=config.classify.K,
-                               word_length=config.classify.word_length,
-                               generators=gens)
-
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = [s for part in pool.map(run_chunk, chunks) for s in part]
-    else:
-        results = run_chunk(seeds)
+    results = explore_classes(sp, [quad], seeds, K=config.classify.K,
+                              word_length=config.classify.word_length, generators=gens)
     rows = []
     tallies: dict[str, int] = {}
     for sample in results:
@@ -203,11 +188,7 @@ def _scenario_pbb(config, out):
 
 def _scenario_sweep(config, out):
     rows = []
-    matrix = np.asarray(config.base.matrix, dtype=np.int64)
-    powered = np.linalg.matrix_power(matrix, int(config.base.power))
-    from .anosov import make_anosov
-
-    base = make_anosov(powered)
+    base = build_base(config.base)
     for c_str in config.sweep.c_values:
         c = Fraction(str(c_str))
         kind = lewowicz_fixed_point_type(c)
@@ -267,8 +248,6 @@ def _add_shared_options(parser: argparse.ArgumentParser, default) -> None:
     parser.add_argument("--config", type=str, default=default,
                         help="JSON config path (defaults are used when omitted)")
     parser.add_argument("--seed", type=int, default=default, help="override config seed")
-    parser.add_argument("--threads", type=int, default=default,
-                        help="worker pool size (default: available cores)")
     parser.add_argument("--out", type=str, default=default, help="output directory")
 
 
@@ -305,8 +284,6 @@ def main(argv=None) -> int:
         overrides = {"scenario": args.scenario}
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if args.out is not None:
             overrides["out_dir"] = args.out
         config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})

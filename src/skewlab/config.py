@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .anosov import make_anosov
+from .anosov import LinearAnosov, make_anosov
+from .ergodic import OBSERVABLES
 from .errors import ConfigError
 from .fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                     LewowiczMap, RotationFamily, ScalarField, SkewProduct,
@@ -54,6 +55,11 @@ def _freeze_fields(obj):
             object.__setattr__(obj, f.name, _freeze(val))
 
 
+def _check_seed(value, name: str):
+    if not (isinstance(value, int) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer")
+
+
 def _from_dict(cls, d: dict, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object")
@@ -67,7 +73,7 @@ def _from_dict(cls, d: dict, where: str):
             kwargs[f.name] = _from_dict(sub, val, f"{where}.{f.name}") if sub else val
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -120,6 +126,8 @@ class QuadConfig:
 
     def __post_init__(self):
         _freeze_fields(self)
+        if not (self.search_radius > 0):
+            raise ValueError("search_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,11 @@ class DestroyConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not (self.epsilon > 0):
+            raise ValueError("epsilon must be positive")
         if not (0 < self.scan_grid_n <= MAX_BUDGETS["grid_n"]):
             raise ValueError("scan_grid_n out of budget")
+        _check_seed(self.rng_seed, "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,8 @@ class ErgodicConfig:
     m_ics: int = 50
 
     def __post_init__(self):
+        if self.observable not in OBSERVABLES:
+            raise ValueError(f"observable must be one of {OBSERVABLES}")
         if not (1 <= self.n <= MAX_BUDGETS["ergodic.n"]):
             raise ValueError("ergodic n out of budget")
         if not (2 <= self.m_ics <= 10_000):
@@ -196,6 +209,10 @@ class SweepConfig:
 
     def __post_init__(self):
         _freeze_fields(self)
+        if not (16 <= self.grid_n <= MAX_BUDGETS["grid_n"]):
+            raise ValueError(f"grid_n must lie in 16..{MAX_BUDGETS['grid_n']}")
+        for c in self.c_values:
+            Fraction(str(c))  # must parse exactly
 
 
 @dataclass(frozen=True)
@@ -203,27 +220,33 @@ class HolonomyConfig:
     leaf_offset: float = 0.15
     kind: str = "stable"
 
+    def __post_init__(self):
+        if self.kind not in ("stable", "unstable"):
+            raise ValueError("holonomy kind must be 'stable' or 'unstable'")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str = "certify"
     seed: int = 0
-    threads: int | None = None
     out_dir: str = "results"
-    base: BaseConfig = field(default_factory=BaseConfig)
-    family: FamilyConfig = field(default_factory=FamilyConfig)
-    quad: QuadConfig = field(default_factory=QuadConfig)
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    classify: ClassifyConfig = field(default_factory=ClassifyConfig)
-    destroy: DestroyConfig = field(default_factory=DestroyConfig)
-    ergodic: ErgodicConfig = field(default_factory=ErgodicConfig)
-    pbb: PbbConfig = field(default_factory=PbbConfig)
-    sweep: SweepConfig = field(default_factory=SweepConfig)
-    holonomy: HolonomyConfig = field(default_factory=HolonomyConfig)
+    # the sub-configs are frozen, so one default instance serves every config
+    # and its validation (the c_values parse above all) runs once
+    base: BaseConfig = BaseConfig()
+    family: FamilyConfig = FamilyConfig()
+    quad: QuadConfig = QuadConfig()
+    tolerances: ToleranceConfig = ToleranceConfig()
+    classify: ClassifyConfig = ClassifyConfig()
+    destroy: DestroyConfig = DestroyConfig()
+    ergodic: ErgodicConfig = ErgodicConfig()
+    pbb: PbbConfig = PbbConfig()
+    sweep: SweepConfig = SweepConfig()
+    holonomy: HolonomyConfig = HolonomyConfig()
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
+        _check_seed(self.seed, "seed")
 
     # -- serialization ------------------------------------------------------
 
@@ -311,7 +334,11 @@ def build_family(cfg: FamilyConfig):
     raise ConfigError(f"unsupported family kind {cfg.kind!r}")
 
 
+def build_base(cfg: BaseConfig) -> LinearAnosov:
+    """The base map: the configured matrix raised to the configured power."""
+    matrix = np.asarray(cfg.matrix, dtype=np.int64)
+    return make_anosov(np.linalg.matrix_power(matrix, int(cfg.power)))
+
+
 def build_skew_product(config: ExperimentConfig) -> SkewProduct:
-    matrix = np.asarray(config.base.matrix, dtype=np.int64)
-    powered = np.linalg.matrix_power(matrix, int(config.base.power))
-    return SkewProduct(base=make_anosov(powered), family=build_family(config.family))
+    return SkewProduct(base=build_base(config.base), family=build_family(config.family))

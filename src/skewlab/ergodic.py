@@ -20,6 +20,7 @@ from .torus import lift, mod1, torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
 _DIST_FLOOR = 1e-13
+OBSERVABLES = ("fiber_cos", "base_cos", "product_cos")
 
 
 def observable(name: str):
@@ -31,8 +32,7 @@ def observable(name: str):
     if name == "product_cos":
         return lambda xs, ys: (np.cos(2 * math.pi * ys[..., 0])
                                * np.cos(2 * math.pi * xs[..., 0]))
-    raise ValueError(f"unknown observable {name!r}; "
-                     "choose fiber_cos, base_cos or product_cos")
+    raise ValueError(f"unknown observable {name!r}; choose one of {OBSERVABLES}")
 
 
 def birkhoff(sp: SkewProduct, obs, init, n: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anosov import LinearAnosov
-from .torus import BumpProfile, TorusPoint, mod1, torus_dist, wrap
+from .torus import BumpProfile, TorusPoint, cell_grid, mod1, torus_dist, wrap
 
 TWO_PI = 2.0 * math.pi
 MAX_COCYCLE_STEPS = 10**6
@@ -319,19 +319,6 @@ class SkewProduct:
         return xprev, self.family.inverse(xprev, ys)
 
 
-def fiber_map(sp: SkewProduct, x, y):
-    """Fiber component of F at base point x."""
-    return sp.family.apply(np.asarray(x, float), np.asarray(y, float))
-
-
-def fiber_inverse(sp: SkewProduct, x, y):
-    return sp.family.inverse(np.asarray(x, float), np.asarray(y, float))
-
-
-def fiber_jacobian(sp: SkewProduct, x, y):
-    return sp.family.jacobian(np.asarray(x, float), np.asarray(y, float))
-
-
 def cocycle(sp: SkewProduct, x, n: int, y):
     """Fiber component of F^n(x, y); negative n uses inverse fiber maps."""
     if abs(n) > MAX_COCYCLE_STEPS:
@@ -389,9 +376,7 @@ def certify_partial_hyperbolicity(sp: SkewProduct, grid_n: int = 16) -> PHEstima
     """Sample ||Dg_x|| extremes over a grid_n^2 x grid_n^2 base-fiber grid."""
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    ticks = (np.arange(grid_n) + 0.5) / grid_n
-    uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
-    pts = np.stack([uu.ravel(), vv.ravel()], axis=-1)
+    pts = cell_grid(grid_n)
     xs = np.repeat(pts, grid_n * grid_n, axis=0)
     ys = np.tile(pts, (grid_n * grid_n, 1))
     jac = sp.family.jacobian(xs, ys)

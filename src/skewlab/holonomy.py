@@ -22,18 +22,12 @@ import numpy as np
 from .anosov import LEAF_RESIDUAL_TOL, leaf_coordinate
 from .errors import BrokenPath, NoConvergence
 from .fiber import SkewProduct
-from .torus import TorusPoint, lift, mod1, torus_dist, wrap
+from .torus import TorusPoint, cell_grid, lift, mod1, torus_dist
 
 DEFAULT_TOL = 1e-10
 N_MAX_COMPOSITIONS = 200
 CERT_GRID_N = 32
 _LOOKAHEAD = 6
-
-
-def _fiber_grid(n: int) -> np.ndarray:
-    ticks = (np.arange(n) + 0.5) / n
-    uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
-    return np.stack([uu.ravel(), vv.ravel()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -53,16 +47,6 @@ class HolonomyMap:
     certified_tol: float
     tol: float
     increments: tuple[float, ...] = field(repr=False, default=())
-
-    @property
-    def from_base(self) -> TorusPoint:
-        e = self.sp.base.eigen_direction(self.kind)
-        return wrap(np.asarray(self.anchor) + self.s_from * e)
-
-    @property
-    def to_base(self) -> TorusPoint:
-        e = self.sp.base.eigen_direction(self.kind)
-        return wrap(np.asarray(self.anchor) + self.s_to * e)
 
     def _base_pair(self, n: int):
         """Anchor orbit and offset from/to base points for n composition steps."""
@@ -151,7 +135,7 @@ def _certify(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float,
     probe = HolonomyMap(sp=sp, kind=kind, anchor=tuple(np.asarray(anchor, float)),
                         s_from=s_from, s_to=s_to, truncation_n=0,
                         certified_tol=np.inf, tol=tol)
-    grid = _fiber_grid(cert_grid_n)
+    grid = cell_grid(cert_grid_n)
     from_pts, to_pts = probe._base_pair(n_max + 1)
     n_min = _min_horizon(sp, kind, s_from, s_to, tol, n_max)
     ups = grid.copy()
@@ -238,10 +222,6 @@ class SuPath:
     """Chain of stable/unstable legs; consecutive legs share endpoints."""
 
     legs: tuple[SuLeg, ...]
-
-    def is_loop(self) -> bool:
-        return bool(self.legs) and torus_dist(
-            self.legs[0].from_point, self.legs[-1].to_point) < 1e-9
 
 
 @dataclass(frozen=True)

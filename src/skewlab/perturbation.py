@@ -91,8 +91,15 @@ def _field(d, vs, prof: BumpProfile, want_jac: bool):
     return X, DX
 
 
-def _flow_uniform(d0, times, vs, prof: BumpProfile, want_jac: bool):
-    """RK4 for one batch; steps sized by the batch's largest |time|."""
+def _flow(d0, times, vs, prof: BumpProfile, want_jac: bool = False):
+    """Fixed-step RK4 flow of the bump field for per-point times (signed).
+
+    The rescaled field times*X is integrated over unit time, so one step
+    partition serves the whole batch: steps are sized by the batch's largest
+    |time|, keeping the effective step in original time <= FLOW_STEP.  Cost
+    is dominated by the step loop, not the batch width, so batches are never
+    split.
+    """
     d = np.array(d0, dtype=float)
     t = np.asarray(times, dtype=float)[..., None]
     vs = np.broadcast_to(np.asarray(vs, float), d.shape)
@@ -120,17 +127,6 @@ def _flow_uniform(d0, times, vs, prof: BumpProfile, want_jac: bool):
             jac = jac + (h / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
         d = d + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return d, jac
-
-
-def _flow(d0, times, vs, prof: BumpProfile, want_jac: bool = False):
-    """Fixed-step RK4 flow of the bump field for per-point times (signed).
-
-    The rescaled field times*X is integrated over unit time, so one step
-    partition serves the whole batch with the effective step in original time
-    kept <= FLOW_STEP.  Cost is dominated by the step loop, not the batch
-    width, so batches are never split.
-    """
-    return _flow_uniform(d0, times, vs, prof, want_jac)
 
 
 def _bump_fiber_action(bt: BumpTranslation, t, ys, inverse: bool = False,
@@ -487,14 +483,3 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
                          projected_fixed_points=projected, delta=delta,
                          draws_used=(draws1, draws2), scan=scan,
                          scan_double=scan_double)
-
-
-def select_translation_pair(l1, l2, phi, epsilon):
-    """Translation magnitudes (s, t) whose shifted fixed sets stay disjoint.
-
-    Delegates to the exact monotone-map search; returns floats.
-    """
-    from .monotone import pbb_search
-
-    s, t = pbb_search(l1, l2, phi, epsilon)
-    return float(s), float(t)

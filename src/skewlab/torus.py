@@ -82,14 +82,16 @@ def lift(point) -> np.ndarray:
     return np.asarray(point, dtype=float).reshape(2).copy()
 
 
-def lift_near(point, reference) -> np.ndarray:
-    """The lift of ``point`` closest to the (already lifted) ``reference``."""
-    ref = np.asarray(reference, dtype=float)
-    return ref + wrapped_diff(point, ref)
-
-
 def points_equal(a, b, tol: float = EQUALITY_TOL) -> bool:
     return bool(torus_dist(a, b) < tol)
+
+
+def cell_grid(n: int) -> np.ndarray:
+    """(n*n, 2) array of the cell centres ((i + 1/2)/n, (j + 1/2)/n) of the
+    n x n grid on [0, 1)^2, in ``ij`` order (j varies fastest)."""
+    ticks = (np.arange(n) + 0.5) / n
+    uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
+    return np.stack([uu.ravel(), vv.ravel()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,3 @@ class BumpProfile:
         """Upper bound on |d value/dr|, attained mid-band."""
         ts = np.linspace(0.0, 1.0, 257)
         return float(np.max(np.abs(np.polynomial.polynomial.polyval(ts, self._dpoly)))) / self.band
-
-
-def bump_eval(profile: BumpProfile, r):
-    """Evaluate a bump profile at radius r (scalar or array); errors on r < 0."""
-    val = profile.value(r)
-    return float(val) if np.isscalar(r) or np.asarray(r).ndim == 0 else val

@@ -121,6 +121,28 @@ class TestScenarios:
         bad.write_text(json.dumps({"nope": 1}))
         assert main(["--config", str(bad), "--out", str(tmp_path), "certify"]) == 1
 
+    @pytest.mark.parametrize("scenario,bad", [
+        ("holonomy", {"holonomy": {"kind": "sideways"}}),
+        ("ergodic", {"seed": -1}),
+        ("destroy", {"destroy": {"rng_seed": -1}}),
+        ("ergodic", {"ergodic": {"observable": "nope"}}),
+        ("destroy", {"destroy": {"epsilon": 0.0}}),
+        ("sweep", {"sweep": {"grid_n": 8}}),
+        # run by a scenario that ignores the value, so that a missing check
+        # cannot start a grid of 513^4 points
+        ("certify", {"sweep": {"grid_n": 513}}),
+        ("sweep", {"sweep": {"c_values": ["1/2", "one"]}}),
+        ("classify", {"quad": {"search_radius": 0.0}}),
+    ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
+            "sweep-grid-small", "sweep-grid-large", "c-values", "search-radius"])
+    def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), scenario]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_and_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ergodic": {"n": 500, "m_ics": 5}}))
@@ -135,17 +157,6 @@ class TestScenarios:
         s2 = json.loads((out / "ergodic_summary.json").read_text())
         s1.pop("wall_time_seconds"), s2.pop("wall_time_seconds")
         assert s1 == s2
-
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"classify": {"n_seeds": 5, "K": 80,
-                                                "word_length": 5}}))
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["--config", str(cfg), "--threads", "1", "--out", str(out1),
-                     "classify"]) == 0
-        assert main(["--config", str(cfg), "--threads", "3", "--out", str(out2),
-                     "classify"]) == 0
-        assert (out1 / "classify.csv").read_bytes() == (out2 / "classify.csv").read_bytes()
 
     def test_summary_echoes_all_defaults(self, tmp_path):
         assert run_cli(tmp_path, "certify") == 0
@@ -169,28 +180,27 @@ class TestCommandLine:
         return seen
 
     @staticmethod
-    def shared_options(tmp_path, tag, instances, seed, threads):
+    def shared_options(tmp_path, tag, instances, seed):
         cfg = tmp_path / f"{tag}.json"
         cfg.write_text(json.dumps({"pbb": {"instances": instances}}))
-        return ["--config", str(cfg), "--seed", str(seed),
-                "--threads", str(threads), "--out", str(tmp_path / tag)]
+        return ["--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / tag)]
 
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
     def test_shared_options_reach_config(self, tmp_path, ran, before):
-        opts = self.shared_options(tmp_path, "a", instances=3, seed=7, threads=2)
+        opts = self.shared_options(tmp_path, "a", instances=3, seed=7)
         assert main([*opts, "pbb"] if before else ["pbb", *opts]) == 0
         (config,) = ran
         assert config.scenario == "pbb"
         assert config.pbb.instances == 3
-        assert (config.seed, config.threads, config.out_dir) == (7, 2, str(tmp_path / "a"))
+        assert (config.seed, config.out_dir) == (7, str(tmp_path / "a"))
 
     def test_option_after_scenario_wins(self, tmp_path, ran):
-        first = self.shared_options(tmp_path, "a", instances=3, seed=7, threads=2)
-        second = self.shared_options(tmp_path, "b", instances=4, seed=8, threads=5)
+        first = self.shared_options(tmp_path, "a", instances=3, seed=7)
+        second = self.shared_options(tmp_path, "b", instances=4, seed=8)
         assert main([*first, "pbb", *second]) == 0
         (config,) = ran
         assert config.pbb.instances == 4
-        assert (config.seed, config.threads, config.out_dir) == (8, 5, str(tmp_path / "b"))
+        assert (config.seed, config.out_dir) == (8, str(tmp_path / "b"))
 
     def test_option_position_does_not_change_output(self, tmp_path):
         out = tmp_path / "out"
@@ -215,7 +225,8 @@ class TestCommandLine:
         assert sorted(p.name for p in out.iterdir()) == ["certify.csv",
                                                          "certify_summary.json"]
 
-    @pytest.mark.parametrize("argv", [[], ["certify", "--bogus"]], ids=["no-scenario", "bad-option"])
+    @pytest.mark.parametrize("argv", [[], ["certify", "--bogus"], ["classify", "--threads", "2"]],
+                             ids=["no-scenario", "bad-option", "removed-threads-option"])
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err

@@ -302,15 +302,3 @@ class TestDestroy:
         r2 = destroy_trivial_class(id_sp, quad, 0.04,
                                    DestroyParams(rng_seed=3, scan_grid_n=16))
         assert r1.v1 == r2.v1 and r1.v2 == r2.v2
-
-
-def test_select_translation_pair_delegates():
-    from fractions import Fraction as F
-
-    from skewlab.monotone import MonotoneStepFunction
-    from skewlab.perturbation import select_translation_pair
-
-    ident = MonotoneStepFunction.identity(F(-1), F(1))
-    s, t = select_translation_pair(ident, ident, ident, 0.1)
-    assert abs(s) <= 0.1 and abs(t) <= 0.1
-    assert isinstance(s, float) and isinstance(t, float)

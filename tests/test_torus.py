@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.torus import (BumpProfile, Region, TorusPoint, bump_eval,
-                           torus_dist, wrap, wrapped_diff)
+from skewlab.torus import (BumpProfile, Region, TorusPoint, cell_grid, torus_dist,
+                           wrap, wrapped_diff)
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -78,10 +78,10 @@ class TestBumpProfile:
 
     def test_plateau_and_support(self):
         b = BumpProfile(1.0, 2.0)
-        assert bump_eval(b, 0.0) == 1.0
-        assert bump_eval(b, 1.0) == 1.0
-        assert bump_eval(b, 2.0) == 0.0
-        assert bump_eval(b, 5.0) == 0.0
+        assert b.value(0.0) == 1.0
+        assert b.value(1.0) == 1.0
+        assert b.value(2.0) == 0.0
+        assert b.value(5.0) == 0.0
 
     def test_midpoint_matches_quintic(self):
         # oracle: evaluate 1 - (10 t^3 - 15 t^4 + 6 t^5) at t = 1/2 directly
@@ -89,11 +89,11 @@ class TestBumpProfile:
         expected = 1.0 - (10 * t**3 - 15 * t**4 + 6 * t**5)
         assert expected == 0.5
         b = BumpProfile(1.0, 2.0)
-        assert bump_eval(b, 1.5) == pytest.approx(expected, abs=1e-15)
+        assert b.value(1.5) == pytest.approx(expected, abs=1e-15)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            bump_eval(BumpProfile(1.0, 2.0), -0.1)
+            BumpProfile(1.0, 2.0).value(-0.1)
 
     def test_monotone_nonincreasing(self):
         b = BumpProfile(0.3, 0.45)
@@ -106,14 +106,14 @@ class TestBumpProfile:
         b = BumpProfile(1.0, 2.0)
         h = 1e-5
         for r0 in (1.0, 2.0):
-            fd = (bump_eval(b, r0 + h) - bump_eval(b, r0 - h)) / (2 * h)
+            fd = (b.value(r0 + h) - b.value(r0 - h)) / (2 * h)
             assert abs(fd) < 1e-6
 
     def test_c2_junctions_by_second_difference(self):
         b = BumpProfile(1.0, 2.0)
         h = 3e-5
         for r0 in (1.0, 2.0):
-            d2 = (bump_eval(b, r0 + h) - 2 * bump_eval(b, r0) + bump_eval(b, r0 - h)) / h**2
+            d2 = (b.value(r0 + h) - 2 * b.value(r0) + b.value(r0 - h)) / h**2
             assert abs(d2) < 1e-3
 
     def test_analytic_derivatives_match_fd(self):
@@ -129,10 +129,19 @@ class TestBumpProfile:
 
     def test_higher_order_profile(self):
         b = BumpProfile(1.0, 2.0, order=3)
-        assert bump_eval(b, 0.5) == 1.0
-        assert bump_eval(b, 2.5) == 0.0
+        assert b.value(0.5) == 1.0
+        assert b.value(2.5) == 0.0
         rs = np.linspace(0, 2.5, 2000)
         assert np.all(np.diff(b.value(rs)) <= 1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+def test_cell_grid(n):
+    g = cell_grid(n)
+    i, j = np.divmod(np.arange(n * n), n)
+    assert g.shape == (n * n, 2)
+    assert np.array_equal(g, np.stack([(i + 0.5) / n, (j + 0.5) / n], axis=-1))
+    assert np.all((0.0 <= g) & (g < 1.0))
 
 
 class TestRegion:
