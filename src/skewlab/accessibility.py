@@ -102,6 +102,16 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     return pts[order]
 
 
+def displacement_jacobian(map_fn, pts: np.ndarray, h: float = 1e-6):
+    """Columns d/du and d/dv of the wrapped displacement map_fn(p) - p at pts,
+    by central differences of step h."""
+    cols = []
+    for e in (np.array([h, 0.0]), np.array([0.0, h])):
+        fwd, back = mod1(pts + e), mod1(pts - e)
+        cols.append((wrapped_diff(map_fn(fwd), fwd) - wrapped_diff(map_fn(back), back)) / (2 * h))
+    return tuple(cols)
+
+
 def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
                       seed_grid_n: int = 64, max_iter: int = 50,
                       dedup_factor: float = 10.0) -> FixedPointResult:
@@ -123,7 +133,6 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
     if fixed_frac > 0.5:
         return FixedPointResult(identity_like=True, points=np.empty((0, 2)))
 
-    h = 1e-6
     xi = wrapped_diff(seeds, center)
     active = np.ones(len(seeds), dtype=bool)
     singular_seeds = []
@@ -137,10 +146,7 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
         done = dn < 0.25 * tol
         if np.any(done):
             converged.append(mod1(center + xi[active][done]))
-        ex = np.array([h, 0.0])
-        ey = np.array([0.0, h])
-        j00_01 = (disp(mod1(q + ex)) - disp(mod1(q - ex))) / (2 * h)
-        j10_11 = (disp(mod1(q + ey)) - disp(mod1(q - ey))) / (2 * h)
+        j00_01, j10_11 = displacement_jacobian(map_fn, q)
         det = j00_01[:, 0] * j10_11[:, 1] - j00_01[:, 1] * j10_11[:, 0]
         sing = (np.abs(det) < 1e-12) & ~done
         if np.any(sing):

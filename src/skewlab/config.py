@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +18,11 @@ import numpy as np
 
 from .anosov import LinearAnosov, make_anosov
 from .ergodic import OBSERVABLES
-from .errors import ConfigError
+from .errors import ConfigError, NotAnosov
 from .fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                     LewowiczMap, RotationFamily, ScalarField, SkewProduct,
                     TranslationMap, VectorField)
-from .torus import BumpProfile, wrap
+from .torus import BumpProfile, Region, wrap
 
 SCENARIOS = ("certify", "holonomy", "classify", "destroy", "ergodic", "pbb", "sweep")
 
@@ -31,7 +32,10 @@ MAX_BUDGETS = {
     "classify.K": 100_000,
     "classify.word_length": 200,
     "pbb.instances": 10_000,
-    "grid_n": 512,
+    # the sweep certifies on grid_n^2 x grid_n^2 base-fiber pairs (grid 48
+    # already peaks near 600 MB); the destroy scan builds grid_n^2 points
+    "sweep.grid_n": 32,
+    "destroy.scan_grid_n": 512,
 }
 
 
@@ -60,20 +64,31 @@ def _check_seed(value, name: str):
         raise ValueError(f"{name} must be a non-negative integer")
 
 
+def _check_pair(value, name: str):
+    if not (len(value) == 2 and all(math.isfinite(v) for v in value)):
+        raise ValueError(f"{name} must be two finite numbers")
+
+
 def _from_dict(cls, d: dict, where: str):
+    """Build cls from d: a field whose default is a dataclass is a sub-config,
+    one whose default is an int takes only ints."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object")
-    names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(d, names, where)
+    fields = dataclasses.fields(cls)
+    _check_keys(d, [f.name for f in fields], where)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in d:
-            val = d[f.name]
-            sub = _SUBCONFIG.get((cls, f.name))
-            kwargs[f.name] = _from_dict(sub, val, f"{where}.{f.name}") if sub else val
+    for f in fields:
+        if f.name not in d:
+            continue
+        val = d[f.name]
+        if dataclasses.is_dataclass(f.default):
+            val = _from_dict(type(f.default), val, f"{where}.{f.name}")
+        elif type(f.default) is int and (not isinstance(val, int) or isinstance(val, bool)):
+            raise ConfigError(f"{where}.{f.name} must be an integer")
+        kwargs[f.name] = val
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, ConfigError, NotAnosov) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -86,6 +101,7 @@ class BaseConfig:
         _freeze_fields(self)
         if not (1 <= int(self.power) <= 8):
             raise ValueError("base power must be in 1..8")
+        build_base(self)
 
 
 @dataclass(frozen=True)
@@ -111,10 +127,7 @@ class FamilyConfig:
 
     def __post_init__(self):
         _freeze_fields(self)
-        kinds = ("identity", "translation", "lewowicz_constant",
-                 "rotation_field", "lewowicz_field")
-        if self.kind not in kinds:
-            raise ValueError(f"family kind must be one of {kinds}")
+        build_family(self)
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,13 @@ class QuadConfig:
 
     def __post_init__(self):
         _freeze_fields(self)
+        _check_pair(self.x, "quad.x")
         if not (self.search_radius > 0):
             raise ValueError("search_radius must be positive")
+        if self.max_denominator < 1:
+            raise ValueError("max_denominator must be at least 1")
+        if self.n_check < 0:
+            raise ValueError("n_check must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -158,6 +176,9 @@ class ClassifyConfig:
             raise ValueError("K out of budget")
         if not (1 <= self.word_length <= MAX_BUDGETS["classify.word_length"]):
             raise ValueError("word_length out of budget")
+        _check_pair(self.seed_region_center, "seed_region_center")
+        _check_pair(self.seed_region_half, "seed_region_half")
+        Region(center=self.seed_region_center, half=self.seed_region_half)
 
 
 @dataclass(frozen=True)
@@ -169,7 +190,7 @@ class DestroyConfig:
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-        if not (0 < self.scan_grid_n <= MAX_BUDGETS["grid_n"]):
+        if not (0 < self.scan_grid_n <= MAX_BUDGETS["destroy.scan_grid_n"]):
             raise ValueError("scan_grid_n out of budget")
         _check_seed(self.rng_seed, "rng_seed")
 
@@ -209,8 +230,8 @@ class SweepConfig:
 
     def __post_init__(self):
         _freeze_fields(self)
-        if not (16 <= self.grid_n <= MAX_BUDGETS["grid_n"]):
-            raise ValueError(f"grid_n must lie in 16..{MAX_BUDGETS['grid_n']}")
+        if not (16 <= self.grid_n <= MAX_BUDGETS["sweep.grid_n"]):
+            raise ValueError(f"grid_n must lie in 16..{MAX_BUDGETS['sweep.grid_n']}")
         for c in self.c_values:
             Fraction(str(c))  # must parse exactly
 
@@ -223,6 +244,58 @@ class HolonomyConfig:
     def __post_init__(self):
         if self.kind not in ("stable", "unstable"):
             raise ValueError("holonomy kind must be 'stable' or 'unstable'")
+
+
+# ---------------------------------------------------------------------------
+# constructing dynamical objects from a config
+
+def _tuplify(seq, n, where):
+    vals = tuple(float(x) for x in seq)
+    if len(vals) != n:
+        raise ConfigError(f"{where} must have {n} entries")
+    return vals
+
+
+def build_field_bumps(specs, vector: bool):
+    out = []
+    for i, s in enumerate(specs):
+        spec = _from_dict(BumpSpec, s, f"bump[{i}]") if isinstance(s, dict) else s
+        amp = tuple(float(a) for a in spec.amplitude)
+        if vector and len(amp) != 2:
+            raise ConfigError(f"bump[{i}] amplitude must be a 2-vector")
+        if not vector and len(amp) != 1:
+            raise ConfigError(f"bump[{i}] amplitude must be a 1-tuple scalar")
+        out.append(FieldBump(center=wrap(_tuplify(spec.center, 2, "bump center")),
+                             profile=BumpProfile(float(spec.inner), float(spec.outer)),
+                             amplitude=amp))
+    return tuple(out)
+
+
+def build_family(cfg: FamilyConfig):
+    if cfg.kind == "identity":
+        return ConstantFamily(IdentityMap())
+    if cfg.kind == "translation":
+        return ConstantFamily(TranslationMap(_tuplify(cfg.vector, 2, "family.vector")))
+    if cfg.kind == "lewowicz_constant":
+        return ConstantFamily(LewowiczMap(float(cfg.c)))
+    if cfg.kind == "rotation_field":
+        base = _tuplify(cfg.base_value, 2, "family.base_value") \
+            if len(cfg.base_value) == 2 else (0.0, 0.0)
+        return RotationFamily(VectorField(base, build_field_bumps(cfg.bumps, vector=True)))
+    if cfg.kind == "lewowicz_field":
+        base = float(cfg.base_value[0]) if cfg.base_value else 0.0
+        return LewowiczFamily(ScalarField(base, build_field_bumps(cfg.bumps, vector=False)))
+    raise ConfigError(f"unsupported family kind {cfg.kind!r}")
+
+
+def build_base(cfg: BaseConfig) -> LinearAnosov:
+    """The base map: the configured matrix raised to the configured power."""
+    matrix = np.asarray(cfg.matrix, dtype=np.int64)
+    return make_anosov(np.linalg.matrix_power(matrix, int(cfg.power)))
+
+
+def build_skew_product(config: ExperimentConfig) -> SkewProduct:
+    return SkewProduct(base=build_base(config.base), family=build_family(config.family))
 
 
 @dataclass(frozen=True)
@@ -276,69 +349,3 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
         return cls.from_dict(data)
-
-
-_SUBCONFIG = {
-    (ExperimentConfig, "base"): BaseConfig,
-    (ExperimentConfig, "family"): FamilyConfig,
-    (ExperimentConfig, "quad"): QuadConfig,
-    (ExperimentConfig, "tolerances"): ToleranceConfig,
-    (ExperimentConfig, "classify"): ClassifyConfig,
-    (ExperimentConfig, "destroy"): DestroyConfig,
-    (ExperimentConfig, "ergodic"): ErgodicConfig,
-    (ExperimentConfig, "pbb"): PbbConfig,
-    (ExperimentConfig, "sweep"): SweepConfig,
-    (ExperimentConfig, "holonomy"): HolonomyConfig,
-}
-
-
-# ---------------------------------------------------------------------------
-# constructing dynamical objects from a config
-
-def _tuplify(seq, n, where):
-    vals = tuple(float(x) for x in seq)
-    if len(vals) != n:
-        raise ConfigError(f"{where} must have {n} entries")
-    return vals
-
-
-def build_field_bumps(specs, vector: bool):
-    out = []
-    for i, s in enumerate(specs):
-        spec = _from_dict(BumpSpec, s, f"bump[{i}]") if isinstance(s, dict) else s
-        amp = tuple(float(a) for a in spec.amplitude)
-        if vector and len(amp) != 2:
-            raise ConfigError(f"bump[{i}] amplitude must be a 2-vector")
-        if not vector and len(amp) != 1:
-            raise ConfigError(f"bump[{i}] amplitude must be a 1-tuple scalar")
-        out.append(FieldBump(center=wrap(_tuplify(spec.center, 2, "bump center")),
-                             profile=BumpProfile(float(spec.inner), float(spec.outer)),
-                             amplitude=amp))
-    return tuple(out)
-
-
-def build_family(cfg: FamilyConfig):
-    if cfg.kind == "identity":
-        return ConstantFamily(IdentityMap())
-    if cfg.kind == "translation":
-        return ConstantFamily(TranslationMap(_tuplify(cfg.vector, 2, "family.vector")))
-    if cfg.kind == "lewowicz_constant":
-        return ConstantFamily(LewowiczMap(float(cfg.c)))
-    if cfg.kind == "rotation_field":
-        base = _tuplify(cfg.base_value, 2, "family.base_value") \
-            if len(cfg.base_value) == 2 else (0.0, 0.0)
-        return RotationFamily(VectorField(base, build_field_bumps(cfg.bumps, vector=True)))
-    if cfg.kind == "lewowicz_field":
-        base = float(cfg.base_value[0]) if cfg.base_value else 0.0
-        return LewowiczFamily(ScalarField(base, build_field_bumps(cfg.bumps, vector=False)))
-    raise ConfigError(f"unsupported family kind {cfg.kind!r}")
-
-
-def build_base(cfg: BaseConfig) -> LinearAnosov:
-    """The base map: the configured matrix raised to the configured power."""
-    matrix = np.asarray(cfg.matrix, dtype=np.int64)
-    return make_anosov(np.linalg.matrix_power(matrix, int(cfg.power)))
-
-
-def build_skew_product(config: ExperimentConfig) -> SkewProduct:
-    return SkewProduct(base=build_base(config.base), family=build_family(config.family))

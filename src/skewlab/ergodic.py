@@ -15,8 +15,9 @@ import numpy as np
 from .anosov import leaf_coordinate
 from .errors import BrokenPath, ShadowFailure
 from .fiber import SkewProduct
-from .holonomy import HolonomyMap
-from .torus import lift, mod1, torus_dist
+from .holonomy import (N_MAX_COMPOSITIONS, HolonomyMap, stable_holonomy,
+                       unstable_holonomy)
+from .torus import torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
 _DIST_FLOOR = 1e-13
@@ -200,10 +201,11 @@ def shadow_check(sp: SkewProduct, leg, v, n_max: int = 50,
                  holonomy: HolonomyMap | None = None) -> ShadowReport:
     """Contraction table for an su-leg pairing (x, v) with (y, H(v)).
 
-    The base pair is tracked in leaf coordinates along the anchor orbit (the
-    same device the holonomy itself uses); the fiber pair evolves through the
-    true fiber maps.  Distances must decay at ratio <= lambda + 0.1 beyond a
-    burn-in, else ShadowFailure.
+    The base pair is the holonomy's own anchored orbit pair, so its gap is
+    |s| * |rate|^k; the fiber pair evolves through the true fiber maps.
+    Distances must decay at ratio <= lambda + 0.1 beyond a burn-in, else
+    ShadowFailure.  A holonomy passed in must store at least n_max orbit
+    steps.
     """
     kind, x, y = leg
     a = sp.base
@@ -211,37 +213,22 @@ def shadow_check(sp: SkewProduct, leg, v, n_max: int = 50,
     if resid > 1e-10:
         raise BrokenPath(f"leg endpoints not on a common {kind} leaf")
     if holonomy is None:
-        from .holonomy import stable_holonomy, unstable_holonomy
-
         maker = stable_holonomy if kind == "stable" else unstable_holonomy
-        holonomy = maker(sp, x, y)
+        holonomy = maker(sp, x, y, n_max=max(n_max, N_MAX_COMPOSITIONS))
+    elif len(holonomy.from_pts) < n_max:
+        raise ValueError(f"holonomy stores {len(holonomy.from_pts)} orbit steps; "
+                         f"shadowing needs n_max = {n_max}")
     v = np.asarray(v, float).reshape(2)
-    hv = holonomy(v)
-    e = a.eigen_direction(kind)
+    push, _ = holonomy.push_pull()
     rate = a.contraction_rate(kind)
-    forward = kind == "stable"
 
-    anchors = a.orbit(lift(x), n_max, forward=forward)
     dist = np.empty(n_max + 1)
-    fib_x, fib_y = v.copy(), hv.copy()
-    offs = s
+    fib_x, fib_y = v.copy(), holonomy(v)
     for k in range(n_max + 1):
-        base_gap = abs(offs)
-        fiber_gap = float(torus_dist(fib_x, fib_y))
-        dist[k] = math.hypot(base_gap, fiber_gap)
-        if k == n_max:
-            break
-        xk = mod1(anchors[k])
-        yk = mod1(anchors[k] + offs * e)
-        if forward:
-            fib_x = sp.family.apply(xk, fib_x)
-            fib_y = sp.family.apply(yk, fib_y)
-        else:
-            xk1 = mod1(anchors[k + 1])
-            yk1 = mod1(anchors[k + 1] + offs * rate * e)
-            fib_x = sp.family.inverse(xk1, fib_x)
-            fib_y = sp.family.inverse(yk1, fib_y)
-        offs *= rate
+        dist[k] = math.hypot(abs(s) * abs(rate) ** k, float(torus_dist(fib_x, fib_y)))
+        if k < n_max:
+            fib_x = push(holonomy.from_pts[k], fib_x)
+            fib_y = push(holonomy.to_pts[k], fib_y)
 
     lam = abs(rate)
     burn_in = 3

@@ -15,7 +15,7 @@ against this evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,8 @@ class HolonomyMap:
     """Certified truncation of a stable/unstable holonomy between two fibers.
 
     The two base points are anchor + s_from * e and anchor + s_to * e on a
-    common leaf; evaluation recomputes the truncated composition on demand.
+    common leaf; from_pts/to_pts hold their anchored orbits in visiting order,
+    so composition k steps over index k for either kind.
     """
 
     sp: SkewProduct
@@ -47,50 +48,30 @@ class HolonomyMap:
     certified_tol: float
     tol: float
     increments: tuple[float, ...] = field(repr=False, default=())
+    from_pts: np.ndarray | None = field(repr=False, compare=False, default=None)
+    to_pts: np.ndarray | None = field(repr=False, compare=False, default=None)
 
-    def _base_pair(self, n: int):
-        """Anchor orbit and offset from/to base points for n composition steps."""
-        cache = getattr(self, "_pair_cache", None)
-        if cache is not None and cache[0] >= n:
-            return cache[1][:n + 1], cache[2][:n + 1]
-        a = self.sp.base
-        e = a.eigen_direction(self.kind)
-        rate = a.contraction_rate(self.kind)
-        forward = self.kind == "stable"
-        anchors = a.orbit(np.asarray(self.anchor, float), n, forward=forward)
-        scales = rate ** np.arange(n + 1)
-        from_pts = mod1(anchors + np.multiply.outer(self.s_from * scales, e))
-        to_pts = mod1(anchors + np.multiply.outer(self.s_to * scales, e))
-        object.__setattr__(self, "_pair_cache", (n, from_pts, to_pts))
-        return from_pts, to_pts
+    def push_pull(self):
+        """Fiber steps: push along the from-orbit, pull back over the to-orbit."""
+        fam = self.sp.family
+        return (fam.apply, fam.inverse) if self.kind == "stable" else (fam.inverse, fam.apply)
 
     def __call__(self, ys):
         return self.evaluate_at(ys, self.truncation_n)
 
     def evaluate_at(self, ys, n: int):
-        ys = np.asarray(ys, dtype=float)
-        fam = self.sp.family
-        from_pts, to_pts = self._base_pair(n)
-        v = mod1(ys)
-        if self.kind == "stable":
-            for k in range(n):
-                v = fam.apply(from_pts[k], v)
-            for k in range(n - 1, -1, -1):
-                v = fam.inverse(to_pts[k], v)
-        else:
-            for k in range(1, n + 1):
-                v = fam.inverse(from_pts[k], v)
-            for k in range(n, 0, -1):
-                v = fam.apply(to_pts[k], v)
+        push, pull = self.push_pull()
+        v = mod1(np.asarray(ys, dtype=float))
+        for k in range(n):
+            v = push(self.from_pts[k], v)
+        for k in range(n - 1, -1, -1):
+            v = pull(self.to_pts[k], v)
         return v
 
     def inverse_map(self) -> "HolonomyMap":
-        """The reverse holonomy (same anchor, endpoints swapped)."""
-        return HolonomyMap(sp=self.sp, kind=self.kind, anchor=self.anchor,
-                           s_from=self.s_to, s_to=self.s_from,
-                           truncation_n=self.truncation_n,
-                           certified_tol=self.certified_tol, tol=self.tol,
-                           increments=self.increments)
+        """The reverse holonomy (same anchor, endpoints and orbits swapped)."""
+        return replace(self, s_from=self.s_to, s_to=self.s_from,
+                       from_pts=self.to_pts, to_pts=self.from_pts)
 
     def measured_decay_ratio(self, floor: float = 1e-13) -> float:
         """Geometric-mean per-step ratio of the Cauchy increments above floor.
@@ -128,43 +109,35 @@ def _min_horizon(sp: SkewProduct, kind: str, s_from: float, s_to: float,
     return min(max(n, 0), n_max - _LOOKAHEAD)
 
 
-def _certify(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float,
-             tol: float, cert_grid_n: int, n_max: int):
-    """Run the Cauchy scan; return (truncation_n, certified_tol, increments)."""
-    fam = sp.family
-    probe = HolonomyMap(sp=sp, kind=kind, anchor=tuple(np.asarray(anchor, float)),
-                        s_from=s_from, s_to=s_to, truncation_n=0,
-                        certified_tol=np.inf, tol=tol)
+def _certify(h: HolonomyMap, cert_grid_n: int, n_max: int):
+    """Run the Cauchy scan on h; return (truncation_n, certified_tol, increments).
+
+    The push is kept from one n to the next; the pull is redone for each n.
+    """
+    push, pull = h.push_pull()
+    tol = h.tol
     grid = cell_grid(cert_grid_n)
-    from_pts, to_pts = probe._base_pair(n_max + 1)
-    n_min = _min_horizon(sp, kind, s_from, s_to, tol, n_max)
+    n_min = _min_horizon(h.sp, h.kind, h.s_from, h.s_to, tol, n_max)
     ups = grid.copy()
     h_prev = grid.copy()
     increments: list[float] = []
     for n in range(1, n_max + 1):
-        if kind == "stable":
-            ups = fam.apply(from_pts[n - 1], ups)
-            v = ups
-            for k in range(n - 1, -1, -1):
-                v = fam.inverse(to_pts[k], v)
-        else:
-            ups = fam.inverse(from_pts[n], ups)
-            v = ups
-            for k in range(n, 0, -1):
-                v = fam.apply(to_pts[k], v)
-        h_next = v
-        increments.append(float(np.max(torus_dist(h_next, h_prev))))
-        h_prev = h_next
+        ups = push(h.from_pts[n - 1], ups)
+        v = ups
+        for k in range(n - 1, -1, -1):
+            v = pull(h.to_pts[k], v)
+        increments.append(float(np.max(torus_dist(v, h_prev))))
+        h_prev = v
         if (n >= n_min + _LOOKAHEAD
                 and all(d < tol / 2 for d in increments[-_LOOKAHEAD:])):
             break
         if n >= max(60, n_min + 20) and min(increments[-10:]) > 1e-4:
             raise NoConvergence(
-                f"{kind} holonomy increments not decaying after {n} compositions "
+                f"{h.kind} holonomy increments not decaying after {n} compositions "
                 "(domination failure)")
     else:
         raise NoConvergence(
-            f"{kind} holonomy failed its Cauchy certificate within {n_max} compositions")
+            f"{h.kind} holonomy failed its Cauchy certificate within {n_max} compositions")
     trunc = 0
     for k, d in enumerate(increments, start=1):
         if d >= tol / 2:
@@ -176,13 +149,25 @@ def _certify(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float,
 def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float,
                   tol: float = DEFAULT_TOL, cert_grid_n: int = CERT_GRID_N,
                   n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
-    """Certified holonomy between anchor + s_from*e and anchor + s_to*e."""
+    """Certified holonomy between anchor + s_from*e and anchor + s_to*e.
+
+    Both base orbits ride one anchor orbit plus the offsets s * rate^k, stored
+    for n_max + 1 compositions (one past the longest Cauchy scan); unstable
+    compositions start one backward step off the anchor.
+    """
     anchor = tuple(np.asarray(anchor, float).reshape(2))
-    trunc, certified, increments = _certify(sp, kind, anchor, s_from, s_to,
-                                            tol, cert_grid_n, n_max)
-    return HolonomyMap(sp=sp, kind=kind, anchor=anchor, s_from=s_from, s_to=s_to,
-                       truncation_n=trunc, certified_tol=certified, tol=tol,
-                       increments=increments)
+    a = sp.base
+    start = 0 if kind == "stable" else 1
+    anchors = a.orbit(np.asarray(anchor), n_max + start, forward=kind == "stable")[start:]
+    scales = a.contraction_rate(kind) ** np.arange(start, n_max + 1 + start)
+    e = a.eigen_direction(kind)
+    h = HolonomyMap(sp=sp, kind=kind, anchor=anchor, s_from=s_from, s_to=s_to,
+                    truncation_n=0, certified_tol=np.inf, tol=tol,
+                    from_pts=mod1(anchors + np.multiply.outer(s_from * scales, e)),
+                    to_pts=mod1(anchors + np.multiply.outer(s_to * scales, e)))
+    trunc, certified, increments = _certify(h, cert_grid_n, n_max)
+    return replace(h, truncation_n=trunc, certified_tol=certified,
+                   increments=increments)
 
 
 def _leaf_offset(sp: SkewProduct, kind: str, x, y) -> float:

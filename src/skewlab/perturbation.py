@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessibility import find_fixed_points, trivial_set_scan
+from .accessibility import (displacement_jacobian, find_fixed_points, loop_path,
+                            trivial_set_scan)
 from .errors import (BumpEscape, OverlapError, PostconditionFailure,
                      RegularValueFailure)
 from .fiber import FiberFamily, SkewProduct
-from .holonomy import DEFAULT_TOL, SuLeg, SuPath, make_holonomy, project_su
+from .holonomy import DEFAULT_TOL, SuPath, make_holonomy, project_su
 from .torus import BumpProfile, Region, TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
 
 FLOW_STEP = 1e-3
@@ -308,16 +309,12 @@ class DestroyResult:
 
 
 def _w_loop_path(quad, i: int):
-    """The loop l_i based at fiber(w_i): w_i -> x -> z_i -> p_i -> w_i."""
-    p, w, z = quad.loop_points(i)
-    path = SuPath(legs=(
-        SuLeg("stable", w, quad.x),
-        SuLeg("unstable", quad.x, z),
-        SuLeg("stable", z, p),
-        SuLeg("unstable", p, w),
-    ))
+    """The loop l_i based at fiber(w_i): loop_path(quad, i) rotated to start
+    with its last leg, w_i -> x -> z_i -> p_i -> w_i."""
+    p, _, _ = quad.loop_points(i)
+    legs = loop_path(quad, i).legs
     anchors = (lift(quad.x), lift(quad.x), lift(p), lift(p))
-    return path, anchors
+    return SuPath(legs=legs[-1:] + legs[:-1]), anchors
 
 
 def _plateau_region(center, radius_eff: float) -> Region:
@@ -325,18 +322,11 @@ def _plateau_region(center, radius_eff: float) -> Region:
     return Region(center=(float(center[0]), float(center[1])), half=(half, half))
 
 
-def _min_singular_value(map_fn, points, h: float = 1e-6) -> float:
+def _min_singular_value(map_fn, points) -> float:
     """Smallest singular value of the FD derivative of (map - id) over points."""
     if len(points) == 0:
         return math.inf
-    ex, ey = np.array([h, 0.0]), np.array([0.0, h])
-
-    def g(pts):
-        return wrapped_diff(map_fn(pts), pts)
-
-    col0 = (g(mod1(points + ex)) - g(mod1(points - ex))) / (2 * h)
-    col1 = (g(mod1(points + ey)) - g(mod1(points - ey))) / (2 * h)
-    jac = np.stack([col0, col1], axis=-1)
+    jac = np.stack(displacement_jacobian(map_fn, points), axis=-1)
     svals = np.linalg.svd(jac, compute_uv=False)
     return float(np.min(svals))
 
@@ -391,7 +381,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
             if res.identity_like:
                 return None
             if len(res.points):
-                smin = _min_singular_value(lambda p: loop(p), res.points)
+                smin = _min_singular_value(loop, res.points)
                 if smin <= params.min_singular:
                     return None
         return reg

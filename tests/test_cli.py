@@ -129,12 +129,22 @@ class TestScenarios:
         ("destroy", {"destroy": {"epsilon": 0.0}}),
         ("sweep", {"sweep": {"grid_n": 8}}),
         # run by a scenario that ignores the value, so that a missing check
-        # cannot start a grid of 513^4 points
+        # cannot start a sweep over grid_n^4 base-fiber pairs
         ("certify", {"sweep": {"grid_n": 513}}),
+        ("certify", {"sweep": {"grid_n": 33}}),
         ("sweep", {"sweep": {"c_values": ["1/2", "one"]}}),
         ("classify", {"quad": {"search_radius": 0.0}}),
+        ("classify", {"quad": {"n_check": -5}}),
+        ("holonomy", {"quad": {"x": [0.1]}}),
+        ("classify", {"classify": {"seed_region_half": [0.7, 0.7]}}),
+        ("ergodic", {"ergodic": {"n": 2.5}}),
+        ("classify", {"quad": {"max_denominator": 0}}),
+        ("certify", {"base": {"matrix": [[1, 1], [0, 1]]}}),
+        ("certify", {"family": {"kind": "translation", "vector": [0.1]}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
-            "sweep-grid-small", "sweep-grid-large", "c-values", "search-radius"])
+            "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
+            "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
+            "max-denominator", "base-not-hyperbolic", "family-vector"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))

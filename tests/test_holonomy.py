@@ -5,8 +5,8 @@ from skewlab.anosov import make_anosov
 from skewlab.errors import BrokenPath, NoConvergence
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
                            RotationFamily, SkewProduct, VectorField)
-from skewlab.holonomy import (SuLeg, SuPath, project_su, stable_holonomy,
-                              unstable_holonomy)
+from skewlab.holonomy import (SuLeg, SuPath, make_holonomy, project_su,
+                              stable_holonomy, unstable_holonomy)
 from skewlab.torus import BumpProfile, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
@@ -47,6 +47,9 @@ def unstable_pair(cat, x=(0.13, 0.41), offset=0.12):
     xa = np.asarray(x, float)
     return xa, (xa + offset * cat.e_u) % 1.0
 
+
+PAIR_MAKERS = {"stable": (stable_pair, stable_holonomy),
+               "unstable": (unstable_pair, unstable_holonomy)}
 
 GRID = np.stack(np.meshgrid((np.arange(32) + 0.5) / 32, (np.arange(32) + 0.5) / 32,
                             indexing="ij"), axis=-1).reshape(-1, 2)
@@ -113,9 +116,11 @@ class TestRotationFamily:
         h = stable_holonomy(rot_sp, x, y, tol=1e-10)
         assert h.truncation_n <= 40
 
-    def test_cauchy_certificate(self, rot_sp, cat):
-        x, y = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, y, tol=1e-10)
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    def test_cauchy_certificate(self, rot_sp, cat, kind):
+        pair, maker = PAIR_MAKERS[kind]
+        x, y = pair(cat)
+        h = maker(rot_sp, x, y, tol=1e-10)
         assert h.certified_tol < 1e-10
         h_n = h.evaluate_at(GRID, h.truncation_n)
         h_n1 = h.evaluate_at(GRID, h.truncation_n + 1)
@@ -142,8 +147,6 @@ class TestOracles:
         assert np.max(torus_dist(lhs, rhs)) < 1e-9
 
     def test_composition_along_leaf(self, rot_sp, cat):
-        from skewlab.holonomy import make_holonomy
-
         x = np.array([0.13, 0.41])
         h_xy = make_holonomy(rot_sp, "stable", x, 0.0, 0.07)
         h_yz = make_holonomy(rot_sp, "stable", x, 0.07, 0.16)
@@ -154,6 +157,17 @@ class TestOracles:
         x, y = stable_pair(cat)
         h = stable_holonomy(rot_sp, x, y, tol=1e-10)
         assert np.max(torus_dist(h.inverse_map()(h(GRID)), GRID)) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    def test_inverse_map_is_reverse_holonomy(self, rot_sp, cat, kind):
+        # the swapped stored orbits are the orbits of the reversed pair
+        pair, maker = PAIR_MAKERS[kind]
+        x, y = pair(cat)
+        h = maker(rot_sp, x, y, tol=1e-10)
+        rev = make_holonomy(rot_sp, kind, h.anchor, h.s_to, h.s_from)
+        for n in (h.truncation_n, h.truncation_n + 1):
+            assert np.array_equal(h.inverse_map().evaluate_at(GRID, n),
+                                  rev.evaluate_at(GRID, n))
 
     def test_no_convergence_without_domination(self, cat):
         # c(x) ~ 2 over the plain cat map is not dominated; a non-constant
@@ -236,3 +250,21 @@ class TestShadowing:
         rep = shadow_check(rot_sp, ("unstable", x, y), np.array([0.3, 0.8]), n_max=40)
         assert rep.distances[0] > rep.distances[15]
         assert rep.ratio_estimate <= 1.0 / abs(cat.lambda_u) + 0.1
+
+    def test_long_table_builds_long_enough_holonomy(self, rot_sp, cat):
+        from skewlab.ergodic import shadow_check
+
+        x, y = stable_pair(cat)
+        rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=230)
+        assert len(rep.distances) == 231
+        assert rep.ratio_estimate <= abs(cat.lambda_s) + 0.1
+
+    def test_short_holonomy_rejected(self, rot_sp, cat):
+        from skewlab.ergodic import shadow_check
+
+        x, y = stable_pair(cat)
+        h = stable_holonomy(rot_sp, x, y, n_max=30)
+        shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=31, holonomy=h)
+        with pytest.raises(ValueError):
+            shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=32,
+                         holonomy=h)

@@ -1,28 +1,34 @@
-"""Every boundary the benchmark tracer wraps must exist in skewlab.
+"""The benchmark's use of skewlab must keep working.
 
 ``perfbench/tracing.py`` reports a boundary it cannot resolve as missing and
 reads its metrics as 0, so a rename in skewlab would silently zero a layer of
 the benchmark.  This resolves each boundary the way ``Tracer.install`` does,
-without installing any wrapper.
+without installing any wrapper, and runs the set-up of every workload in
+``perfbench/workloads.py``, which builds its inputs through the public API.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-BOUNDARIES = _load_tracing().BOUNDARIES
+BOUNDARIES = _load("tracing").BOUNDARIES
+WORKLOADS = _load("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARIES))
@@ -33,3 +39,8 @@ def test_boundary_resolves(name):
         owner, _, leaf = attr.rpartition(".")
         target = getattr(module, owner, None) if owner else module
         assert callable(getattr(target, leaf, None)), f"{modname}.{attr} is missing"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_setup(name, tmp_path):
+    assert WORKLOADS[name].setup(1, tmp_path) is not None
