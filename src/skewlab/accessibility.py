@@ -167,9 +167,12 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
         xi[idx] = new_xi
         active[idx[~keep]] = False
 
-    for s in singular_seeds:
-        pt = _refine_by_scan(map_fn, np.asarray(s), 2.2 * np.max(region.half) / seed_grid_n)
-        converged.append(pt[None, :])
+    # chunks of len(seeds) // 25 seeds: no refinement scan outgrows the seed grid
+    singular = np.reshape(singular_seeds, (-1, 2))
+    chunk = max(1, len(seeds) // 25)
+    span = 2.2 * np.max(region.half) / seed_grid_n
+    for lo in range(0, len(singular), chunk):
+        converged.append(_refine_by_scan(map_fn, singular[lo:lo + chunk], span))
 
     if not converged:
         return FixedPointResult(identity_like=False, points=np.empty((0, 2)))
@@ -180,14 +183,18 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
                             points=_dedup(pts, dedup_factor * tol))
 
 
-def _refine_by_scan(map_fn, seed: np.ndarray, span: float, levels: int = 3) -> np.ndarray:
-    best = seed
+def _refine_by_scan(map_fn, seeds: np.ndarray, span: float, levels: int = 3) -> np.ndarray:
+    """Per seed of an (S, 2) array, the least-displaced point of a 5x5 grid
+    around it, re-centred and shrunk fivefold per level: one map call a level."""
+    best = seeds
+    rows = np.arange(len(seeds))
     for _ in range(levels):
         offs = np.linspace(-span, span, 5)
         uu, vv = np.meshgrid(offs, offs, indexing="ij")
-        cand = mod1(best + np.stack([uu.ravel(), vv.ravel()], axis=-1))
-        d = torus_dist(map_fn(cand), cand)
-        best = cand[int(np.argmin(d))]
+        cand = mod1(best[:, None, :] + np.stack([uu.ravel(), vv.ravel()], axis=-1))
+        flat = cand.reshape(-1, 2)
+        d = torus_dist(map_fn(flat), flat).reshape(len(seeds), -1)
+        best = cand[rows, np.argmin(d, axis=1)]
         span /= 5.0
     return best
 

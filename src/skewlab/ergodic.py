@@ -14,9 +14,10 @@ import numpy as np
 
 from .anosov import leaf_coordinate
 from .errors import BrokenPath, ShadowFailure
-from .fiber import SkewProduct
+from .fiber import ConstantFamily, IdentityMap, SkewProduct
 from .holonomy import (N_MAX_COMPOSITIONS, HolonomyMap, stable_holonomy,
                        unstable_holonomy)
+from .perturbation import PerturbedFamily, _bump_fiber_action
 from .torus import torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
@@ -68,9 +69,6 @@ class ErgodicReport:
 
 def _frozen_between_events(family) -> bool:
     """True when fiber coordinates change only inside bump base supports."""
-    from .fiber import ConstantFamily, IdentityMap
-    from .perturbation import PerturbedFamily
-
     return (isinstance(family, PerturbedFamily)
             and isinstance(family.inner, ConstantFamily)
             and isinstance(family.inner.fiber_map, IdentityMap))
@@ -93,15 +91,13 @@ def _scan_generic(sp, fn, xs, ys, n, checkpoints):
 
 
 def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
-    """Fast path for identity-fiber bump perturbations.
+    """Path for identity-fiber bump perturbations, in O(n m) memory.
 
     The fiber state is piecewise constant between visits of the base orbit to
     a bump support, so base orbits and activations vectorize wholesale, bump
     events batch across initial conditions rank by rank, and observables sum
-    in closed form over the frozen stretches.
+    over a gathered fiber timeline.
     """
-    from .perturbation import _bump_fiber_action
-
     m = len(xs)
     bumps = sp.family.bumps
     orbit = np.empty((n, m, 2))
@@ -109,59 +105,37 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     for k in range(n):
         orbit[k] = cur
         cur = sp.base.apply(cur)
-    activations = [b.base_bump.value(torus_dist(orbit, np.asarray(b.base_center, float)))
-                   for b in bumps]  # each (n, m)
+    act = np.zeros((n, m))
+    which = np.zeros((n, m), dtype=np.int8)
+    for b_idx, b in enumerate(bumps):
+        a = b.base_bump.value(torus_dist(orbit, np.asarray(b.base_center, float)))
+        on = a > 0
+        act[on] = a[on]      # base supports disjoint: at most one bump fires
+        which[on] = b_idx
+        del a, on
+    fired = act > 0
+    ic, step = np.nonzero(fired.T)   # by IC, then by step
+    ev_t, ev_bump = act[step, ic], which[step, ic]
+    del act, which
+    # per-IC timelines laid end to end: the initial state, then one slot per event
+    first = np.searchsorted(ic, np.arange(m)) + np.arange(m)
+    slot = np.arange(len(ic)) + ic + 1
+    timeline = np.empty((len(ic) + m, 2))
+    timeline[first] = ys
+    key = (np.arange(len(ic)) - np.searchsorted(ic, ic)) * len(bumps) + ev_bump
+    order = np.argsort(key, kind="stable")   # by rank, then bump; ICs in order
+    keys, starts = np.unique(key[order], return_index=True)
+    for k, grp in zip(keys, np.split(order, starts[1:])):
+        timeline[slot[grp]] = _bump_fiber_action(bumps[k % len(bumps)], ev_t[grp],
+                                                 timeline[slot[grp] - 1], inverse=True)
 
-    event_steps = []   # per IC: sorted step indices with an active bump
-    event_bump = []    # per IC: which bump fired
-    event_t = []
-    for i in range(m):
-        cols = [act[:, i] for act in activations]
-        mask = np.zeros(n, dtype=bool)
-        for c in cols:
-            mask |= c > 0
-        steps = np.flatnonzero(mask)
-        which = np.zeros(len(steps), dtype=int)
-        tvals = np.zeros(len(steps))
-        for b_idx, c in enumerate(cols):
-            active = c[steps] > 0
-            which[active] = b_idx   # base supports disjoint: at most one fires
-            tvals[active] = c[steps][active]
-        event_steps.append(steps)
-        event_bump.append(which)
-        event_t.append(tvals)
-
-    max_rank = max((len(s) for s in event_steps), default=0)
-    timelines = [np.empty((len(s) + 1, 2)) for s in event_steps]
-    state = ys.copy()
-    for i in range(m):
-        timelines[i][0] = state[i]
-    for rank in range(max_rank):
-        for b_idx, bump in enumerate(bumps):
-            sel = [i for i in range(m)
-                   if rank < len(event_steps[i]) and event_bump[i][rank] == b_idx]
-            if not sel:
-                continue
-            idx = np.array(sel)
-            ts = np.array([event_t[i][rank] for i in sel])
-            state[idx] = _bump_fiber_action(bump, ts, state[idx], inverse=True)
-        for i in range(m):
-            if rank < len(event_steps[i]):
-                timelines[i][rank + 1] = state[i]
-
-    sums = np.zeros((len(checkpoints), m))
-    finals = np.zeros(m)
-    steps_axis = np.arange(n)
-    for i in range(m):
-        ranks = np.searchsorted(event_steps[i], steps_axis, side="left")
-        fiber = timelines[i][ranks]
-        vals = fn(orbit[:, i, :], fiber)
-        csum = np.cumsum(vals)
-        for j, cpn in enumerate(checkpoints):
-            sums[j, i] = csum[cpn - 1]
-        finals[i] = csum[n - 1] / n
-    sigma = [float(np.std(sums[j] / cpn)) for j, cpn in enumerate(checkpoints)]
-    return sigma, finals
+    at = np.cumsum(fired, axis=0)   # events up to and including each step
+    at -= fired
+    at += first
+    vals = fn(orbit, timeline[at])
+    np.cumsum(vals, axis=0, out=vals)
+    sigma = [float(np.std(vals[cpn - 1] / cpn)) for cpn in checkpoints]
+    return sigma, vals[n - 1] / n
 
 
 def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
@@ -170,6 +144,8 @@ def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
 
     ERGODIC-LIKE means sigma(n) < sigma(n/4)/1.5; deterministic given the seed.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if m_ics < 2:
         raise ValueError("need at least two initial conditions")
     fn = observable(obs_name)
@@ -177,7 +153,7 @@ def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
     xs = rng.random((m_ics, 2))
     ys = rng.random((m_ics, 2))
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    if _frozen_between_events(sp.family) and n * m_ics >= 10_000:
+    if _frozen_between_events(sp.family):
         sigma, finals = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
     else:
         sigma, finals = _scan_generic(sp, fn, xs, ys, n, checkpoints)

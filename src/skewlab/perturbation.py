@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accessibility import (displacement_jacobian, find_fixed_points, loop_path,
-                            trivial_set_scan)
+                            standard_generators, trivial_set_scan)
 from .errors import (BumpEscape, OverlapError, PostconditionFailure,
                      RegularValueFailure)
 from .fiber import FiberFamily, SkewProduct
@@ -455,14 +455,15 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     radius_eff = (params.fiber_inner - v_norm) * 0.9
     vx = _plateau_region(anchor_y, radius_eff)
 
+    gens = standard_generators(perturbed, [quad])
     scan = trivial_set_scan(perturbed, [quad], params.scan_grid_n, params.scan_tol,
-                            region=vx)
+                            region=vx, generators=gens)
     if not scan.empty:
         raise PostconditionFailure(
             f"{len(scan.points)} grid points remain fixed by all generators",
             data=scan.points)
     scan_double = trivial_set_scan(perturbed, [quad], 2 * params.scan_grid_n,
-                                   params.scan_tol, region=vx)
+                                   params.scan_tol, region=vx, generators=gens)
     if not scan_double.empty:
         raise PostconditionFailure(
             "double-resolution scan found residual trivial points",

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from skewlab.accessibility import (ClassSample, box_counts, classify_class,
+from skewlab.accessibility import (ClassSample, _refine_by_scan, box_counts, classify_class,
                                    explore_class, explore_classes,
                                    find_fixed_points, loop_map, standard_generators,
                                    trivial_set_scan)
 from skewlab.anosov import build_quad, make_anosov
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
                            RotationFamily, SkewProduct, VectorField, lewowicz_raw)
+from skewlab.perturbation import BumpTranslation, _bump_fiber_action
 from skewlab.torus import BumpProfile, Region, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
@@ -164,6 +165,24 @@ class TestFindFixedPoints:
         assert len(res) == 1
         q = res.points[0]
         assert torus_dist(twist(q[None, :]), q)[0] < 1e-9
+
+
+    def test_refine_batch_matches_single(self):
+        bt = BumpTranslation(base_center=wrap((0.0, 0.0)), base_bump=BumpProfile(0.05, 0.1),
+                             fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.34, 0.46),
+                             v=(0.03, 0.012))
+
+        def bump_map(p):
+            return _bump_fiber_action(bt, 1.0, p, inverse=True)
+
+        # seeds on the flowed band, where the map is not a translation
+        rng = np.random.default_rng(2)
+        radius, angle = rng.uniform(0.35, 0.45, 30), rng.uniform(0.0, 2 * math.pi, 30)
+        seeds = 0.5 + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        batched = _refine_by_scan(bump_map, seeds, 0.02)
+        single = np.concatenate([_refine_by_scan(bump_map, s[None, :], 0.02) for s in seeds])
+        assert batched.shape == (30, 2)
+        assert np.array_equal(batched, single)
 
 
 class TestExploreAndClassify:

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from skewlab.anosov import make_anosov
-from skewlab.ergodic import birkhoff, ergodic_scan, observable
+from skewlab import ergodic
+from skewlab.anosov import build_quad, make_anosov
+from skewlab.ergodic import (_scan_event_driven, _scan_generic, birkhoff,
+                             ergodic_scan, observable)
 from skewlab.fiber import (ConstantFamily, IdentityMap, SkewProduct,
                            TranslationMap)
+from skewlab.perturbation import BumpTranslation, perturb_skew
+from skewlab.torus import BumpProfile, wrap
 
 CAT = [[2, 1], [1, 1]]
 
@@ -26,6 +30,21 @@ def product_sp(cat):
 def irrational_sp(cat):
     tau = (math.sqrt(2) - 1.0, (math.sqrt(3) - 1.0) / 2.0)
     return SkewProduct(base=cat, family=ConstantFamily(TranslationMap(tau)))
+
+
+@pytest.fixture(scope="module")
+def destroyed_sp(cat, product_sp):
+    """Shaped like the strong destroyed system: bumps at the quad's w_1, w_2
+    whose fiber supports, centred at (1/2, 1/2) and (0, 0), cover the fiber."""
+    quad = build_quad(cat, (0, 0), 0.2, 10, 50)
+    bumps = []
+    for i, v, centre in ((1, (-0.0334, -0.0389), (0.5, 0.5)),
+                         (2, (0.0321, -0.0400), (0.0, 0.0))):
+        r = quad.ball_radius(i)
+        bumps.append(BumpTranslation(
+            base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
+            fiber_center=wrap(centre), fiber_bump=BumpProfile(0.34, 0.46), v=v))
+    return perturb_skew(product_sp, bumps)
 
 
 class TestBirkhoff:
@@ -94,3 +113,26 @@ class TestErgodicScan:
     def test_mic_validation(self, product_sp):
         with pytest.raises(ValueError):
             ergodic_scan(product_sp, "fiber_cos", 100, 1, seed=0)
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
+
+    def test_event_path_matches_generic(self, destroyed_sp):
+        n, m = 400, 8
+        rng = np.random.default_rng(1)
+        xs, ys = rng.random((m, 2)), rng.random((m, 2))
+        fn = observable("fiber_cos")
+        sigma_ev, avg_ev = _scan_event_driven(destroyed_sp, fn, xs, ys, n, [100, 200, 400])
+        sigma_gen, avg_gen = _scan_generic(destroyed_sp, fn, xs, ys, n, [100, 200, 400])
+        # the bumps moved some fibers, so the comparison is not of frozen orbits
+        assert np.max(np.abs(avg_gen - fn(xs, ys))) > 1e-3
+        np.testing.assert_allclose(sigma_ev, sigma_gen, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(avg_ev, avg_gen, rtol=0, atol=1e-12)
+
+    def test_small_frozen_scan_takes_event_path(self, destroyed_sp, monkeypatch):
+        def generic(*args):
+            raise AssertionError("identity-fiber bump system took the generic path")
+
+        monkeypatch.setattr(ergodic, "_scan_generic", generic)
+        rep = ergodic_scan(destroyed_sp, "fiber_cos", 400, 8, seed=1)
+        assert len(rep.per_ic_averages) == 8
