@@ -22,7 +22,7 @@ class ConstructionFailed(SkewLabError):
 
 
 class NoConvergence(SkewLabError):
-    """Holonomy composition limit failed its Cauchy certificate."""
+    """A holonomy limit or a bump flow's midpoint solve failed its convergence check."""
 
 
 class BrokenPath(SkewLabError):

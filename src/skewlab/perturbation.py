@@ -5,9 +5,10 @@ A BumpTranslation is the time-t map (t = base bump value at the base point) of
 the Hamiltonian flow of chi(y) = psi_fiber(|y - c|) * ((y2-c2) v1 - (y1-c1) v2)
 about the fiber center c.  Inside the plateau the field is exactly the constant
 v, so the map is the exact translation y + t v there; outside the support it is
-exactly the identity.  The band is integrated by fixed-step RK4 (step <= 1e-3)
-with the variational equation carried alongside for analytic Jacobians, and
-conservativity is certified a posteriori by |det D - 1| checks.
+exactly the identity.  On the band the map is MIDPOINT_STEPS implicit-midpoint
+steps of h = t / MIDPOINT_STEPS: symplectic, so its Jacobian (a product of
+Cayley factors) has det 1 by construction, and symmetric, so the flow by -t
+inverts it.  A point's image depends on its own t alone, not on its batch.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import numpy as np
 
 from .accessibility import (displacement_jacobian, find_fixed_points, loop_path,
                             standard_generators, trivial_set_scan)
-from .errors import (BumpEscape, OverlapError, PostconditionFailure,
+from .errors import (BumpEscape, NoConvergence, OverlapError, PostconditionFailure,
                      RegularValueFailure)
 from .fiber import FiberFamily, SkewProduct
 from .holonomy import DEFAULT_TOL, SuPath, make_holonomy, project_su
 from .torus import BumpProfile, Region, TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
 
-FLOW_STEP = 1e-3
+MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
+NEWTON_ITERS = 5        # fixed Newton iterations per step (no early stop)
+NEWTON_TOL = 1e-12      # largest midpoint residual accepted after them
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,10 @@ class BumpTranslation:
         return self.base_bump.value(torus_dist(x, self.base_center))
 
 
-def _field(d, vs, prof: BumpProfile, want_jac: bool):
-    """Hamiltonian field (and its derivative) at fiber offsets d from the center."""
+def _field(d, vs, prof: BumpProfile):
+    """Hamiltonian field X and its derivative DX at fiber offsets d from the center."""
     r = np.hypot(d[..., 0], d[..., 1])
-    if want_jac:
-        psi, dpsi, d2psi = prof.value_and_derivatives(r, 2)
-    else:
-        psi, dpsi = prof.value_and_derivatives(r, 1)
+    psi, dpsi, d2psi = prof.value_and_derivatives(r, 2)
     v0, v1 = vs[..., 0], vs[..., 1]
     h0 = d[..., 1] * v0 - d[..., 0] * v1
     rsafe = np.where(r > 0, r, 1.0)
@@ -77,8 +77,6 @@ def _field(d, vs, prof: BumpProfile, want_jac: bool):
     X = np.empty_like(d)
     X[..., 0] = w * d[..., 1] + psi * v0
     X[..., 1] = -w * d[..., 0] + psi * v1
-    if not want_jac:
-        return X, None
     rh0 = d[..., 0] / rsafe
     rh1 = d[..., 1] / rsafe
     # dw/dd_j = psi'' rhat_j H0/r + psi' gradH_j / r - psi' H0 d_j / r^3
@@ -92,42 +90,43 @@ def _field(d, vs, prof: BumpProfile, want_jac: bool):
     return X, DX
 
 
-def _flow(d0, times, vs, prof: BumpProfile, want_jac: bool = False):
-    """Fixed-step RK4 flow of the bump field for per-point times (signed).
+def _solve_unit_minus(A, b):
+    """x with (I - A) x = b for batched 2x2 A and b of shape (..., 2, k), in
+    closed form so that no point's result depends on its batch."""
+    p, q = 1.0 - A[..., 0, 0, None], -A[..., 0, 1, None]
+    r, s = -A[..., 1, 0, None], 1.0 - A[..., 1, 1, None]
+    det = p * s - q * r
+    b0, b1 = b[..., 0, :], b[..., 1, :]
+    return np.stack(((s * b0 - q * b1) / det, (p * b1 - r * b0) / det), axis=-2)
 
-    The rescaled field times*X is integrated over unit time, so one step
-    partition serves the whole batch: steps are sized by the batch's largest
-    |time|, keeping the effective step in original time <= FLOW_STEP.  Cost
-    is dominated by the step loop, not the batch width, so batches are never
-    split.
+
+def _flow(d0, times, vs, prof: BumpProfile, want_jac: bool = False):
+    """Implicit-midpoint flow of the bump field for per-point signed times.
+
+    Each step of h = t / MIDPOINT_STEPS solves m = y + (h/2) X(m) by
+    NEWTON_ITERS Newton iterations, raises NoConvergence if the residual is
+    still above NEWTON_TOL, and sets y <- y + h X(m).  Its Jacobian factor is
+    (I - A)^{-1} (I + A) = 2 (I - A)^{-1} - I with A = (h/2) DX(m).
     """
-    d = np.array(d0, dtype=float)
-    t = np.asarray(times, dtype=float)[..., None]
-    vs = np.broadcast_to(np.asarray(vs, float), d.shape)
-    n = max(1, int(math.ceil(float(np.max(np.abs(t))) / FLOW_STEP)))
-    h = 1.0 / n
+    y = np.array(d0, dtype=float)
+    h2 = (0.5 / MIDPOINT_STEPS) * np.asarray(times, dtype=float)[..., None]
+    vs = np.broadcast_to(np.asarray(vs, float), y.shape)
     jac = None
     if want_jac:
-        jac = np.broadcast_to(np.eye(2), d.shape[:-1] + (2, 2)).copy()
-
-    def rhs(dd):
-        X, DX = _field(dd, vs, prof, want_jac)
-        return t * X, DX
-
-    for _ in range(n):
-        k1, J1 = rhs(d)
-        k2, J2 = rhs(d + (h / 2) * k1)
-        k3, J3 = rhs(d + (h / 2) * k2)
-        k4, J4 = rhs(d + h * k3)
+        jac = np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
+    for _ in range(MIDPOINT_STEPS):
+        m = y
+        for _ in range(NEWTON_ITERS):
+            X, DX = _field(m, vs, prof)
+            m = m - _solve_unit_minus(h2[..., None] * DX, (m - y - h2 * X)[..., None])[..., 0]
+        X, DX = _field(m, vs, prof)
+        resid = float(np.max(np.abs(m - y - h2 * X)))
+        if resid > NEWTON_TOL:
+            raise NoConvergence(f"implicit-midpoint residual {resid:.3g} > {NEWTON_TOL:g}")
         if want_jac:
-            tj = t[..., None]
-            m1 = tj * J1 @ jac
-            m2 = tj * J2 @ (jac + (h / 2) * m1)
-            m3 = tj * J3 @ (jac + (h / 2) * m2)
-            m4 = tj * J4 @ (jac + h * m3)
-            jac = jac + (h / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
-        d = d + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return d, jac
+            jac = 2.0 * _solve_unit_minus(h2[..., None] * DX, jac) - jac
+        y = y + 2.0 * h2 * X
+    return y, jac
 
 
 def _bump_fiber_action(bt: BumpTranslation, t, ys, inverse: bool = False,
@@ -135,7 +134,7 @@ def _bump_fiber_action(bt: BumpTranslation, t, ys, inverse: bool = False,
     """Apply h (or h^{-1}) with per-point base activation t to fiber points ys.
 
     Exact identity outside the support; exact translation where the whole
-    trajectory stays in the plateau; RK4 on the band.
+    trajectory stays in the plateau; implicit midpoint on the band.
     """
     ys = np.asarray(ys, dtype=float)
     t = np.broadcast_to(np.asarray(t, dtype=float), ys.shape[:-1]).copy()

@@ -5,7 +5,8 @@ import pytest
 
 from skewlab.accessibility import loop_map, standard_generators, trivial_set_scan
 from skewlab.anosov import build_quad, make_anosov
-from skewlab.errors import BumpEscape, OverlapError
+from skewlab import perturbation
+from skewlab.errors import BumpEscape, NoConvergence, OverlapError
 from skewlab.fiber import (ConstantFamily, IdentityMap, SkewProduct,
                            certify_partial_hyperbolicity)
 from skewlab.holonomy import make_holonomy
@@ -116,6 +117,50 @@ class TestBumpTranslation:
             fd = ((apply_bump(bump, quad.w1, ys + e)
                    - apply_bump(bump, quad.w1, ys - e) + 0.5) % 1 - 0.5) / (2 * h)
             assert np.max(np.abs(fd - jac[:, :, axis])) < 1e-6
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_jacobian_matches_finite_differences_partial_activation(self, bump, quad,
+                                                                    inverse):
+        # the Cayley-product Jacobian is the derivative of the map itself,
+        # on band points with base activation 0 < t < 1, both directions
+        rng = np.random.default_rng(11)
+        fmap = apply_bump_inverse if inverse else apply_bump
+        for frac in (0.55, 0.7, 0.8):
+            xs = lift(quad.w1) + np.array([0.0, frac * bump.base_bump.outer_radius])
+            assert 0.0 < float(bump.base_value(xs)) < 1.0
+            th = rng.uniform(0, 2 * math.pi, 40)
+            rr = rng.uniform(0.30, 0.45, 40)
+            ys = (0.5 + rr[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)) % 1.0
+            jac = bump_jacobian(bump, xs, ys, inverse=inverse)
+            h = 1e-6
+            for axis in (0, 1):
+                e = np.zeros(2)
+                e[axis] = h
+                fd = ((fmap(bump, xs, ys + e) - fmap(bump, xs, ys - e) + 0.5) % 1
+                      - 0.5) / (2 * h)
+                assert np.max(np.abs(fd - jac[:, :, axis])) < 1e-7
+
+    def test_batch_independent_bitwise(self, bump, quad):
+        # a band point's image and Jacobian do not depend on its batch peers
+        fam = PerturbedFamily(ConstantFamily(IdentityMap()), (bump,))
+        w1 = lift(quad.w1)
+        peer_x, peer_y = w1, np.array([0.5, 0.9])
+        for frac, y in ((0.6, (0.5, 0.1)), (0.75, (0.88, 0.52)), (0.65, (0.2, 0.3))):
+            x = w1 + np.array([frac * bump.base_bump.outer_radius, 0.0])
+            assert 0.0 < float(bump.base_value(x)) < 1.0
+            alone_x, alone_y = x[None], np.array([y])
+            pair_x, pair_y = np.stack([x, peer_x]), np.stack([y, peer_y])
+            assert np.array_equal(fam.apply(alone_x, alone_y)[0],
+                                  fam.apply(pair_x, pair_y)[0])
+            assert np.array_equal(fam.inverse(alone_x, alone_y)[0],
+                                  fam.inverse(pair_x, pair_y)[0])
+            assert np.array_equal(fam.jacobian(alone_x, alone_y)[0],
+                                  fam.jacobian(pair_x, pair_y)[0])
+
+    def test_newton_residual_check_is_live(self, bump, quad, monkeypatch):
+        monkeypatch.setattr(perturbation, "NEWTON_ITERS", 0)
+        with pytest.raises(NoConvergence):
+            apply_bump(bump, quad.w1, np.array([[0.5, 0.1]]))
 
     def test_inverse_roundtrip(self, bump, quad):
         rng = np.random.default_rng(5)
