@@ -24,6 +24,10 @@ OPEN_MIN = 1.6
 DYADIC_SCALES = tuple(range(3, 9))
 MIN_BOXES = 24
 _QUANT = 1e-9
+FD_STEP = 1e-6          # central-difference step of displacement_jacobian
+NEWTON_MAX_ITER = 50    # damped Newton iterations of find_fixed_points
+DEDUP_FACTOR = 10.0     # fixed points closer than DEDUP_FACTOR * tol are one
+REFINE_LEVELS = 3       # fivefold shrinks of a singular seed's refinement scan
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ def loop_path(quad: HeteroclinicQuad, i: int) -> SuPath:
 
 
 def loop_map(sp: SkewProduct, quad: HeteroclinicQuad, i: int,
-             tol: float = DEFAULT_TOL, cert_grid_n: int = 32) -> LoopMap:
+             tol: float = DEFAULT_TOL) -> LoopMap:
     """Loop map for loop i of a quad; propagates NoConvergence from holonomies.
 
     Legs through the periodic point p_i are anchored at p_i and legs through x
@@ -69,15 +73,12 @@ def loop_map(sp: SkewProduct, quad: HeteroclinicQuad, i: int,
     """
     p, _, _ = quad.loop_points(i)
     anchors = (lift(quad.x), lift(p), lift(p), lift(quad.x))
-    path = project_su(sp, loop_path(quad, i), tol=tol, anchors=anchors,
-                      cert_grid_n=cert_grid_n)
+    path = project_su(sp, loop_path(quad, i), tol=tol, anchors=anchors)
     return LoopMap(quad=quad, index=i, path=path, tol=tol)
 
 
-def standard_generators(sp: SkewProduct, quads, tol: float = DEFAULT_TOL,
-                        cert_grid_n: int = 32) -> list[LoopMap]:
-    return [loop_map(sp, quad, i, tol=tol, cert_grid_n=cert_grid_n)
-            for quad in quads for i in (1, 2)]
+def standard_generators(sp: SkewProduct, quads, tol: float = DEFAULT_TOL) -> list[LoopMap]:
+    return [loop_map(sp, quad, i, tol=tol) for quad in quads for i in (1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +103,19 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     return pts[order]
 
 
-def displacement_jacobian(map_fn, pts: np.ndarray, h: float = 1e-6):
+def displacement_jacobian(map_fn, pts: np.ndarray):
     """Columns d/du and d/dv of the wrapped displacement map_fn(p) - p at pts,
-    by central differences of step h."""
+    by central differences of step FD_STEP."""
     cols = []
-    for e in (np.array([h, 0.0]), np.array([0.0, h])):
+    for e in (np.array([FD_STEP, 0.0]), np.array([0.0, FD_STEP])):
         fwd, back = mod1(pts + e), mod1(pts - e)
-        cols.append((wrapped_diff(map_fn(fwd), fwd) - wrapped_diff(map_fn(back), back)) / (2 * h))
+        cols.append((wrapped_diff(map_fn(fwd), fwd) - wrapped_diff(map_fn(back), back))
+                    / (2 * FD_STEP))
     return tuple(cols)
 
 
 def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
-                      seed_grid_n: int = 64, max_iter: int = 50,
-                      dedup_factor: float = 10.0) -> FixedPointResult:
+                      seed_grid_n: int = 64) -> FixedPointResult:
     """All fixed points of a fiber self-map inside a chart rectangle.
 
     Grid seeding + damped Newton on the wrapped displacement with
@@ -137,7 +138,7 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
     active = np.ones(len(seeds), dtype=bool)
     singular_seeds = []
     converged = []
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not np.any(active):
             break
         q = mod1(center + xi[active])
@@ -180,15 +181,15 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
     resid = torus_dist(map_fn(pts), pts)
     pts = pts[(resid < tol) & region.contains(pts, margin=1e-9)]
     return FixedPointResult(identity_like=False,
-                            points=_dedup(pts, dedup_factor * tol))
+                            points=_dedup(pts, DEDUP_FACTOR * tol))
 
 
-def _refine_by_scan(map_fn, seeds: np.ndarray, span: float, levels: int = 3) -> np.ndarray:
+def _refine_by_scan(map_fn, seeds: np.ndarray, span: float) -> np.ndarray:
     """Per seed of an (S, 2) array, the least-displaced point of a 5x5 grid
     around it, re-centred and shrunk fivefold per level: one map call a level."""
     best = seeds
     rows = np.arange(len(seeds))
-    for _ in range(levels):
+    for _ in range(REFINE_LEVELS):
         offs = np.linspace(-span, span, 5)
         uu, vv = np.meshgrid(offs, offs, indexing="ij")
         cand = mod1(best[:, None, :] + np.stack([uu.ravel(), vv.ravel()], axis=-1))
@@ -319,7 +320,7 @@ def box_counts(points: np.ndarray, scales=DYADIC_SCALES) -> tuple[int, ...]:
     return tuple(out)
 
 
-def classify_class(sample: ClassSample, scales=DYADIC_SCALES) -> Classification:
+def classify_class(sample: ClassSample) -> Classification:
     """Trichotomy verdict for a class sample.
 
     Trivial below the diameter threshold; otherwise a box-counting dimension
@@ -337,9 +338,9 @@ def classify_class(sample: ClassSample, scales=DYADIC_SCALES) -> Classification:
         cls = Classification("Trivial", diameter, 0.0, (), (), n)
         sample.diagnostics = cls
         return cls
-    counts = box_counts(pts, scales)
+    counts = box_counts(pts, DYADIC_SCALES)
     cap = max(n / 4.0, 32.0)
-    kept = [(j, c) for j, c in zip(scales, counts) if MIN_BOXES <= c <= cap]
+    kept = [(j, c) for j, c in zip(DYADIC_SCALES, counts) if MIN_BOXES <= c <= cap]
     if len(kept) < 2:
         cls = Classification("Indeterminate", diameter, float("nan"),
                              tuple(j for j, _ in kept), counts, n)

@@ -108,7 +108,7 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     act = np.zeros((n, m))
     which = np.zeros((n, m), dtype=np.int8)
     for b_idx, b in enumerate(bumps):
-        a = b.base_bump.value(torus_dist(orbit, np.asarray(b.base_center, float)))
+        a = b.base_value(orbit)
         on = a > 0
         act[on] = a[on]      # base supports disjoint: at most one bump fires
         which[on] = b_idx

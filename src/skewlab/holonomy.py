@@ -28,6 +28,7 @@ DEFAULT_TOL = 1e-10
 N_MAX_COMPOSITIONS = 200
 CERT_GRID_N = 32
 _LOOKAHEAD = 6
+_DECAY_FLOOR = 1e-13    # increments at or below this are rounding, not decay
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,14 @@ class HolonomyMap:
         return replace(self, s_from=self.s_to, s_to=self.s_from,
                        from_pts=self.to_pts, to_pts=self.from_pts)
 
-    def measured_decay_ratio(self, floor: float = 1e-13) -> float:
-        """Geometric-mean per-step ratio of the Cauchy increments above floor.
+    def measured_decay_ratio(self) -> float:
+        """Geometric-mean per-step ratio of the Cauchy increments above _DECAY_FLOOR.
 
         Individual consecutive ratios fluctuate with the field gradient along
         the orbit; the envelope rate (first to last significant increment) is
         the meaningful contraction measurement.
         """
-        sig = [(k, d) for k, d in enumerate(self.increments) if d > floor]
+        sig = [(k, d) for k, d in enumerate(self.increments) if d > _DECAY_FLOOR]
         if len(sig) < 2:
             return 0.0
         (k0, d0), (k1, d1) = sig[0], sig[-1]
@@ -109,14 +110,14 @@ def _min_horizon(sp: SkewProduct, kind: str, s_from: float, s_to: float,
     return min(max(n, 0), n_max - _LOOKAHEAD)
 
 
-def _certify(h: HolonomyMap, cert_grid_n: int, n_max: int):
+def _certify(h: HolonomyMap, n_max: int):
     """Run the Cauchy scan on h; return (truncation_n, certified_tol, increments).
 
     The push is kept from one n to the next; the pull is redone for each n.
     """
     push, pull = h.push_pull()
     tol = h.tol
-    grid = cell_grid(cert_grid_n)
+    grid = cell_grid(CERT_GRID_N)
     n_min = _min_horizon(h.sp, h.kind, h.s_from, h.s_to, tol, n_max)
     ups = grid.copy()
     h_prev = grid.copy()
@@ -147,8 +148,7 @@ def _certify(h: HolonomyMap, cert_grid_n: int, n_max: int):
 
 
 def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float,
-                  tol: float = DEFAULT_TOL, cert_grid_n: int = CERT_GRID_N,
-                  n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
+                  tol: float = DEFAULT_TOL, n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
     """Certified holonomy between anchor + s_from*e and anchor + s_to*e.
 
     Both base orbits ride one anchor orbit plus the offsets s * rate^k, stored
@@ -165,7 +165,7 @@ def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float
                     truncation_n=0, certified_tol=np.inf, tol=tol,
                     from_pts=mod1(anchors + np.multiply.outer(s_from * scales, e)),
                     to_pts=mod1(anchors + np.multiply.outer(s_to * scales, e)))
-    trunc, certified, increments = _certify(h, cert_grid_n, n_max)
+    trunc, certified, increments = _certify(h, n_max)
     return replace(h, truncation_n=trunc, certified_tol=certified,
                    increments=increments)
 
@@ -180,19 +180,17 @@ def _leaf_offset(sp: SkewProduct, kind: str, x, y) -> float:
 
 
 def stable_holonomy(sp: SkewProduct, x, y, tol: float = DEFAULT_TOL,
-                    cert_grid_n: int = CERT_GRID_N,
                     n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
     """Holonomy from fiber(x) to fiber(y) for y on the stable leaf of x."""
     s = _leaf_offset(sp, "stable", x, y)
-    return make_holonomy(sp, "stable", lift(x), 0.0, s, tol, cert_grid_n, n_max)
+    return make_holonomy(sp, "stable", lift(x), 0.0, s, tol, n_max)
 
 
 def unstable_holonomy(sp: SkewProduct, x, y, tol: float = DEFAULT_TOL,
-                      cert_grid_n: int = CERT_GRID_N,
                       n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
     """Mirror of stable_holonomy along backward iterates."""
     s = _leaf_offset(sp, "unstable", x, y)
-    return make_holonomy(sp, "unstable", lift(x), 0.0, s, tol, cert_grid_n, n_max)
+    return make_holonomy(sp, "unstable", lift(x), 0.0, s, tol, n_max)
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,7 @@ class PathHolonomy:
 
 
 def project_su(sp: SkewProduct, path: SuPath, tol: float = DEFAULT_TOL,
-               anchors: tuple | None = None, cert_grid_n: int = CERT_GRID_N) -> PathHolonomy:
+               anchors: tuple | None = None) -> PathHolonomy:
     """Compose leg holonomies along a multi-leg su-path.
 
     Each leg is validated for leaf membership and chaining; an optional
@@ -249,6 +247,5 @@ def project_su(sp: SkewProduct, path: SuPath, tol: float = DEFAULT_TOL,
         anchor = lift(leg.from_point) if anchors is None else np.asarray(anchors[i], float)
         s_from = _leaf_offset(sp, leg.kind, anchor, leg.from_point)
         s_to = _leaf_offset(sp, leg.kind, anchor, leg.to_point)
-        maps.append(make_holonomy(sp, leg.kind, anchor, s_from, s_to,
-                                  tol=tol, cert_grid_n=cert_grid_n))
+        maps.append(make_holonomy(sp, leg.kind, anchor, s_from, s_to, tol=tol))
     return PathHolonomy(maps=tuple(maps))

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import SearchExhausted
 
 Frac = Fraction
+PBB_MAX_REFINEMENTS = 14    # step halvings of pbb_search before SearchExhausted
 
 
 def _as_frac(x) -> Fraction:
@@ -451,7 +452,7 @@ def _critical_levels(l: MonotoneStepFunction):
 
 
 def pbb_search(l1: MonotoneStepFunction, l2: MonotoneStepFunction,
-               phi: MonotoneStepFunction, epsilon, max_refinements: int = 14):
+               phi: MonotoneStepFunction, epsilon):
     """Find (s, t), |s|,|t| <= epsilon, with phi(Fix(l2+t)) ∩ Fix(l1+s) = ∅.
 
     Adaptive rational grid over [-eps, eps]^2, every candidate verified exactly
@@ -473,7 +474,7 @@ def pbb_search(l1: MonotoneStepFunction, l2: MonotoneStepFunction,
     floor = (min(gaps) / 2) if gaps else eps / 1024
     tried = set()
     n = 3
-    for _ in range(max_refinements):
+    for _ in range(PBB_MAX_REFINEMENTS):
         step = 2 * eps / (n - 1)
         values = [-eps + step * k for k in range(n)]
         candidates = sorted(((abs(s) + abs(t), s, t) for s in values for t in values))
@@ -492,7 +493,7 @@ def pbb_search(l1: MonotoneStepFunction, l2: MonotoneStepFunction,
             break
         n = 2 * n - 1
     raise SearchExhausted(
-        f"no admissible (s, t) within |s|,|t| <= {eps} after {max_refinements} refinements")
+        f"no admissible (s, t) within |s|,|t| <= {eps} after {PBB_MAX_REFINEMENTS} refinements")
 
 
 # ---------------------------------------------------------------------------
@@ -544,26 +545,25 @@ def level_preimage_report(l1: MonotoneStepFunction, phi: MonotoneStepFunction,
 # ---------------------------------------------------------------------------
 # deterministic random instances (tests, acceptance battery, CLI)
 
-def random_monotone_step(rng, a, b, max_jumps: int = 20, denominator: int = 48,
-                         value_span=None, allow_slope_one: bool = True) -> MonotoneStepFunction:
+def random_monotone_step(rng, a, b, max_jumps: int = 20,
+                         denominator: int = 48) -> MonotoneStepFunction:
     """Random rational instance: mixed flat/affine/slope-1 pieces and jumps."""
     a, b = _as_frac(a), _as_frac(b)
     span = b - a
     n_nodes = int(rng.integers(1, max_jumps + 1))
     ticks = sorted(set(int(k) for k in rng.integers(1, denominator, size=n_nodes)))
     xs = [a] + [a + span * Frac(k, denominator) for k in ticks] + [b]
-    value_span = span if value_span is None else _as_frac(value_span)
-    cur = a + value_span * Frac(int(rng.integers(-8, 9)), 64)
+    cur = a + span * Frac(int(rng.integers(-8, 9)), 64)
     starts, ends = [], []
     for i in range(len(xs) - 1):
         if i > 0 and rng.random() < 0.4:
-            cur += value_span * Frac(int(rng.integers(0, 9)), 96)  # upward jump
+            cur += span * Frac(int(rng.integers(0, 9)), 96)  # upward jump
         starts.append(cur)
         width = xs[i + 1] - xs[i]
         r = rng.random()
         if r < 0.25:
             rise = Frac(0)                      # flat piece
-        elif allow_slope_one and r < 0.45:
+        elif r < 0.45:
             rise = width                        # slope exactly one
         else:
             rise = width * Frac(int(rng.integers(0, 25)), 8)

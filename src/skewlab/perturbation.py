@@ -30,6 +30,14 @@ MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
 NEWTON_ITERS = 5        # fixed Newton iterations per step (no early stop)
 NEWTON_TOL = 1e-12      # largest midpoint residual accepted after them
 
+# destroy_trivial_class: fixed bump geometry and search budgets
+BASE_INNER_FRAC, BASE_OUTER_FRAC = 0.45, 0.9  # base bump radii / quad ball radius
+FIBER_INNER, FIBER_OUTER = 0.34, 0.46         # fiber plateau and support radii
+FIBER_ANCHOR = (0.5, 0.5)   # fiber point over x whose holonomy images centre the bumps
+MAX_DRAWS = 100             # random translation draws per bump
+MIN_SINGULAR = 1e-4         # singular-value floor of a regular value of l_i - id
+SEED_GRID_N = 48            # fixed-point seed grid on the plateau
+
 
 @dataclass(frozen=True)
 class BumpTranslation:
@@ -169,26 +177,17 @@ def _bump_fiber_action(bt: BumpTranslation, t, ys, inverse: bool = False,
 def apply_bump(bt: BumpTranslation, x, y):
     """h_x(y): identity bitwise off-support, y + t v on the certified plateau."""
     t = float(bt.base_value(np.asarray(x, float).reshape(2)))
-    ys = np.asarray(y, dtype=float)
-    if t == 0.0:
-        return mod1(ys)
-    return _bump_fiber_action(bt, t, ys, inverse=False)
+    return _bump_fiber_action(bt, t, y, inverse=False)
 
 
 def apply_bump_inverse(bt: BumpTranslation, x, y):
     t = float(bt.base_value(np.asarray(x, float).reshape(2)))
-    ys = np.asarray(y, dtype=float)
-    if t == 0.0:
-        return mod1(ys)
-    return _bump_fiber_action(bt, t, ys, inverse=True)
+    return _bump_fiber_action(bt, t, y, inverse=True)
 
 
 def bump_jacobian(bt: BumpTranslation, x, y, inverse: bool = False):
     t = float(bt.base_value(np.asarray(x, float).reshape(2)))
-    ys = np.asarray(y, dtype=float)
-    if t == 0.0:
-        return np.broadcast_to(np.eye(2), ys.shape[:-1] + (2, 2)).copy()
-    _, jac = _bump_fiber_action(bt, t, ys, inverse=inverse, want_jac=True)
+    _, jac = _bump_fiber_action(bt, t, y, inverse=inverse, want_jac=True)
     return jac
 
 
@@ -213,7 +212,7 @@ class PerturbedFamily(FiberFamily):
         if want_jac:
             jac = np.broadcast_to(np.eye(2), shape[:-1] + (2, 2)).copy()
         for bt in self.bumps:
-            t = bt.base_bump.value(torus_dist(xb, bt.base_center))
+            t = bt.base_value(xb)
             mask = t > 0
             if not np.any(mask):
                 continue
@@ -276,19 +275,11 @@ class DestroyParams:
     fixed_point_tol: float = 1e-8
     scan_tol: float = 1e-6
     scan_grid_n: int = 32
-    base_inner_frac: float = 0.45
-    base_outer_frac: float = 0.9
-    fiber_inner: float = 0.34
-    fiber_outer: float = 0.46
-    fiber_anchor: tuple[float, float] = (0.5, 0.5)
-    # anchor of the second bump's fiber support; None reuses fiber_anchor.
+    # anchor of the second bump's fiber support; None reuses FIBER_ANCHOR.
     # The antipode (offset (1/2, 1/2)) makes the two supports cover the whole
     # fiber torus, leaving no frozen region.
     fiber_anchor2: tuple[float, float] | None = None
     v_frac: float = 0.5
-    max_draws: int = 100
-    min_singular: float = 1e-4
-    seed_grid_n: int = 48
     rng_seed: int = 0
 
 
@@ -352,7 +343,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
         path, anchors = _w_loop_path(quad, i)
         l_paths[i] = project_su(sp, path, tol=params.holonomy_tol, anchors=anchors)
 
-    anchor_y = np.asarray(params.fiber_anchor, float)
+    anchor_y = np.asarray(FIBER_ANCHOR, float)
     anchor2 = anchor_y if params.fiber_anchor2 is None \
         else np.asarray(params.fiber_anchor2, float)
     centers = {}
@@ -362,32 +353,31 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
                              tol=params.holonomy_tol)
         centers[i] = h_xw(anch)
 
-    fiber_prof = BumpProfile(params.fiber_inner, params.fiber_outer)
-    delta = min(epsilon, 0.95 * (params.fiber_outer - params.fiber_inner) / 2.0,
-                0.9 * params.fiber_inner)
+    fiber_prof = BumpProfile(FIBER_INNER, FIBER_OUTER)
+    delta = min(epsilon, 0.95 * (FIBER_OUTER - FIBER_INNER) / 2.0,
+                0.9 * FIBER_INNER)
     v_norm = params.v_frac * delta
 
     def regular_for(loop, center, v):
-        reg = _plateau_region(center, params.fiber_inner - v_norm)
+        reg = _plateau_region(center, FIBER_INNER - v_norm)
         for sign in (1.0, -1.0):
             target = sign * np.asarray(v)
 
             def shifted(pts):
                 return mod1(loop(pts) - target)
 
-            res = find_fixed_points(shifted, reg, tol=tol,
-                                    seed_grid_n=params.seed_grid_n)
+            res = find_fixed_points(shifted, reg, tol=tol, seed_grid_n=SEED_GRID_N)
             if res.identity_like:
                 return None
             if len(res.points):
                 smin = _min_singular_value(loop, res.points)
-                if smin <= params.min_singular:
+                if smin <= MIN_SINGULAR:
                     return None
         return reg
 
     v1 = None
     draws1 = 0
-    for k in range(params.max_draws):
+    for k in range(MAX_DRAWS):
         draws1 = k + 1
         theta = rng.uniform(0.0, 2.0 * math.pi)
         cand = (v_norm * math.cos(theta), v_norm * math.sin(theta))
@@ -397,12 +387,11 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
             break
     if v1 is None:
         raise RegularValueFailure(
-            f"no regular translation for loop 1 after {params.max_draws} draws")
+            f"no regular translation for loop 1 after {MAX_DRAWS} draws")
 
     def make_bump(i, v):
         r_ball = quad.ball_radius(i)
-        base_prof = BumpProfile(params.base_inner_frac * r_ball,
-                                params.base_outer_frac * r_ball)
+        base_prof = BumpProfile(BASE_INNER_FRAC * r_ball, BASE_OUTER_FRAC * r_ball)
         _, w, _ = quad.loop_points(i)
         return BumpTranslation(base_center=w, base_bump=base_prof,
                                fiber_center=wrap(centers[i]), fiber_bump=fiber_prof,
@@ -413,7 +402,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     def m1(pts):
         return _bump_fiber_action(bt1, 1.0, l_paths[1](pts), inverse=True)
 
-    fp1 = find_fixed_points(m1, reg1, tol=tol, seed_grid_n=params.seed_grid_n)
+    fp1 = find_fixed_points(m1, reg1, tol=tol, seed_grid_n=SEED_GRID_N)
     if fp1.identity_like:
         raise RegularValueFailure("perturbed loop 1 is identity-like; bump ineffective")
 
@@ -424,7 +413,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     v2 = None
     draws2 = 0
     base_angle = math.atan2(v1[1], v1[0])
-    for k in range(params.max_draws):
+    for k in range(MAX_DRAWS):
         draws2 = k + 1
         theta = base_angle + math.pi / 2.0 + rng.uniform(-0.4, 0.4)
         cand = (v_norm * math.cos(theta), v_norm * math.sin(theta))
@@ -445,13 +434,13 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
         break
     if v2 is None:
         raise RegularValueFailure(
-            f"no admissible second translation after {params.max_draws} draws")
+            f"no admissible second translation after {MAX_DRAWS} draws")
 
     perturbed = perturb_skew(sp, (bt1, bt2))
 
     # V_x certified through bump 1's plateau; when the second bump shares the
     # anchor its (identical) plateau certifies the same region
-    radius_eff = (params.fiber_inner - v_norm) * 0.9
+    radius_eff = (FIBER_INNER - v_norm) * 0.9
     vx = _plateau_region(anchor_y, radius_eff)
 
     gens = standard_generators(perturbed, [quad])

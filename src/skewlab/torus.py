@@ -10,7 +10,7 @@ coordinate equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,49 +130,22 @@ class Region:
         return mod1(c + offs)
 
 
-def _smoothstep_coeffs(order: int) -> np.ndarray:
-    """Coefficients (ascending powers of t) of the C^order smoothstep S_k.
-
-    S_k is the unique degree 2k+1 polynomial with S_k(0)=0, S_k(1)=1 and k
-    vanishing derivatives at both ends.  order=2 gives 10t^3 - 15t^4 + 6t^5.
-    """
-    k = order
-    coeffs = np.zeros(2 * k + 2)
-    for i in range(k + 1):
-        c = math.comb(k + i, i) * math.comb(2 * k + 1, k - i) * (-1) ** i
-        coeffs[k + 1 + i] = c
-    return coeffs
-
-
 @dataclass(frozen=True)
 class BumpProfile:
     """Radial bump: 1 on [0, inner], 0 on [outer, inf), smooth monotone between.
 
-    The transition band uses the polynomial smoothstep of the declared order,
-    so the junctions are exactly C^order (order=2 is the quintic
-    1 - (10t^3 - 15t^4 + 6t^5) on the band).
+    The transition band is the C^2 quintic smoothstep 1 - (10t^3 - 15t^4 + 6t^5)
+    of t = (r - inner) / (outer - inner).
     """
 
     inner_radius: float
     outer_radius: float
-    order: int = 2
-    _poly: np.ndarray = field(init=False, repr=False, compare=False)
-    _dpoly: np.ndarray = field(init=False, repr=False, compare=False)
-    _d2poly: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.inner_radius > 0):
             raise ValueError("inner_radius must be positive")
         if not (self.outer_radius > self.inner_radius):
             raise ValueError("outer_radius must exceed inner_radius")
-        if not (isinstance(self.order, int) and self.order >= 2):
-            raise ValueError("smoothness order must be an integer >= 2")
-        poly = _smoothstep_coeffs(self.order)
-        dpoly = np.polynomial.polynomial.polyder(poly)
-        d2poly = np.polynomial.polynomial.polyder(dpoly)
-        object.__setattr__(self, "_poly", poly)
-        object.__setattr__(self, "_dpoly", dpoly)
-        object.__setattr__(self, "_d2poly", d2poly)
 
     @property
     def band(self) -> float:
@@ -187,31 +160,17 @@ class BumpProfile:
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
         t = np.clip((r - self.inner_radius) / self.band, 0.0, 1.0)
-        if self.order == 2:
-            # hand-rolled quintic smoothstep: the hot path of the bump flow.
-            # s, s', s'' all reach their clip values exactly (s(1) = 1 in
-            # exact float arithmetic), so no branch masks are needed.
-            t2 = t * t
-            s = t2 * t * (10.0 + t * (-15.0 + 6.0 * t))
-            out = [1.0 - s]
-            if n_derivs >= 1:
-                out.append(t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / self.band))
-            if n_derivs >= 2:
-                out.append(t * (60.0 + t * (-180.0 + 120.0 * t)) / -self.band**2)
-            return tuple(out)
-        in_band = (r > self.inner_radius) & (r < self.outer_radius)
-        s = np.polynomial.polynomial.polyval(t, self._poly)
-        val = np.where(r <= self.inner_radius, 1.0, np.where(in_band, 1.0 - s, 0.0))
-        out = [val]
+        # s, s', s'' all reach their clip values exactly (s(1) = 1 in exact
+        # float arithmetic), so no branch masks are needed.
+        t2 = t * t
+        s = t2 * t * (10.0 + t * (-15.0 + 6.0 * t))
+        out = [1.0 - s]
         if n_derivs >= 1:
-            ds = np.polynomial.polynomial.polyval(t, self._dpoly)
-            out.append(np.where(in_band, -ds / self.band, 0.0))
+            out.append(t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / self.band))
         if n_derivs >= 2:
-            d2s = np.polynomial.polynomial.polyval(t, self._d2poly)
-            out.append(np.where(in_band, -d2s / self.band**2, 0.0))
+            out.append(t * (60.0 + t * (-180.0 + 120.0 * t)) / -self.band**2)
         return tuple(out)
 
     def max_abs_derivative(self) -> float:
-        """Upper bound on |d value/dr|, attained mid-band."""
-        ts = np.linspace(0.0, 1.0, 257)
-        return float(np.max(np.abs(np.polynomial.polynomial.polyval(ts, self._dpoly)))) / self.band
+        """max |d value/dr|: 30 t^2 (1 - t)^2 / band peaks at t = 1/2."""
+        return 1.875 / self.band

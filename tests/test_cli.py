@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -141,13 +142,18 @@ class TestScenarios:
         ("classify", {"quad": {"max_denominator": 0}}),
         ("certify", {"base": {"matrix": [[1, 1], [0, 1]]}}),
         ("certify", {"family": {"kind": "translation", "vector": [0.1]}}),
+        ("holonomy", {"tolerances": {"holonomy_tol": math.inf}}),
+        ("certify", {"family": {"kind": "lewowicz_constant", "c": math.nan}}),
+        ("holonomy", {"holonomy": {"leaf_offset": "abc"}}),
+        ("holonomy", {"holonomy": {"leaf_offset": math.inf}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
-            "max-denominator", "base-not-hyperbolic", "family-vector"])
+            "max-denominator", "base-not-hyperbolic", "family-vector", "holonomy-tol-inf",
+            "family-c-nan", "leaf-offset-str", "leaf-offset-inf"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(bad))
+        cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), scenario]) == 1
         assert "config error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab.perturbation import BASE_INNER_FRAC, BASE_OUTER_FRAC, FIBER_INNER, FIBER_OUTER
 from skewlab.torus import (BumpProfile, Region, TorusPoint, cell_grid, torus_dist,
                            wrap, wrapped_diff)
 
@@ -73,8 +74,6 @@ class TestBumpProfile:
             BumpProfile(0.0, 1.0)
         with pytest.raises(ValueError):
             BumpProfile(1.0, 0.5)
-        with pytest.raises(ValueError):
-            BumpProfile(1.0, 2.0, order=1)
 
     def test_plateau_and_support(self):
         b = BumpProfile(1.0, 2.0)
@@ -127,12 +126,22 @@ class TestBumpProfile:
         fd2 = (b.value(rs + h2) - 2 * val + b.value(rs - h2)) / h2**2
         assert np.max(np.abs(fd2 - d2v)) < 1e-4
 
-    def test_higher_order_profile(self):
-        b = BumpProfile(1.0, 2.0, order=3)
-        assert b.value(0.5) == 1.0
-        assert b.value(2.5) == 0.0
-        rs = np.linspace(0, 2.5, 2000)
-        assert np.all(np.diff(b.value(rs)) <= 1e-15)
+    # destroy's fiber and base bumps (on the default quad, whose ball radius is
+    # 0.02957...), c04's field bumps and the config default
+    @pytest.mark.parametrize("inner,outer", [
+        (FIBER_INNER, FIBER_OUTER),
+        (BASE_INNER_FRAC * 0.029572375056701277, BASE_OUTER_FRAC * 0.029572375056701277),
+        (0.05, 0.14), (0.08, 0.2)])
+    def test_max_abs_derivative_bounds_derivative(self, inner, outer):
+        # the holonomy minimum horizon relies on this bound; the rounded
+        # polynomial may pass the rounded exact maximum by a few ulps
+        b = BumpProfile(inner, outer)
+        rs = np.concatenate([np.linspace(0.0, 1.1 * outer, 200_001),
+                             (inner + outer) / 2 + np.arange(-1000, 1001) * 1e-16])
+        peak = np.max(np.abs(b.value_and_derivatives(rs, 1)[1]))
+        bound = b.max_abs_derivative()
+        assert peak <= bound * (1 + 4 * np.finfo(float).eps)
+        assert peak >= bound * (1 - 4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n", [1, 5, 32])
