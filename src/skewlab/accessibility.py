@@ -9,6 +9,7 @@ available generators) is trivial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,13 @@ FD_STEP = 1e-6          # central-difference step of displacement_jacobian
 NEWTON_MAX_ITER = 50    # damped Newton iterations of find_fixed_points
 DEDUP_FACTOR = 10.0     # fixed points closer than DEDUP_FACTOR * tol are one
 REFINE_LEVELS = 3       # fivefold shrinks of a singular seed's refinement scan
+DIAMETER_CELLS = 256    # sample_diameter's grid: the finest with this many cells occupied
+DIAMETER_RUN = 256      # points per run of one cell; DIAMETER_RUN**2 pairs per kernel call
+# Rounding slack of sample_diameter: both its cheap kernel and torus_dist are
+# within 1e-15 (absolute plus relative) of the exact distance, so widening by
+# these never prunes, nor leaves unrecomputed, the pair torus_dist maximises.
+_ROUND_REL = 1e-12
+_ROUND_ABS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -249,75 +257,157 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
     actions = [(g, False) for g in gens] + [(g, True) for g in gens]
 
     m = len(seeds)
-    seen: set[tuple[int, int, int]] = set()
-    collected: list[list[np.ndarray]] = [[] for _ in range(m)]
-    counts = np.zeros(m, dtype=int)
 
-    def keys_of(pts):
-        return np.round(pts * (1.0 / _QUANT)).astype(np.int64)
+    def keys_of(pts, sids):
+        # (seed, point quantized to _QUANT) as one complex number, injective
+        # because the quantized coordinates of points of [0, 1) are below 2^30
+        q = np.round(pts * (1.0 / _QUANT))
+        key = np.empty(len(pts), dtype=complex)
+        key.real = sids * 2.0 ** 30 + q[:, 0]
+        key.imag = q[:, 1]
+        return key
 
-    frontier_pts = seeds.copy()
-    frontier_sid = np.arange(m)
-    for sid, pt in zip(frontier_sid, frontier_pts):
-        k = keys_of(pt[None, :])[0]
-        seen.add((sid, int(k[0]), int(k[1])))
-        collected[sid].append(pt)
-        counts[sid] += 1
-
+    frontier_pts, frontier_sid = seeds, np.arange(m)
+    seen = np.sort(keys_of(seeds, frontier_sid))
+    taken_pts, taken_sid = [seeds], [frontier_sid]
+    counts = np.ones(m, dtype=int)
     for _ in range(word_length):
         if len(frontier_pts) == 0 or np.all(counts >= K):
             break
-        cand_pts = []
-        cand_sid = []
-        for gen, inv in actions:
-            img = gen.inverse(frontier_pts) if inv else gen(frontier_pts)
-            cand_pts.append(img)
-            cand_sid.append(frontier_sid)
-        pts = np.concatenate(cand_pts, axis=0)
-        sids = np.concatenate(cand_sid, axis=0)
-        keys = keys_of(pts)
-        new_pts = []
-        new_sid = []
-        for p, sid, k in zip(pts, sids, keys):
-            if counts[sid] >= K:
-                continue
-            key = (int(sid), int(k[0]), int(k[1]))
-            if key in seen:
-                continue
-            seen.add(key)
-            collected[sid].append(p)
-            counts[sid] += 1
-            new_pts.append(p)
-            new_sid.append(sid)
-        frontier_pts = np.asarray(new_pts).reshape(-1, 2)
-        frontier_sid = np.asarray(new_sid, dtype=int)
+        pts = mod1(np.concatenate([gen.inverse(frontier_pts) if inv else gen(frontier_pts)
+                                   for gen, inv in actions]))
+        sids = np.tile(frontier_sid, len(actions))
+        keys = keys_of(pts, sids)
+        # first occurrence of each key in this level, if no earlier level took it
+        _, first = np.unique(keys, return_index=True)
+        at = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
+        first = np.sort(first[seen[at] != keys[first]])
+        # each seed takes its first K - counts new points, in candidate order
+        sid = sids[first]
+        by_seed = np.argsort(sid, kind="stable")
+        rank = np.empty(len(first), dtype=int)
+        rank[by_seed] = np.arange(len(first)) - np.searchsorted(sid[by_seed], sid[by_seed])
+        take = first[rank < K - counts[sid]]
+        counts += np.bincount(sids[take], minlength=m)
+        new_keys = np.sort(keys[take])
+        seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
+        frontier_pts, frontier_sid = pts[take], sids[take]
+        taken_pts.append(frontier_pts)
+        taken_sid.append(frontier_sid)
 
-    return [ClassSample(seed=(float(s[0]), float(s[1])),
-                        points=np.asarray(collected[i]).reshape(-1, 2),
+    by_seed = np.argsort(np.concatenate(taken_sid), kind="stable")
+    points = np.split(np.concatenate(taken_pts)[by_seed], np.cumsum(counts)[:-1])
+    return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i],
                         generators_used=2 * len(gens), word_length=word_length)
             for i, s in enumerate(seeds)]
 
 
+def _cell_keys(points: np.ndarray, j: int) -> np.ndarray:
+    """One int64 key per point: its cell of the 2^j x 2^j dyadic grid."""
+    cells = np.minimum(np.floor(points * (1 << j)).astype(np.int64), (1 << j) - 1)
+    return (cells[:, 0] << j) | cells[:, 1]
+
+
+def _reach(lo, hi):
+    """Largest |x - rint(x)| over the differences x of two runs' coordinates on
+    one axis, for every pair of runs with coordinate ranges [lo, hi]: the
+    wrapped distance of the ranges' centres plus their half-widths, at most
+    1/2.  Returns an (m, m) array."""
+    centre, half = (lo + hi) / 2, (hi - lo) / 2
+    d = centre[:, None] - centre[None, :]
+    d -= np.rint(d)
+    np.abs(d, out=d)
+    d += half[:, None] + half[None, :]
+    return np.minimum(d, 0.5, out=d)
+
+
+def _wrapped_sq(x1, y1, x2, y2):
+    """Squared torus distances by the cheap kernel: d -= rint(d)."""
+    dx, dy = x1 - x2, y1 - y2
+    dx -= np.rint(dx)
+    dy -= np.rint(dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def sample_diameter(points: np.ndarray) -> float:
-    """Max pairwise torus distance, chunked to bound memory."""
-    n = len(points)
+    """Max pairwise torus distance: bitwise the maximum of torus_dist over all
+    ordered pairs, found by pruning pairs of dyadic cells instead of
+    evaluating every pair.
+
+    The points are binned on the finest dyadic grid with at most
+    DIAMETER_CELLS occupied cells, from 16 x 16 up, and each cell's points
+    are cut into runs of at most DIAMETER_RUN.  Run pairs are visited by
+    decreasing upper bound of their distance, at most DIAMETER_RUN**2 point
+    pairs at a time, and the visit stops once no bound reaches the best
+    distance found so far.  Every pair within the rounding window of that
+    best is recomputed with torus_dist in both argument orders, as the
+    all-pairs scan computes it, and the largest of those values is returned.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(pts)
     if n < 2:
         return 0.0
-    best = 0.0
-    for i0 in range(0, n, 256):
-        chunk = points[i0:i0 + 256]
-        d = torus_dist(chunk[:, None, :], points[None, :, :])
-        best = max(best, float(np.max(d)))
-    return best
+    j = 4
+    while j < 30 and len(np.unique(_cell_keys(pts, j + 1))) <= DIAMETER_CELLS:
+        j += 1
+    keys = _cell_keys(pts, j)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    x, y = pts[order, 0], pts[order, 1]
+    new_cell = np.r_[True, keys[1:] != keys[:-1]]
+    rank = np.arange(n) - np.flatnonzero(new_cell)[np.cumsum(new_cell) - 1]
+    start = np.flatnonzero(rank % DIAMETER_RUN == 0)
+    count = np.diff(np.r_[start, n])
+
+    def cutoff(best_sq):  # least distance of a pair that may still be the maximum
+        return math.sqrt(best_sq) * (1 - _ROUND_REL) - _ROUND_ABS
+
+    # lower bound: the largest squared distance between run representatives
+    xs, ys = x[start], y[start]
+    best_sq = float(np.max(_wrapped_sq(xs[:, None], ys[:, None], xs[None, :], ys[None, :])))
+
+    # run pairs a <= b whose upper bound, widened against rounding, reaches it
+    bound = np.sqrt(_reach(np.minimum.reduceat(x, start), np.maximum.reduceat(x, start)) ** 2
+                    + _reach(np.minimum.reduceat(y, start), np.maximum.reduceat(y, start)) ** 2)
+    bound = bound * (1 + _ROUND_REL) + _ROUND_ABS
+    a, b = np.nonzero(np.triu(bound >= cutoff(best_sq)))
+    by_bound = np.argsort(-bound[a, b], kind="stable")
+    a, b = a[by_bound], b[by_bound]
+    neg_bound = -bound[a, b]
+    size = count[a] * count[b]
+    ends = np.cumsum(size)
+
+    best, k = 0.0, 0
+    while True:
+        live = int(np.searchsorted(neg_bound, -cutoff(best_sq), side="right"))
+        if k >= live:
+            return best
+        first = ends[k] - size[k]
+        k1 = max(k + 1, min(live, int(np.searchsorted(ends, first + DIAMETER_RUN ** 2,
+                                                      side="right"))))
+        sizes = size[k:k1]
+        pair = np.repeat(np.arange(k, k1), sizes)
+        row, col = np.divmod(np.arange(first, ends[k1 - 1])
+                             - np.repeat(ends[k:k1] - sizes, sizes), count[b[pair]])
+        i, i2 = start[a[pair]] + row, start[b[pair]] + col
+        sq = _wrapped_sq(x[i], y[i], x[i2], y[i2])
+        best_sq = max(best_sq, float(np.max(sq)))
+        cut = cutoff(best_sq)
+        near = np.flatnonzero(sq >= cut * cut) if cut > 0 else np.arange(len(sq))
+        near = near[i[near] < i2[near]]
+        if len(near):
+            p = np.stack([x[i[near]], y[i[near]]], axis=-1)
+            q = np.stack([x[i2[near]], y[i2[near]]], axis=-1)
+            best = max(best, float(np.max(torus_dist(p, q))),
+                       float(np.max(torus_dist(q, p))))
+        k = k1
 
 
 def box_counts(points: np.ndarray, scales=DYADIC_SCALES) -> tuple[int, ...]:
-    out = []
-    for j in scales:
-        cells = np.floor(points * (1 << j)).astype(np.int64)
-        cells = np.minimum(cells, (1 << j) - 1)
-        out.append(int(len(np.unique(cells, axis=0))))
-    return tuple(out)
+    return tuple(int(len(np.unique(_cell_keys(points, j)))) for j in scales)
 
 
 def classify_class(sample: ClassSample) -> Classification:

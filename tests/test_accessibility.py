@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewlab.accessibility import (ClassSample, _refine_by_scan, box_counts, classify_class,
-                                   explore_class, explore_classes,
-                                   find_fixed_points, loop_map, standard_generators,
+from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample,
+                                   _refine_by_scan, box_counts, classify_class,
+                                   explore_class, explore_classes, find_fixed_points,
+                                   loop_map, sample_diameter, standard_generators,
                                    trivial_set_scan)
 from skewlab.anosov import build_quad, make_anosov
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
@@ -262,6 +266,111 @@ class TestClassifierExactness:
         square = self.planted_square(0.2)
         counts2 = box_counts(square, (3, 4, 5))
         assert 3.0 < counts2[1] / counts2[0] < 5.0
+
+
+def brute_diameter(points):
+    """Oracle: the largest torus_dist over all ordered pairs, 256 rows at a time."""
+    best = 0.0
+    for i0 in range(0, len(points), 256):
+        chunk = points[i0:i0 + 256]
+        best = max(best, float(np.max(torus_dist(chunk[:, None, :], points[None, :, :]))))
+    return best
+
+
+def brute_box_counts(points, scales):
+    counts = []
+    for j in scales:
+        cells = np.minimum(np.floor(points * (1 << j)).astype(np.int64), (1 << j) - 1)
+        counts.append(len(np.unique(cells, axis=0)))
+    return tuple(counts)
+
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+unit_coord = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                       st.sampled_from([0.0, 0.25, 0.5, 0.75, 1 / 3, BELOW_ONE]))
+
+
+def diameter_samples():
+    rng = np.random.default_rng(7)
+    centres = rng.random((3, 2))
+    grid = np.arange(16) / 16
+    boundary = np.stack(np.meshgrid(np.r_[grid, BELOW_ONE], np.r_[grid, BELOW_ONE]),
+                        axis=-1).reshape(-1, 2)
+    yield "uniform-50", rng.random((50, 2))
+    yield "uniform-3000", rng.random((3000, 2))
+    yield "clustered", (centres[rng.integers(0, 3, 2000)]
+                        + 0.03 * rng.standard_normal((2000, 2))) % 1.0
+    yield "straddle-corner", (0.05 * rng.standard_normal((1500, 2))) % 1.0
+    yield "straddle-seam", np.stack([(0.02 * rng.standard_normal(900)) % 1.0,
+                                     rng.random(900)], axis=-1)
+    yield "circle", ((0.5 + 0.3 * np.stack([np.cos(np.arange(1201) * 0.1),
+                                            np.sin(np.arange(1201) * 0.1)], -1)) % 1.0)
+    yield "cell-boundaries", boundary
+    yield "boundary-corners", np.array([[0.0, 0.0], [BELOW_ONE, BELOW_ONE], [0.5, 0.5],
+                                        [0.0, BELOW_ONE], [0.5, 0.0]])
+    yield "duplicates", np.repeat(rng.random((40, 2)), 30, axis=0)
+    yield "near-duplicates", (np.repeat(rng.random((20, 2)), 25, axis=0)
+                              + 1e-13 * rng.random((500, 2))) % 1.0
+    yield "trivial", 0.37 + 1e-7 * rng.random((400, 2))
+    # spread 1e-10: rounding of the run bounds is absolute, not relative, here
+    yield "tiny-cluster", np.array([[0.7745666950466213, 0.3826593600669556],
+                                    [0.7745666951095497, 0.38265936001952805],
+                                    [0.7745666950996942, 0.38265936005487966],
+                                    [0.7745666950990295, 0.3826593600571391]])
+    yield "n0", np.empty((0, 2))
+    yield "n1", np.array([[0.2, 0.9]])
+    # torus_dist(p, q) != torus_dist(q, p) for this pair
+    yield "n2-asymmetric", np.array([[0.6369616873214543, 0.2697867137638703],
+                                     [0.04097352393619469, 0.016527635528529094]])
+    # d -= rint(d) gives a distance one ulp from torus_dist's for this pair
+    yield "n2-rounding", np.array([[0.2986961328189226, 0.6719948779563594],
+                                   [0.1995154439682133, 0.9421131105064978]])
+
+
+DIAMETER_SAMPLES = list(diameter_samples())
+
+
+class TestSampleDiameter:
+    @pytest.mark.parametrize("points", [pts for _, pts in DIAMETER_SAMPLES],
+                             ids=[name for name, _ in DIAMETER_SAMPLES])
+    def test_bitwise_equals_all_pairs(self, points):
+        assert sample_diameter(points) == brute_diameter(points)
+
+    def test_trivial_sample_below_threshold(self):
+        pts = 0.37 + 1e-7 * np.random.default_rng(3).random((400, 2))
+        assert 0.0 < sample_diameter(pts) < DIAMETER_TRIVIAL
+
+    @given(st.lists(st.tuples(unit_coord, unit_coord), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equals_all_pairs_property(self, coords):
+        pts = np.array(coords, dtype=float).reshape(-1, 2)
+        assert sample_diameter(pts) == brute_diameter(pts)
+
+    @pytest.mark.parametrize("kind", ["one-cell", "duplicates"])
+    def test_memory_bounded_by_chunk(self, kind):
+        # 4000 points inside one 1/16 cell, or 1500 copies of one point: a
+        # single cell, which must not become one n x n block
+        rng = np.random.default_rng(5)
+        if kind == "one-cell":
+            pts = (3 + rng.random((4000, 2))) / 16
+        else:
+            pts = np.tile([[0.3, 0.7]], (1500, 1))
+        chunk_bytes = 256 * len(pts) * 2 * 8
+        tracemalloc.start()
+        try:
+            got = sample_diameter(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk_bytes
+        assert got == brute_diameter(pts)
+
+    def test_box_counts_match_row_unique(self):
+        rng = np.random.default_rng(11)
+        for pts in (rng.random((3000, 2)), (0.2 + 0.01 * rng.random((500, 2))),
+                    rng.integers(0, 256, (2000, 2)) / 256,
+                    np.array([[0.0, 0.0], [BELOW_ONE, BELOW_ONE], [0.5, BELOW_ONE]])):
+            assert box_counts(pts, DYADIC_SCALES) == brute_box_counts(pts, DYADIC_SCALES)
 
 
 class TestTrivialScan:
