@@ -25,10 +25,9 @@ from .errors import (AmbiguousBranch, BrokenPath, BumpEscape, ConfigError,
                      ConstructionFailed, NoConvergence, NotAnosov, NotFound,
                      OverlapError, PostconditionFailure, RegularValueFailure,
                      SearchExhausted, ShadowFailure, SkewLabError)
-from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, LewowiczMap,
-                    PHEstimates, RotationFamily, ScalarField, SkewProduct,
-                    TranslationMap, VectorField, certify_partial_hyperbolicity,
-                    cocycle, lewowicz, lewowicz_fixed_point_type, lewowicz_inverse)
+from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, PHEstimates,
+                    RotationFamily, ScalarField, SkewProduct, VectorField,
+                    certify_partial_hyperbolicity, cocycle, lewowicz_fixed_point_type)
 from .holonomy import (HolonomyMap, PathHolonomy, SuLeg, SuPath, project_su,
                        stable_holonomy, unstable_holonomy)
 from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,

@@ -297,7 +297,7 @@ def _leg_lengths(quad: HeteroclinicQuad):
     return eps0_s, eps0_u, eps_u, eps_s
 
 
-def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad, full: bool = True):
+def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad):
     """Check all HeteroclinicQuad invariants; raise ConstructionFailed on violation.
 
     Leg residuals, ball disjointness/exclusions, the n <= n_check separation
@@ -322,10 +322,8 @@ def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad, full: bool = True):
         for pt in excluded:
             if torus_dist(w, pt) <= r:
                 problems.append(f"ball around w{i} contains excluded point {pt}")
-    if problems or not full:
-        if problems:
-            raise ConstructionFailed("; ".join(problems))
-        return
+    if problems:
+        raise ConstructionFailed("; ".join(problems))
 
     eps0_s, eps0_u, eps_u, eps_s = _leg_lengths(quad)
     lam_s, lam_u = abs(a.lambda_s), abs(a.lambda_u)

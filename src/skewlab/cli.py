@@ -26,8 +26,8 @@ from .anosov import build_quad
 from .config import SCENARIOS, ExperimentConfig, build_base, build_skew_product
 from .errors import ConfigError, PostconditionFailure, SearchExhausted, SkewLabError
 from .ergodic import ergodic_scan
-from .fiber import certify_partial_hyperbolicity, lewowicz_fixed_point_type, SkewProduct
-from .fiber import ConstantFamily, LewowiczMap
+from .fiber import (LewowiczFamily, ScalarField, SkewProduct, certify_partial_hyperbolicity,
+                    lewowicz_fixed_point_type)
 from .holonomy import stable_holonomy, unstable_holonomy
 from .monotone import pbb_search, random_monotone_step, random_phi, _pbb_oracle
 from .perturbation import DestroyParams, destroy_trivial_class
@@ -192,7 +192,7 @@ def _scenario_sweep(config, out):
     for c_str in config.sweep.c_values:
         c = Fraction(str(c_str))
         kind = lewowicz_fixed_point_type(c)
-        sp = SkewProduct(base=base, family=ConstantFamily(LewowiczMap(float(c))))
+        sp = SkewProduct(base=base, family=LewowiczFamily(ScalarField(float(c))))
         est = certify_partial_hyperbolicity(sp, grid_n=config.sweep.grid_n)
         rows.append([str(c), str(3 - c), kind, est.dominated, est.bunched,
                      est.L_plus, est.L_minus])

@@ -20,8 +20,7 @@ from .anosov import LinearAnosov, make_anosov
 from .ergodic import OBSERVABLES
 from .errors import ConfigError, NotAnosov
 from .fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
-                    LewowiczMap, RotationFamily, ScalarField, SkewProduct,
-                    TranslationMap, VectorField)
+                    RotationFamily, ScalarField, SkewProduct, VectorField)
 from .torus import BumpProfile, Region, wrap
 
 SCENARIOS = ("certify", "holonomy", "classify", "destroy", "ergodic", "pbb", "sweep")
@@ -261,6 +260,9 @@ class HolonomyConfig:
     def __post_init__(self):
         if self.kind not in ("stable", "unstable"):
             raise ValueError("holonomy kind must be 'stable' or 'unstable'")
+        # the bound anosov.leaf puts on a local leaf
+        if not abs(self.leaf_offset) < 0.5:
+            raise ValueError("holonomy leaf_offset must satisfy |leaf_offset| < 1/2")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +294,9 @@ def build_family(cfg: FamilyConfig):
     if cfg.kind == "identity":
         return ConstantFamily(IdentityMap())
     if cfg.kind == "translation":
-        return ConstantFamily(TranslationMap(_tuplify(cfg.vector, 2, "family.vector")))
+        return RotationFamily(VectorField(_tuplify(cfg.vector, 2, "family.vector")))
     if cfg.kind == "lewowicz_constant":
-        return ConstantFamily(LewowiczMap(float(cfg.c)))
+        return LewowiczFamily(ScalarField(float(cfg.c)))
     if cfg.kind == "rotation_field":
         base = _tuplify(cfg.base_value, 2, "family.base_value") \
             if len(cfg.base_value) == 2 else (0.0, 0.0)

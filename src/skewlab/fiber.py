@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anosov import LinearAnosov
-from .torus import BumpProfile, TorusPoint, cell_grid, mod1, torus_dist, wrap
+from .torus import BumpProfile, TorusPoint, cell_grid, mod1, torus_dist
 
 TWO_PI = 2.0 * math.pi
 MAX_COCYCLE_STEPS = 10**6
@@ -118,15 +118,6 @@ def lewowicz_jacobian_raw(c, y):
     return jac
 
 
-def lewowicz(c: float, y) -> TorusPoint:
-    """Single-point Lewowicz map; the origin is fixed for every parameter."""
-    return wrap(lewowicz_raw(float(c), np.asarray(y, float).reshape(2)))
-
-
-def lewowicz_inverse(c: float, Y) -> TorusPoint:
-    return wrap(lewowicz_inverse_raw(float(c), np.asarray(Y, float).reshape(2)))
-
-
 def lewowicz_fixed_point_type(c) -> str:
     """Linear type of the fixed point at the origin, decided in exact arithmetic.
 
@@ -147,21 +138,10 @@ def lewowicz_fixed_point_type(c) -> str:
 # ---------------------------------------------------------------------------
 # fiber maps and families
 
-class FiberMap:
-    """A single area-preserving diffeomorphism of the fiber torus."""
-
-    def apply(self, y):
-        raise NotImplementedError
-
-    def inverse(self, y):
-        raise NotImplementedError
-
-    def jacobian(self, y):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class IdentityMap(FiberMap):
+class IdentityMap:
+    """The identity map of the fiber torus."""
+
     def apply(self, y):
         return mod1(y)
 
@@ -171,41 +151,15 @@ class IdentityMap(FiberMap):
     def jacobian(self, y):
         y = np.asarray(y, dtype=float)
         return np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
-
-
-@dataclass(frozen=True)
-class TranslationMap(FiberMap):
-    vector: tuple[float, float]
-
-    def apply(self, y):
-        return mod1(np.asarray(y, float) + np.asarray(self.vector, float))
-
-    def inverse(self, y):
-        return mod1(np.asarray(y, float) - np.asarray(self.vector, float))
-
-    def jacobian(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
-
-
-@dataclass(frozen=True)
-class LewowiczMap(FiberMap):
-    c: float
-
-    def apply(self, y):
-        return lewowicz_raw(self.c, y)
-
-    def inverse(self, y):
-        return lewowicz_inverse_raw(self.c, y)
-
-    def jacobian(self, y):
-        return lewowicz_jacobian_raw(self.c, y)
 
 
 class FiberFamily:
-    """Base-point-dependent family x -> g_x; methods broadcast x against y."""
+    """Base-point-dependent family x -> g_x; methods broadcast x against y.
 
-    kind = "abstract"
+    A constant map is a field family whose field has no bumps: a translation
+    by v is RotationFamily(VectorField(v)), and the Lewowicz map f_c is
+    LewowiczFamily(ScalarField(c)).
+    """
 
     def apply(self, x, y):
         raise NotImplementedError
@@ -220,15 +174,13 @@ class FiberFamily:
         """Bound on the C^0 variation of g_x in the base point."""
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantFamily(FiberFamily):
-    fiber_map: FiberMap
+    """The identity family ConstantFamily(IdentityMap()): the cheapest one, and
+    the one whose perturbations the ergodic event scan recognises."""
 
-    kind = "constant"
+    fiber_map: IdentityMap
 
     def apply(self, x, y):
         return self.fiber_map.apply(y)
@@ -242,23 +194,12 @@ class ConstantFamily(FiberFamily):
     def base_lipschitz(self) -> float:
         return 0.0
 
-    def descriptor(self) -> dict:
-        name = type(self.fiber_map).__name__
-        params = {}
-        if isinstance(self.fiber_map, TranslationMap):
-            params["vector"] = list(self.fiber_map.vector)
-        if isinstance(self.fiber_map, LewowiczMap):
-            params["c"] = self.fiber_map.c
-        return {"kind": "constant", "map": name, **params}
-
 
 @dataclass(frozen=True)
 class RotationFamily(FiberFamily):
     """g_x(y) = y + tau(x): fiberwise rigid translations."""
 
     field: VectorField
-
-    kind = "rotation"
 
     def apply(self, x, y):
         return mod1(np.asarray(y, float) + self.field(x))
@@ -274,17 +215,12 @@ class RotationFamily(FiberFamily):
     def base_lipschitz(self) -> float:
         return self.field.lipschitz()
 
-    def descriptor(self) -> dict:
-        return {"kind": "rotation"}
-
 
 @dataclass(frozen=True)
 class LewowiczFamily(FiberFamily):
     """g_x = Lewowicz map with base-dependent parameter c(x) in [0, 5)."""
 
     field: ScalarField
-
-    kind = "lewowicz"
 
     def apply(self, x, y):
         return lewowicz_raw(self.field(x), y)
@@ -298,9 +234,6 @@ class LewowiczFamily(FiberFamily):
     def base_lipschitz(self) -> float:
         # |d f_c / dc| <= 1/(2 pi) pointwise
         return self.field.lipschitz() / TWO_PI
-
-    def descriptor(self) -> dict:
-        return {"kind": "lewowicz", "base_value": self.field.base_value}
 
 
 @dataclass(frozen=True)

@@ -199,20 +199,18 @@ class PerturbedFamily(FiberFamily):
     inner: FiberFamily
     bumps: tuple[BumpTranslation, ...]
 
-    kind = "perturbed"
-
     def _h_action(self, x, y, inverse: bool, want_jac: bool = False):
         """Combined bump map h_x^{±1} on broadcast (x, y) batches."""
         xb = np.asarray(x, dtype=float)
         yb = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(xb.shape, yb.shape)
-        xb = np.broadcast_to(xb, shape)
         out = np.broadcast_to(yb, shape).copy()
         jac = None
         if want_jac:
             jac = np.broadcast_to(np.eye(2), shape[:-1] + (2, 2)).copy()
         for bt in self.bumps:
-            t = bt.base_value(xb)
+            # activation at x's own shape (often one point), then broadcast
+            t = np.broadcast_to(bt.base_value(xb), shape[:-1])
             mask = t > 0
             if not np.any(mask):
                 continue
@@ -239,30 +237,26 @@ class PerturbedFamily(FiberFamily):
         extra = sum(b.base_bump.max_abs_derivative() * b.v_norm for b in self.bumps)
         return self.inner.base_lipschitz() + extra
 
-    def descriptor(self) -> dict:
-        return {"kind": "perturbed", "inner": self.inner.descriptor(),
-                "n_bumps": len(self.bumps)}
-
 
 def perturb_skew(sp: SkewProduct, bumps) -> SkewProduct:
     """Wrap a skew product with fiberwise bump translations (F -> F o h^{-1}).
 
     Holonomies whose defining orbits avoid every base support are unchanged.
-    Base supports must be pairwise disjoint.
+    Base supports must be pairwise disjoint, including those of the bumps
+    already on a perturbed family.
     """
     bumps = tuple(bumps)
     if not bumps:
         return sp
+    inner = sp.family
+    if isinstance(inner, PerturbedFamily):
+        inner, bumps = inner.inner, inner.bumps + bumps
     for i in range(len(bumps)):
         for j in range(i + 1, len(bumps)):
             gap = float(torus_dist(bumps[i].base_center, bumps[j].base_center))
             if gap <= bumps[i].base_bump.outer_radius + bumps[j].base_bump.outer_radius:
                 raise OverlapError(
                     f"base supports of bumps {i} and {j} overlap (centers {gap:.4g} apart)")
-    inner = sp.family
-    if isinstance(inner, PerturbedFamily):
-        return SkewProduct(base=sp.base,
-                           family=PerturbedFamily(inner.inner, inner.bumps + bumps))
     return SkewProduct(base=sp.base, family=PerturbedFamily(inner, bumps))
 
 

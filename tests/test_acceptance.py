@@ -285,7 +285,7 @@ def test_c09_ergodic_probes(cat, id_sp, destroyed_strong):
     ratio_frozen = frozen.sigma[-1] / frozen.sigma[0]
 
     tau = (math.sqrt(2) - 1.0, (math.sqrt(3) - 1.0) / 2.0)
-    rot = sl.SkewProduct(base=cat, family=sl.ConstantFamily(sl.TranslationMap(tau)))
+    rot = sl.SkewProduct(base=cat, family=sl.RotationFamily(sl.VectorField(tau)))
     irr = ergodic_scan(rot, "fiber_cos", n, m, seed=5)
     ratio_irr = irr.sigma[-1] / irr.sigma[0]
 

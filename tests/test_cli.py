@@ -7,6 +7,7 @@ from skewlab import cli
 from skewlab.cli import main
 from skewlab.config import ExperimentConfig, build_family, build_skew_product
 from skewlab.errors import ConfigError
+from skewlab.fiber import ConstantFamily, LewowiczFamily, RotationFamily
 
 
 class TestConfig:
@@ -43,14 +44,17 @@ class TestConfig:
             ExperimentConfig.from_json("{not json")
 
     def test_family_builders(self):
-        for kind in ("identity", "translation", "lewowicz_constant"):
+        # a constant map other than the identity is a field with no bumps
+        for kind, cls in (("identity", ConstantFamily), ("translation", RotationFamily),
+                          ("lewowicz_constant", LewowiczFamily)):
             fam = build_family(ExperimentConfig.from_dict({"family": {"kind": kind}}).family)
-            assert fam.descriptor()["kind"] == "constant"
+            assert isinstance(fam, cls)
+            assert fam.base_lipschitz() == 0.0
         cfg = ExperimentConfig.from_dict({"family": {
             "kind": "rotation_field", "base_value": [0.0, 0.0],
             "bumps": [{"center": [0.3, 0.7], "inner": 0.05, "outer": 0.15,
                        "amplitude": [0.2, 0.0]}]}})
-        assert build_family(cfg.family).descriptor()["kind"] == "rotation"
+        assert isinstance(build_family(cfg.family), RotationFamily)
 
     def test_base_power(self):
         cfg = ExperimentConfig.from_dict({"base": {"power": 3}})
@@ -146,11 +150,12 @@ class TestScenarios:
         ("certify", {"family": {"kind": "lewowicz_constant", "c": math.nan}}),
         ("holonomy", {"holonomy": {"leaf_offset": "abc"}}),
         ("holonomy", {"holonomy": {"leaf_offset": math.inf}}),
+        ("holonomy", {"holonomy": {"leaf_offset": 0.7}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
             "max-denominator", "base-not-hyperbolic", "family-vector", "holonomy-tol-inf",
-            "family-c-nan", "leaf-offset-str", "leaf-offset-inf"])
+            "family-c-nan", "leaf-offset-str", "leaf-offset-inf", "leaf-offset-off-leaf"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN

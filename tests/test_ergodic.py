@@ -7,8 +7,8 @@ from skewlab import ergodic
 from skewlab.anosov import build_quad, make_anosov
 from skewlab.ergodic import (_scan_event_driven, _scan_generic, birkhoff,
                              ergodic_scan, observable)
-from skewlab.fiber import (ConstantFamily, IdentityMap, SkewProduct,
-                           TranslationMap)
+from skewlab.fiber import (ConstantFamily, IdentityMap, RotationFamily, SkewProduct,
+                           VectorField)
 from skewlab.perturbation import BumpTranslation, perturb_skew
 from skewlab.torus import BumpProfile, wrap
 
@@ -29,7 +29,7 @@ def product_sp(cat):
 @pytest.fixture(scope="module")
 def irrational_sp(cat):
     tau = (math.sqrt(2) - 1.0, (math.sqrt(3) - 1.0) / 2.0)
-    return SkewProduct(base=cat, family=ConstantFamily(TranslationMap(tau)))
+    return SkewProduct(base=cat, family=RotationFamily(VectorField(tau)))
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,9 @@ import pytest
 
 from skewlab.anosov import make_anosov
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
-                           LewowiczMap, RotationFamily, ScalarField, SkewProduct,
-                           TranslationMap, VectorField, certify_partial_hyperbolicity,
-                           cocycle, lewowicz, lewowicz_fixed_point_type,
-                           lewowicz_inverse)
+                           RotationFamily, ScalarField, SkewProduct, VectorField,
+                           certify_partial_hyperbolicity, cocycle,
+                           lewowicz_fixed_point_type)
 from skewlab.torus import BumpProfile, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
@@ -17,6 +16,28 @@ CAT = [[2, 1], [1, 1]]
 @pytest.fixture(scope="module")
 def cat():
     return make_anosov(CAT)
+
+
+def lewowicz_constant(c):
+    """The Lewowicz map f_c as a field family whose field has no bumps."""
+    return LewowiczFamily(ScalarField(float(c)))
+
+
+def translation(v):
+    """The translation by v as a field family whose field has no bumps."""
+    return RotationFamily(VectorField(v))
+
+
+X0 = np.zeros(2)
+
+
+def lewowicz(c, y):
+    """Single-point Lewowicz map through the constant family."""
+    return wrap(lewowicz_constant(c).apply(X0, np.asarray(y, float)))
+
+
+def lewowicz_inverse(c, y):
+    return wrap(lewowicz_constant(c).inverse(X0, np.asarray(y, float)))
 
 
 def lewowicz_field_family(c_max=2.0, center=(0.25, 0.75), inner=0.1, outer=0.25):
@@ -32,11 +53,14 @@ def rotation_family(vec=(0.25, 0.1), center=(0.3, 0.7)):
 
 ALL_FAMILIES = [
     ConstantFamily(IdentityMap()),
-    ConstantFamily(TranslationMap((0.3, 0.0))),
-    ConstantFamily(LewowiczMap(2.0)),
+    translation((0.3, 0.0)),
+    lewowicz_constant(2.0),
     rotation_family(),
     lewowicz_field_family(),
 ]
+# ids name the fiber map: the constant ones first, then the two with bumps
+FAMILY_IDS = ["constant/IdentityMap", "constant/TranslationMap", "constant/LewowiczMap",
+              "rotation/", "lewowicz/"]
 
 
 class TestLewowicz:
@@ -60,20 +84,20 @@ class TestLewowicz:
         rng = np.random.default_rng(0)
         for c in (0.0, 1.0, 2.0):
             ys = rng.random((1000, 2))
-            fam = ConstantFamily(LewowiczMap(c))
-            out = fam.apply(None, fam.inverse(None, ys))
+            fam = lewowicz_constant(c)
+            out = fam.apply(X0, fam.inverse(X0, ys))
             assert np.max(torus_dist(out, ys)) < 1e-12
 
     def test_c0_inverse_is_matrix_inverse(self, cat):
         ys = np.random.default_rng(1).random((50, 2))
-        fam = ConstantFamily(LewowiczMap(0.0))
-        assert np.max(torus_dist(fam.inverse(None, ys), cat.apply_inverse(ys))) < 1e-12
+        fam = lewowicz_constant(0.0)
+        assert np.max(torus_dist(fam.inverse(X0, ys), cat.apply_inverse(ys))) < 1e-12
 
     def test_unit_determinant(self):
         rng = np.random.default_rng(2)
         ys = rng.random((500, 2))
         for c in (0.0, 1.5, 3.7):
-            jac = ConstantFamily(LewowiczMap(c)).jacobian(None, ys)
+            jac = lewowicz_constant(c).jacobian(X0, ys)
             det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
             assert np.max(np.abs(det - 1)) < 1e-14
 
@@ -87,8 +111,7 @@ class TestLewowicz:
 
 
 class TestFamilies:
-    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.descriptor()["kind"]
-                             + "/" + f.descriptor().get("map", ""))
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAMILY_IDS)
     def test_area_preservation(self, fam):
         rng = np.random.default_rng(7)
         xs = rng.random((10_000, 2))
@@ -97,8 +120,7 @@ class TestFamilies:
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         assert np.max(np.abs(det - 1.0)) < 1e-10
 
-    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.descriptor()["kind"]
-                             + "/" + f.descriptor().get("map", ""))
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=FAMILY_IDS)
     def test_inverse_composition(self, fam):
         rng = np.random.default_rng(8)
         xs = rng.random((2000, 2))
@@ -141,11 +163,11 @@ class TestCocycle:
         assert np.array_equal(cocycle(sp, (0.1, 0.2), 0, y), y % 1.0)
 
     def test_constant_family_is_power(self, cat):
-        sp = SkewProduct(base=cat, family=ConstantFamily(LewowiczMap(1.0)))
+        sp = SkewProduct(base=cat, family=lewowicz_constant(1.0))
         y = np.array([0.3, 0.4])
         expected = y.copy()
         for _ in range(5):
-            expected = sp.family.apply(None, expected)
+            expected = sp.family.apply(X0, expected)
         assert torus_dist(cocycle(sp, (0.1, 0.2), 5, y), expected) < 1e-14
 
     def test_rotation_telescopes(self, cat):
@@ -187,7 +209,7 @@ class TestCocycle:
             cocycle(sp, (0, 0), 10**6 + 1, (0, 0))
 
     def test_fiber_map_dispatch(self, cat):
-        sp = SkewProduct(base=cat, family=ConstantFamily(TranslationMap((0.3, 0.0))))
+        sp = SkewProduct(base=cat, family=translation((0.3, 0.0)))
         x, y0 = np.array([0.0, 0.0]), np.array([0.1, 0.1])
         y = sp.family.apply(x, y0)
         assert torus_dist(y, (0.4, 0.1)) < 1e-15
@@ -203,14 +225,14 @@ class TestCertification:
         assert est.dominated and est.bunched
 
     def test_lewowicz_c2_everywhere_not_dominated(self, cat):
-        sp = SkewProduct(base=cat, family=ConstantFamily(LewowiczMap(2.0)))
+        sp = SkewProduct(base=cat, family=lewowicz_constant(2.0))
         est = certify_partial_hyperbolicity(sp, 16)
         assert est.L_plus > est.lambda_u
         assert not est.dominated
 
     def test_l_plus_matches_svd_oracle(self, cat):
         # independent oracle: dense SVD over the same grid
-        sp = SkewProduct(base=cat, family=ConstantFamily(LewowiczMap(2.0)))
+        sp = SkewProduct(base=cat, family=lewowicz_constant(2.0))
         est = certify_partial_hyperbolicity(sp, 16)
         ticks = (np.arange(16) + 0.5) / 16
         uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
@@ -222,7 +244,7 @@ class TestCertification:
 
     def test_cubed_base_dominates_lewowicz(self, cat):
         a3 = make_anosov(np.linalg.matrix_power(np.array(CAT), 3))
-        sp = SkewProduct(base=a3, family=ConstantFamily(LewowiczMap(2.0)))
+        sp = SkewProduct(base=a3, family=lewowicz_constant(2.0))
         est = certify_partial_hyperbolicity(sp, 16)
         assert est.lambda_u == pytest.approx(cat.lambda_u**3, rel=1e-12)
         assert est.L_plus < est.lambda_u

@@ -157,6 +157,17 @@ class TestBumpTranslation:
             assert np.array_equal(fam.jacobian(alone_x, alone_y)[0],
                                   fam.jacobian(pair_x, pair_y)[0])
 
+    def test_single_base_point_matches_repeated_bitwise(self, bump, quad):
+        # one x against many y gives the same bits as x repeated to y's shape
+        fam = PerturbedFamily(ConstantFamily(IdentityMap()), (bump,))
+        w1 = lift(quad.w1)
+        ys = np.random.default_rng(12).random((300, 2))
+        for x in (w1, w1 + np.array([0.6 * bump.base_bump.outer_radius, 0.0]),
+                  np.array([0.7, 0.2])):   # plateau, band, off-support
+            xs = np.broadcast_to(x, ys.shape)
+            for method in (fam.apply, fam.inverse, fam.jacobian):
+                assert np.array_equal(method(x, ys), method(xs, ys))
+
     def test_newton_residual_check_is_live(self, bump, quad, monkeypatch):
         monkeypatch.setattr(perturbation, "NEWTON_ITERS", 0)
         with pytest.raises(NoConvergence):
@@ -203,6 +214,19 @@ class TestPerturbSkew:
                              fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
         with pytest.raises(OverlapError):
             perturb_skew(id_sp, [b1, b2])
+
+    def test_overlap_with_earlier_bumps_rejected(self, id_sp, quad):
+        # post-composing one bump at a time is checked like one call with both
+        b1 = make_bump(quad, 1)
+        b2 = BumpTranslation(base_center=quad.w1,
+                             base_bump=b1.base_bump,
+                             fiber_center=wrap((0.5, 0.5)),
+                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
+        with pytest.raises(OverlapError):
+            perturb_skew(perturb_skew(id_sp, [b1]), [b2])
+        b3 = make_bump(quad, 2)
+        chained = perturb_skew(perturb_skew(id_sp, [b1]), [b3])
+        assert chained.family == perturb_skew(id_sp, [b1, b3]).family
 
     def test_conservativity_after_compositions(self, id_sp, quad):
         # |det - 1| <= 1e-8 per map; <= 1e-7 after the 1000-step cocycle
