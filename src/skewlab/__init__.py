@@ -28,8 +28,7 @@ from .errors import (AmbiguousBranch, BrokenPath, BumpEscape, ConfigError,
 from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, PHEstimates,
                     RotationFamily, ScalarField, SkewProduct, VectorField,
                     certify_partial_hyperbolicity, cocycle, lewowicz_fixed_point_type)
-from .holonomy import (HolonomyMap, PathHolonomy, SuLeg, SuPath, project_su,
-                       stable_holonomy, unstable_holonomy)
+from .holonomy import HolonomyMap, PathHolonomy, leaf_holonomy
 from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
                        VariationReport, find_jumps, fixed_point_set,
                        level_preimage_report, pbb_search, total_variation,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .anosov import HeteroclinicQuad
 from .fiber import SkewProduct
-from .holonomy import DEFAULT_TOL, PathHolonomy, SuLeg, SuPath, project_su
+from .holonomy import DEFAULT_TOL, PathHolonomy, make_holonomy
 from .torus import Region, cell_grid, lift, mod1, torus_dist, wrapped_diff
 
 DIAMETER_TRIVIAL = 1e-6
@@ -62,26 +62,19 @@ class LoopMap:
         return wrapped_diff(self(ys), ys)
 
 
-def loop_path(quad: HeteroclinicQuad, i: int) -> SuPath:
-    p, w, z = quad.loop_points(i)
-    return SuPath(legs=(
-        SuLeg("unstable", quad.x, z),
-        SuLeg("stable", z, p),
-        SuLeg("unstable", p, w),
-        SuLeg("stable", w, quad.x),
-    ))
-
-
 def loop_map(sp: SkewProduct, quad: HeteroclinicQuad, i: int,
              tol: float = DEFAULT_TOL) -> LoopMap:
     """Loop map for loop i of a quad; propagates NoConvergence from holonomies.
 
-    Legs through the periodic point p_i are anchored at p_i and legs through x
-    at x, so each leg rides one consistently iterated orbit.
+    The legs x -> z_i -> p_i -> w_i -> x take the quad's certified leaf
+    coordinates. Legs through p_i are anchored at p_i and legs through x at x,
+    so each leg rides one consistently iterated orbit.
     """
     p, _, _ = quad.loop_points(i)
-    anchors = (lift(quad.x), lift(p), lift(p), lift(quad.x))
-    path = project_su(sp, loop_path(quad, i), tol=tol, anchors=anchors)
+    x, p, k = lift(quad.x), lift(p), i - 1
+    legs = (("unstable", x, 0.0, quad.u_z[k]), ("stable", p, quad.s_z[k], 0.0),
+            ("unstable", p, 0.0, quad.u_w[k]), ("stable", x, quad.s_w[k], 0.0))
+    path = PathHolonomy(maps=tuple(make_holonomy(sp, *leg, tol=tol) for leg in legs))
     return LoopMap(quad=quad, index=i, path=path, tol=tol)
 
 

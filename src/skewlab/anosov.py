@@ -297,21 +297,35 @@ def _leg_lengths(quad: HeteroclinicQuad):
     return eps0_s, eps0_u, eps_u, eps_s
 
 
+def _shrink(length: float, lam_u: float, ns: np.ndarray) -> np.ndarray:
+    """length / lam_u**n; where lam_u**n passes the float range it is inf and
+    the length 0, which is its value to within 1e-308."""
+    with np.errstate(over="ignore"):
+        return length / lam_u ** ns
+
+
 def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad):
     """Check all HeteroclinicQuad invariants; raise ConstructionFailed on violation.
 
-    Leg residuals, ball disjointness/exclusions, the n <= n_check separation
-    scan (shrinking stable/unstable segments through the x and p_i orbits),
-    and the orbit-point tail margin where certifiable.
+    Leg residuals, stored leaf coordinates (loop maps build their legs from
+    these alone, so each must equal its endpoints' coordinate exactly), ball
+    disjointness/exclusions, the n <= n_check separation scan (shrinking
+    stable/unstable segments through the x and p_i orbits), and the
+    orbit-point tail margin where certifiable.
     """
     problems = []
     for i in (1, 2):
         p, w, z = quad.loop_points(i)
-        for kind, frm, to in (("stable", quad.x, w), ("unstable", p, w),
-                              ("unstable", quad.x, z), ("stable", p, z)):
-            _, resid = leaf_coordinate(a, kind, frm, to)
+        k = i - 1
+        for kind, frm, to, stored in (("stable", quad.x, w, quad.s_w[k]),
+                                      ("unstable", p, w, quad.u_w[k]),
+                                      ("unstable", quad.x, z, quad.u_z[k]),
+                                      ("stable", p, z, quad.s_z[k])):
+            s, resid = leaf_coordinate(a, kind, frm, to)
             if resid > LEAF_RESIDUAL_TOL:
                 problems.append(f"leg {kind} {frm}->{to} residual {resid:.2e}")
+            if s != stored:
+                problems.append(f"leg {kind} {frm}->{to} stores {stored!r}, not {s!r}")
     if points_equal(quad.p1, quad.p2, tol=1e-9):
         problems.append("p1 and p2 coincide")
     r1, r2 = quad.U1_radius, quad.U2_radius
@@ -345,7 +359,7 @@ def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad):
     check_segments(x_fwd[1:], a.e_s, eps0_s * lam_s ** np.arange(1, n_chk + 1), "item4")
     # item 7: backward images of the unstable segment through x, n = 0..n_check
     x_bwd = a.orbit(quad.x, n_chk, forward=False)
-    check_segments(x_bwd, a.e_u, eps0_u / lam_u ** np.arange(0, n_chk + 1), "item7")
+    check_segments(x_bwd, a.e_u, _shrink(eps0_u, lam_u, np.arange(0, n_chk + 1)), "item7")
     for j, (orbit, e_u_len, e_s_len) in enumerate(
             ((quad.p1_orbit, eps_u[0], eps_s[0]), (quad.p2_orbit, eps_u[1], eps_s[1])),
             start=1):
@@ -353,7 +367,7 @@ def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad):
         # item 5: backward images of the unstable segment through the p_j orbit, n >= 1
         ns = np.arange(1, n_chk + 1)
         centers5 = orbit[(-ns) % period]
-        check_segments(centers5, a.e_u, e_u_len / lam_u ** ns, f"item5(p{j})")
+        check_segments(centers5, a.e_u, _shrink(e_u_len, lam_u, ns), f"item5(p{j})")
         # item 6: forward images of the stable segment through the p_j orbit, n >= 0
         ns0 = np.arange(0, n_chk + 1)
         centers6 = orbit[ns0 % period]

@@ -28,7 +28,7 @@ from .errors import ConfigError, PostconditionFailure, SearchExhausted, SkewLabE
 from .ergodic import ergodic_scan
 from .fiber import (LewowiczFamily, ScalarField, SkewProduct, certify_partial_hyperbolicity,
                     lewowicz_fixed_point_type)
-from .holonomy import stable_holonomy, unstable_holonomy
+from .holonomy import leaf_holonomy
 from .monotone import pbb_search, random_monotone_step, random_phi, _pbb_oracle
 from .perturbation import DestroyParams, destroy_trivial_class
 from .torus import Region, wrap
@@ -82,8 +82,7 @@ def _scenario_holonomy(config, out):
     kind = config.holonomy.kind
     e = sp.base.eigen_direction(kind)
     y = wrap(np.asarray(list(x), float) + config.holonomy.leaf_offset * e)
-    maker = stable_holonomy if kind == "stable" else unstable_holonomy
-    h = maker(sp, x, y, tol=config.tolerances.holonomy_tol)
+    h = leaf_holonomy(sp, kind, x, y, tol=config.tolerances.holonomy_tol)
     _write_csv(out / "holonomy.csv", ["n", "cauchy_increment"],
                [[i + 1, d] for i, d in enumerate(h.increments)])
     return {"kind": kind, "truncation_n": h.truncation_n,

@@ -35,6 +35,11 @@ MAX_BUDGETS = {
     # already peaks near 600 MB); the destroy scan builds grid_n^2 points
     "sweep.grid_n": 32,
     "destroy.scan_grid_n": 512,
+    "ergodic.m_ics": 10_000,
+    # build_quad's candidate search grows like max_denominator^3 (1.7 s at
+    # 100); its separation scan takes 0.2 s at n_check 1000
+    "quad.max_denominator": 100,
+    "quad.n_check": 1000,
 }
 
 
@@ -158,10 +163,10 @@ class QuadConfig:
         _check_pair(self.x, "quad.x")
         if not (self.search_radius > 0):
             raise ValueError("search_radius must be positive")
-        if self.max_denominator < 1:
-            raise ValueError("max_denominator must be at least 1")
-        if self.n_check < 0:
-            raise ValueError("n_check must be non-negative")
+        if not (1 <= self.max_denominator <= MAX_BUDGETS["quad.max_denominator"]):
+            raise ValueError("max_denominator out of budget")
+        if not (0 <= self.n_check <= MAX_BUDGETS["quad.n_check"]):
+            raise ValueError("n_check out of budget")
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ class ErgodicConfig:
             raise ValueError(f"observable must be one of {OBSERVABLES}")
         if not (1 <= self.n <= MAX_BUDGETS["ergodic.n"]):
             raise ValueError("ergodic n out of budget")
-        if not (2 <= self.m_ics <= 10_000):
+        if not (2 <= self.m_ics <= MAX_BUDGETS["ergodic.m_ics"]):
             raise ValueError("m_ics out of budget")
 
 
@@ -290,6 +295,13 @@ def build_field_bumps(specs, vector: bool):
     return tuple(out)
 
 
+def _base_value(cfg: FamilyConfig, n: int):
+    """The field offset as n numbers; the default [0.0] is zero for either kind."""
+    if cfg.base_value == FamilyConfig.base_value:
+        return (0.0,) * n
+    return _tuplify(cfg.base_value, n, f"family.base_value of {cfg.kind}")
+
+
 def build_family(cfg: FamilyConfig):
     if cfg.kind == "identity":
         return ConstantFamily(IdentityMap())
@@ -298,12 +310,11 @@ def build_family(cfg: FamilyConfig):
     if cfg.kind == "lewowicz_constant":
         return LewowiczFamily(ScalarField(float(cfg.c)))
     if cfg.kind == "rotation_field":
-        base = _tuplify(cfg.base_value, 2, "family.base_value") \
-            if len(cfg.base_value) == 2 else (0.0, 0.0)
-        return RotationFamily(VectorField(base, build_field_bumps(cfg.bumps, vector=True)))
+        return RotationFamily(VectorField(_base_value(cfg, 2),
+                                          build_field_bumps(cfg.bumps, vector=True)))
     if cfg.kind == "lewowicz_field":
-        base = float(cfg.base_value[0]) if cfg.base_value else 0.0
-        return LewowiczFamily(ScalarField(base, build_field_bumps(cfg.bumps, vector=False)))
+        return LewowiczFamily(ScalarField(_base_value(cfg, 1)[0],
+                                          build_field_bumps(cfg.bumps, vector=False)))
     raise ConfigError(f"unsupported family kind {cfg.kind!r}")
 
 

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anosov import leaf_coordinate
-from .errors import BrokenPath, ShadowFailure
+from .errors import ShadowFailure
 from .fiber import ConstantFamily, IdentityMap, SkewProduct
-from .holonomy import (N_MAX_COMPOSITIONS, HolonomyMap, stable_holonomy,
-                       unstable_holonomy)
+from .holonomy import N_MAX_COMPOSITIONS, leaf_holonomy
 from .perturbation import PerturbedFamily, _bump_fiber_action
 from .torus import torus_dist
 
@@ -173,30 +171,20 @@ class ShadowReport:
     ratio_estimate: float
 
 
-def shadow_check(sp: SkewProduct, leg, v, n_max: int = 50,
-                 holonomy: HolonomyMap | None = None) -> ShadowReport:
+def shadow_check(sp: SkewProduct, leg, v, n_max: int = 50) -> ShadowReport:
     """Contraction table for an su-leg pairing (x, v) with (y, H(v)).
 
     The base pair is the holonomy's own anchored orbit pair, so its gap is
     |s| * |rate|^k; the fiber pair evolves through the true fiber maps.
     Distances must decay at ratio <= lambda + 0.1 beyond a burn-in, else
-    ShadowFailure.  A holonomy passed in must store at least n_max orbit
-    steps.
+    ShadowFailure.  Endpoints off a common leaf raise BrokenPath.
     """
     kind, x, y = leg
-    a = sp.base
-    s, resid = leaf_coordinate(a, kind, x, y)
-    if resid > 1e-10:
-        raise BrokenPath(f"leg endpoints not on a common {kind} leaf")
-    if holonomy is None:
-        maker = stable_holonomy if kind == "stable" else unstable_holonomy
-        holonomy = maker(sp, x, y, n_max=max(n_max, N_MAX_COMPOSITIONS))
-    elif len(holonomy.from_pts) < n_max:
-        raise ValueError(f"holonomy stores {len(holonomy.from_pts)} orbit steps; "
-                         f"shadowing needs n_max = {n_max}")
+    holonomy = leaf_holonomy(sp, kind, x, y, n_max=max(n_max, N_MAX_COMPOSITIONS))
+    s = holonomy.s_to
     v = np.asarray(v, float).reshape(2)
     push, _ = holonomy.push_pull()
-    rate = a.contraction_rate(kind)
+    rate = sp.base.contraction_rate(kind)
 
     dist = np.empty(n_max + 1)
     fib_x, fib_y = v.copy(), holonomy(v)

@@ -247,10 +247,6 @@ class SkewProduct:
         """One skew-product step, vectorized over matching batches."""
         return self.base.apply(xs), self.family.apply(xs, ys)
 
-    def step_inverse(self, xs, ys):
-        xprev = self.base.apply_inverse(xs)
-        return xprev, self.family.inverse(xprev, ys)
-
 
 def cocycle(sp: SkewProduct, x, n: int, y):
     """Fiber component of F^n(x, y); negative n uses inverse fiber maps."""

@@ -22,7 +22,7 @@ import numpy as np
 from .anosov import LEAF_RESIDUAL_TOL, leaf_coordinate
 from .errors import BrokenPath, NoConvergence
 from .fiber import SkewProduct
-from .torus import TorusPoint, cell_grid, lift, mod1, torus_dist
+from .torus import cell_grid, lift, mod1, torus_dist
 
 DEFAULT_TOL = 1e-10
 N_MAX_COMPOSITIONS = 200
@@ -170,46 +170,20 @@ def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float
                    increments=increments)
 
 
-def _leaf_offset(sp: SkewProduct, kind: str, x, y) -> float:
+def leaf_holonomy(sp: SkewProduct, kind: str, x, y, tol: float = DEFAULT_TOL,
+                  n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
+    """Holonomy from fiber(x) to fiber(y) for y on the `kind` leaf of x."""
     s, resid = leaf_coordinate(sp.base, kind, x, y)
     if resid > LEAF_RESIDUAL_TOL:
         raise BrokenPath(
             f"point {tuple(np.round(lift(y), 12))} not on the {kind} leaf of "
             f"{tuple(np.round(lift(x), 12))} (residual {resid:.3e})")
-    return s
-
-
-def stable_holonomy(sp: SkewProduct, x, y, tol: float = DEFAULT_TOL,
-                    n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
-    """Holonomy from fiber(x) to fiber(y) for y on the stable leaf of x."""
-    s = _leaf_offset(sp, "stable", x, y)
-    return make_holonomy(sp, "stable", lift(x), 0.0, s, tol, n_max)
-
-
-def unstable_holonomy(sp: SkewProduct, x, y, tol: float = DEFAULT_TOL,
-                      n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
-    """Mirror of stable_holonomy along backward iterates."""
-    s = _leaf_offset(sp, "unstable", x, y)
-    return make_holonomy(sp, "unstable", lift(x), 0.0, s, tol, n_max)
-
-
-@dataclass(frozen=True)
-class SuLeg:
-    kind: str
-    from_point: TorusPoint
-    to_point: TorusPoint
-
-
-@dataclass(frozen=True)
-class SuPath:
-    """Chain of stable/unstable legs; consecutive legs share endpoints."""
-
-    legs: tuple[SuLeg, ...]
+    return make_holonomy(sp, kind, lift(x), 0.0, s, tol, n_max)
 
 
 @dataclass(frozen=True)
 class PathHolonomy:
-    """Ordered composition of leg holonomies along an su-path."""
+    """Ordered composition of leaf holonomies, and its inverse."""
 
     maps: tuple[HolonomyMap, ...]
 
@@ -229,23 +203,3 @@ class PathHolonomy:
     def certified_tol(self) -> float:
         return float(sum(h.certified_tol for h in self.maps))
 
-
-def project_su(sp: SkewProduct, path: SuPath, tol: float = DEFAULT_TOL,
-               anchors: tuple | None = None) -> PathHolonomy:
-    """Compose leg holonomies along a multi-leg su-path.
-
-    Each leg is validated for leaf membership and chaining; an optional
-    per-leg anchor list overrides the default anchor (the leg's own start),
-    which matters when several legs should share one exactly-iterable orbit.
-    """
-    maps = []
-    for i, leg in enumerate(path.legs):
-        if leg.kind not in ("stable", "unstable"):
-            raise BrokenPath(f"leg {i} has unknown kind {leg.kind!r}")
-        if i > 0 and torus_dist(path.legs[i - 1].to_point, leg.from_point) > 1e-9:
-            raise BrokenPath(f"legs {i - 1} and {i} do not chain")
-        anchor = lift(leg.from_point) if anchors is None else np.asarray(anchors[i], float)
-        s_from = _leaf_offset(sp, leg.kind, anchor, leg.from_point)
-        s_to = _leaf_offset(sp, leg.kind, anchor, leg.to_point)
-        maps.append(make_holonomy(sp, leg.kind, anchor, s_from, s_to, tol=tol))
-    return PathHolonomy(maps=tuple(maps))

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessibility import (displacement_jacobian, find_fixed_points, loop_path,
+from .accessibility import (displacement_jacobian, find_fixed_points, loop_map,
                             standard_generators, trivial_set_scan)
 from .errors import (BumpEscape, NoConvergence, OverlapError, PostconditionFailure,
                      RegularValueFailure)
 from .fiber import FiberFamily, SkewProduct
-from .holonomy import DEFAULT_TOL, SuPath, make_holonomy, project_su
+from .holonomy import DEFAULT_TOL, PathHolonomy, make_holonomy
 from .torus import BumpProfile, Region, TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
 
 MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
@@ -292,15 +292,6 @@ class DestroyResult:
     scan_double: object
 
 
-def _w_loop_path(quad, i: int):
-    """The loop l_i based at fiber(w_i): loop_path(quad, i) rotated to start
-    with its last leg, w_i -> x -> z_i -> p_i -> w_i."""
-    p, _, _ = quad.loop_points(i)
-    legs = loop_path(quad, i).legs
-    anchors = (lift(quad.x), lift(quad.x), lift(p), lift(p))
-    return SuPath(legs=legs[-1:] + legs[:-1]), anchors
-
-
 def _plateau_region(center, radius_eff: float) -> Region:
     half = radius_eff * 0.999 / math.sqrt(2.0)
     return Region(center=(float(center[0]), float(center[1])), half=(half, half))
@@ -332,10 +323,11 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     rng = np.random.default_rng(params.rng_seed)
     tol = params.fixed_point_tol
 
+    # l_i based at fiber(w_i): loop i rotated to w_i -> x -> z_i -> p_i -> w_i
     l_paths = {}
     for i in (1, 2):
-        path, anchors = _w_loop_path(quad, i)
-        l_paths[i] = project_su(sp, path, tol=params.holonomy_tol, anchors=anchors)
+        maps = loop_map(sp, quad, i, params.holonomy_tol).path.maps
+        l_paths[i] = PathHolonomy(maps[-1:] + maps[:-1])
 
     anchor_y = np.asarray(FIBER_ANCHOR, float)
     anchor2 = anchor_y if params.fiber_anchor2 is None \

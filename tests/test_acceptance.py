@@ -99,10 +99,10 @@ def test_c02_holonomy_equivariance_and_series(rot_sp, cat):
     x = np.array([0.13, 0.41])
     s_off = 0.12
     y = (x + s_off * cat.e_s) % 1.0
-    h = sl.stable_holonomy(rot_sp, x, y, tol=1e-10)
+    h = sl.leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
     ticks = (np.arange(32) + 0.5) / 32
     grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
-    h_push = sl.stable_holonomy(rot_sp, cat.apply(x), cat.apply(y), tol=1e-10)
+    h_push = sl.leaf_holonomy(rot_sp, "stable", cat.apply(x), cat.apply(y), tol=1e-10)
     lhs = h_push(rot_sp.family.apply(x, grid))
     rhs = rot_sp.family.apply(y, h(grid))
     equi = float(np.max(sl.torus_dist(lhs, rhs)))
@@ -124,7 +124,7 @@ def test_c03_holonomy_convergence(rot_sp, cat):
     t0 = time.perf_counter()
     x = np.array([0.13, 0.41])
     y = (x + 0.12 * cat.e_s) % 1.0
-    h = sl.stable_holonomy(rot_sp, x, y, tol=1e-10)
+    h = sl.leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
     lam = abs(cat.lambda_s)
     bound = lam * (1.0 + rot_sp.family.base_lipschitz()) + 0.1
     ratio = h.measured_decay_ratio()

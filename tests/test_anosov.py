@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from skewlab.anosov import (bracket, build_quad, exact_period,
                             find_periodic_near, leaf, leaf_coordinate, make_anosov,
                             validate_quad)
+from skewlab.config import MAX_BUDGETS
 from skewlab.errors import AmbiguousBranch, ConstructionFailed, NotAnosov, NotFound
 from skewlab.torus import torus_dist, wrap
 
@@ -192,6 +194,21 @@ class TestBuildQuad:
         bloated = dataclasses.replace(cat_quad, U1_radius=0.2, U2_radius=0.2)
         with pytest.raises(ConstructionFailed):
             validate_quad(cat, bloated)
+
+    def test_stored_leaf_coordinate_mismatch_detected(self, cat, cat_quad):
+        # loop maps build their legs from the stored coordinates alone
+        import dataclasses
+
+        shifted = dataclasses.replace(cat_quad, s_w=(cat_quad.s_w[0] + 1e-6, cat_quad.s_w[1]))
+        with pytest.raises(ConstructionFailed, match="stores"):
+            validate_quad(cat, shifted)
+
+    def test_separation_scan_at_n_check_cap(self, cat):
+        # lam_u ** n passes the float range at n = 738 for the cat map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quad = build_quad(cat, (0, 0), 0.2, 10, MAX_BUDGETS["quad.n_check"])
+            validate_quad(cat, quad)
 
     def test_tail_certified_at_fixed_point(self, cat_quad):
         assert cat_quad.x_period == 1

@@ -151,11 +151,21 @@ class TestScenarios:
         ("holonomy", {"holonomy": {"leaf_offset": "abc"}}),
         ("holonomy", {"holonomy": {"leaf_offset": math.inf}}),
         ("holonomy", {"holonomy": {"leaf_offset": 0.7}}),
+        ("certify", {"family": {"kind": "rotation_field", "base_value": [0.3]}}),
+        ("certify", {"family": {"kind": "rotation_field", "base_value": [0.1, 0.2, 0.3]}}),
+        ("certify", {"family": {"kind": "lewowicz_field", "base_value": [1.0, 7.0]}}),
+        # run by certify, which builds no quad, so that a missing cap cannot
+        # start a candidate search that grows like max_denominator^3
+        ("certify", {"quad": {"max_denominator": 101}}),
+        ("certify", {"quad": {"n_check": 1001}}),
+        ("certify", {"ergodic": {"m_ics": 10_001}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
             "max-denominator", "base-not-hyperbolic", "family-vector", "holonomy-tol-inf",
-            "family-c-nan", "leaf-offset-str", "leaf-offset-inf", "leaf-offset-off-leaf"])
+            "family-c-nan", "leaf-offset-str", "leaf-offset-inf", "leaf-offset-off-leaf",
+            "base-value-short", "base-value-long", "base-value-scalar-pair",
+            "max-denominator-large", "n-check-large", "m-ics-large"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN

@@ -5,8 +5,7 @@ from skewlab.anosov import make_anosov
 from skewlab.errors import BrokenPath, NoConvergence
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
                            RotationFamily, SkewProduct, VectorField)
-from skewlab.holonomy import (SuLeg, SuPath, make_holonomy, project_su,
-                              stable_holonomy, unstable_holonomy)
+from skewlab.holonomy import PathHolonomy, leaf_holonomy, make_holonomy
 from skewlab.torus import BumpProfile, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
@@ -48,8 +47,7 @@ def unstable_pair(cat, x=(0.13, 0.41), offset=0.12):
     return xa, (xa + offset * cat.e_u) % 1.0
 
 
-PAIR_MAKERS = {"stable": (stable_pair, stable_holonomy),
-               "unstable": (unstable_pair, unstable_holonomy)}
+PAIRS = {"stable": stable_pair, "unstable": unstable_pair}
 
 GRID = np.stack(np.meshgrid((np.arange(32) + 0.5) / 32, (np.arange(32) + 0.5) / 32,
                             indexing="ij"), axis=-1).reshape(-1, 2)
@@ -58,37 +56,37 @@ GRID = np.stack(np.meshgrid((np.arange(32) + 0.5) / 32, (np.arange(32) + 0.5) / 
 class TestConstantFamily:
     def test_identity_with_zero_truncation(self, id_sp, cat):
         x, y = stable_pair(cat)
-        h = stable_holonomy(id_sp, x, y)
+        h = leaf_holonomy(id_sp, "stable", x, y)
         assert h.truncation_n == 0
         assert np.array_equal(h(GRID), GRID)
 
     def test_unstable_identity(self, id_sp, cat):
         x, y = unstable_pair(cat)
-        h = unstable_holonomy(id_sp, x, y)
+        h = leaf_holonomy(id_sp, "unstable", x, y)
         assert np.array_equal(h(GRID), GRID)
 
     def test_self_holonomy_is_identity(self, rot_sp, cat):
         x, _ = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, x)
+        h = leaf_holonomy(rot_sp, "stable", x, x)
         assert np.max(torus_dist(h(GRID), GRID)) == 0.0
 
 
 class TestLeafMembership:
     def test_off_leaf_rejected(self, rot_sp):
         with pytest.raises(BrokenPath):
-            stable_holonomy(rot_sp, (0.1, 0.1), (0.2, 0.15))
+            leaf_holonomy(rot_sp, "stable", (0.1, 0.1), (0.2, 0.15))
 
     def test_unstable_offset_on_stable_leaf_rejected(self, rot_sp, cat):
         x, y = stable_pair(cat)
         with pytest.raises(BrokenPath):
-            unstable_holonomy(rot_sp, x, y)
+            leaf_holonomy(rot_sp, "unstable", x, y)
 
 
 class TestRotationFamily:
     def test_stable_series_oracle(self, rot_sp, cat):
         # closed form: H(v) = v + sum_{n>=0} (tau(A^n x) - tau(A^n y))
         x, y = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, y, tol=1e-10)
+        h = leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
         n = 70
         xs = cat.orbit(x, n)
         lam = cat.lambda_s ** np.arange(n + 1)
@@ -102,7 +100,7 @@ class TestRotationFamily:
         # H(v) = v + sum_{n>=1} (tau(A^{-n} y) - tau(A^{-n} x)); the sign is the
         # one forced by backward shadowing of the pair (x, v), (y, H(v))
         x, y = unstable_pair(cat)
-        h = unstable_holonomy(rot_sp, x, y, tol=1e-10)
+        h = leaf_holonomy(rot_sp, "unstable", x, y, tol=1e-10)
         n = 70
         xs = cat.orbit(x, n, forward=False)
         lam = (1.0 / cat.lambda_u) ** np.arange(n + 1)
@@ -113,14 +111,13 @@ class TestRotationFamily:
 
     def test_truncation_bound_at_tol(self, rot_sp, cat):
         x, y = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, y, tol=1e-10)
+        h = leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
         assert h.truncation_n <= 40
 
     @pytest.mark.parametrize("kind", ["stable", "unstable"])
     def test_cauchy_certificate(self, rot_sp, cat, kind):
-        pair, maker = PAIR_MAKERS[kind]
-        x, y = pair(cat)
-        h = maker(rot_sp, x, y, tol=1e-10)
+        x, y = PAIRS[kind](cat)
+        h = leaf_holonomy(rot_sp, kind, x, y, tol=1e-10)
         assert h.certified_tol < 1e-10
         h_n = h.evaluate_at(GRID, h.truncation_n)
         h_n1 = h.evaluate_at(GRID, h.truncation_n + 1)
@@ -128,7 +125,7 @@ class TestRotationFamily:
 
     def test_geometric_increment_decay(self, broad_rot_sp, cat):
         x, y = stable_pair(cat)
-        h = stable_holonomy(broad_rot_sp, x, y, tol=1e-10)
+        h = leaf_holonomy(broad_rot_sp, "stable", x, y, tol=1e-10)
         lam = abs(cat.lambda_s)
         bound = lam * (1.0 + broad_rot_sp.family.base_lipschitz()) + 0.1
         assert sum(1 for d in h.increments if d > 1e-12) >= 8
@@ -140,8 +137,8 @@ class TestOracles:
     def test_equivariance(self, rot_sp, cat):
         # H^s_{f(x)->f(y)} o g_x = g_y o H^s_{x->y}: the defining property
         x, y = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, y, tol=1e-10)
-        h_push = stable_holonomy(rot_sp, cat.apply(x), cat.apply(y), tol=1e-10)
+        h = leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
+        h_push = leaf_holonomy(rot_sp, "stable", cat.apply(x), cat.apply(y), tol=1e-10)
         lhs = h_push(rot_sp.family.apply(x, GRID))
         rhs = rot_sp.family.apply(y, h(GRID))
         assert np.max(torus_dist(lhs, rhs)) < 1e-9
@@ -155,15 +152,14 @@ class TestOracles:
 
     def test_inverse(self, rot_sp, cat):
         x, y = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, y, tol=1e-10)
+        h = leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
         assert np.max(torus_dist(h.inverse_map()(h(GRID)), GRID)) < 1e-9
 
     @pytest.mark.parametrize("kind", ["stable", "unstable"])
     def test_inverse_map_is_reverse_holonomy(self, rot_sp, cat, kind):
         # the swapped stored orbits are the orbits of the reversed pair
-        pair, maker = PAIR_MAKERS[kind]
-        x, y = pair(cat)
-        h = maker(rot_sp, x, y, tol=1e-10)
+        x, y = PAIRS[kind](cat)
+        h = leaf_holonomy(rot_sp, kind, x, y, tol=1e-10)
         rev = make_holonomy(rot_sp, kind, h.anchor, h.s_to, h.s_from)
         for n in (h.truncation_n, h.truncation_n + 1):
             assert np.array_equal(h.inverse_map().evaluate_at(GRID, n),
@@ -182,40 +178,31 @@ class TestOracles:
         assert not certify_partial_hyperbolicity(sp, 16).dominated
         x, y = stable_pair(cat, offset=0.05)
         with pytest.raises(NoConvergence):
-            stable_holonomy(sp, x, y, tol=1e-10)
+            leaf_holonomy(sp, "stable", x, y, tol=1e-10)
 
 
-class TestProjectSu:
-    def test_empty_path_identity(self, rot_sp):
-        ph = project_su(rot_sp, SuPath(legs=()))
+class TestPathHolonomy:
+    def test_empty_path_identity(self):
+        ph = PathHolonomy(maps=())
         assert np.array_equal(ph(GRID), GRID)
 
     def test_two_leg_loop_constant_family(self, id_sp, cat):
         x = wrap((0.2, 0.3))
         z = wrap(np.asarray(list(x)) + 0.1 * cat.e_u)
-        path = SuPath(legs=(SuLeg("unstable", x, z), SuLeg("unstable", z, x)))
-        ph = project_su(id_sp, path)
+        ph = PathHolonomy(maps=(leaf_holonomy(id_sp, "unstable", x, z),
+                                leaf_holonomy(id_sp, "unstable", z, x)))
         assert np.max(torus_dist(ph(GRID), GRID)) == 0.0
 
-    def test_broken_chain_rejected(self, rot_sp, cat):
-        x = wrap((0.2, 0.3))
-        z = wrap(np.asarray(list(x)) + 0.1 * cat.e_u)
-        far = wrap((0.7, 0.7))
-        path = SuPath(legs=(SuLeg("unstable", x, z), SuLeg("stable", far, x)))
-        with pytest.raises(BrokenPath):
-            project_su(rot_sp, path)
-
     def test_bad_leaf_membership_rejected(self, rot_sp):
-        path = SuPath(legs=(SuLeg("stable", wrap((0.1, 0.1)), wrap((0.3, 0.2))),))
         with pytest.raises(BrokenPath):
-            project_su(rot_sp, path)
+            leaf_holonomy(rot_sp, "stable", wrap((0.1, 0.1)), wrap((0.3, 0.2)))
 
     def test_path_inverse(self, rot_sp, cat):
         x = wrap((0.2, 0.3))
         z = wrap(np.asarray(list(x)) + 0.1 * cat.e_u)
         w = wrap(np.asarray(list(z)) + 0.08 * cat.e_s)
-        path = SuPath(legs=(SuLeg("unstable", x, z), SuLeg("stable", z, w)))
-        ph = project_su(rot_sp, path)
+        ph = PathHolonomy(maps=(leaf_holonomy(rot_sp, "unstable", x, z),
+                                leaf_holonomy(rot_sp, "stable", z, w)))
         assert np.max(torus_dist(ph.inverse(ph(GRID)), GRID)) < 1e-9
 
 
@@ -258,13 +245,3 @@ class TestShadowing:
         rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=230)
         assert len(rep.distances) == 231
         assert rep.ratio_estimate <= abs(cat.lambda_s) + 0.1
-
-    def test_short_holonomy_rejected(self, rot_sp, cat):
-        from skewlab.ergodic import shadow_check
-
-        x, y = stable_pair(cat)
-        h = stable_holonomy(rot_sp, x, y, n_max=30)
-        shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=31, holonomy=h)
-        with pytest.raises(ValueError):
-            shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=32,
-                         holonomy=h)
