@@ -174,6 +174,10 @@ class FiberFamily:
         """Bound on the C^0 variation of g_x in the base point."""
         raise NotImplementedError
 
+    def translation(self, x):
+        """tau(x) when every g_x is the translation y -> y + tau(x), else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class ConstantFamily(FiberFamily):
@@ -214,6 +218,9 @@ class RotationFamily(FiberFamily):
 
     def base_lipschitz(self) -> float:
         return self.field.lipschitz()
+
+    def translation(self, x):
+        return self.field(x)
 
 
 @dataclass(frozen=True)

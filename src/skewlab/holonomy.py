@@ -5,12 +5,13 @@ holonomy from fiber(x0) to fiber(y0) is the C^0 limit of
 
     H_n = (g^(n) over y0)^{-1} o (g^(n) over x0),
 
-certified by a Cauchy test on a fiber grid.  Both base orbits are derived from
-a single *anchor* orbit plus analytic leaf offsets s * rate^k along the
-eigendirection: iterating the two base points independently in floating point
-would inject noise growing like lambda_u^n and destroy the limit.  All the
-correctness oracles (equivariance, composition, inverse, shadowing) are stated
-against this evaluation.
+certified by a Cauchy test on a fiber grid, or on exact step lengths for a
+translation family, whose H_n is one translation.  Both base orbits are
+derived from a single *anchor* orbit plus analytic leaf offsets s * rate^k
+along the eigendirection: iterating the two base points independently in
+floating point would inject noise growing like lambda_u^n and destroy the
+limit.  All the correctness oracles (equivariance, composition, inverse,
+shadowing) are stated against this evaluation.
 """
 
 from __future__ import annotations
@@ -57,12 +58,34 @@ class HolonomyMap:
         fam = self.sp.family
         return (fam.apply, fam.inverse) if self.kind == "stable" else (fam.inverse, fam.apply)
 
+    def _translation_steps(self, n: int):
+        """The n per-composition translations of a translation family, or None.
+
+        Over g_x(y) = y + tau(x), composition k moves every fiber point by
+        tau(from_k) - tau(to_k) on a stable leg and by its negative on an
+        unstable one.
+        """
+        fam = self.sp.family
+        tau_from = fam.translation(self.from_pts[:n])
+        if tau_from is None:
+            return None
+        steps = tau_from - fam.translation(self.to_pts[:n])
+        return steps if self.kind == "stable" else -steps
+
     def __call__(self, ys):
         return self.evaluate_at(ys, self.truncation_n)
 
     def evaluate_at(self, ys, n: int):
-        push, pull = self.push_pull()
+        """H_n(ys) for 0 <= n <= len(from_pts); ValueError for any other n."""
+        if not 0 <= n <= len(self.from_pts):
+            raise ValueError(f"truncation {n} outside 0..{len(self.from_pts)}")
         v = mod1(np.asarray(ys, dtype=float))
+        if n == 0:
+            return v
+        steps = self._translation_steps(n)
+        if steps is not None:
+            return mod1(v + steps.sum(axis=0))
+        push, pull = self.push_pull()
         for k in range(n):
             v = push(self.from_pts[k], v)
         for k in range(n - 1, -1, -1):
@@ -110,25 +133,44 @@ def _min_horizon(sp: SkewProduct, kind: str, s_from: float, s_to: float,
     return min(max(n, 0), n_max - _LOOKAHEAD)
 
 
-def _certify(h: HolonomyMap, n_max: int):
-    """Run the Cauchy scan on h; return (truncation_n, certified_tol, increments).
+def _increments(h: HolonomyMap, n_max: int):
+    """Yield the Cauchy increment sup_y d(H_n(y), H_{n-1}(y)) for n = 1..n_max.
 
-    The push is kept from one n to the next; the pull is redone for each n.
+    A translation family moves every fiber point by the same step, so its
+    increments are the exact step lengths.  Any other family is sampled on a
+    CERT_GRID_N^2 fiber grid; the push is kept from one n to the next and the
+    pull is redone for each n.
     """
+    steps = h._translation_steps(n_max)
+    if steps is not None:
+        yield from torus_dist(steps, 0.0).tolist()
+        return
     push, pull = h.push_pull()
-    tol = h.tol
     grid = cell_grid(CERT_GRID_N)
-    n_min = _min_horizon(h.sp, h.kind, h.s_from, h.s_to, tol, n_max)
     ups = grid.copy()
     h_prev = grid.copy()
-    increments: list[float] = []
     for n in range(1, n_max + 1):
         ups = push(h.from_pts[n - 1], ups)
         v = ups
         for k in range(n - 1, -1, -1):
             v = pull(h.to_pts[k], v)
-        increments.append(float(np.max(torus_dist(v, h_prev))))
+        yield float(np.max(torus_dist(v, h_prev)))
         h_prev = v
+
+
+def _certify(h: HolonomyMap, n_max: int):
+    """Run the Cauchy scan on h; return (truncation_n, certified_tol, increments).
+
+    The scan stops once _LOOKAHEAD consecutive increments past the analytic
+    horizon are below tol/2.  For a translation family the increments are the
+    exact step lengths, valid at every fiber point; for any other family they
+    are maxima over the fiber grid.
+    """
+    tol = h.tol
+    n_min = _min_horizon(h.sp, h.kind, h.s_from, h.s_to, tol, n_max)
+    increments: list[float] = []
+    for n, inc in enumerate(_increments(h, n_max), start=1):
+        increments.append(inc)
         if (n >= n_min + _LOOKAHEAD
                 and all(d < tol / 2 for d in increments[-_LOOKAHEAD:])):
             break
@@ -147,6 +189,11 @@ def _certify(h: HolonomyMap, n_max: int):
     return trunc, certified, tuple(increments)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("stable", "unstable"):
+        raise ValueError(f"holonomy kind must be 'stable' or 'unstable', not {kind!r}")
+
+
 def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float,
                   tol: float = DEFAULT_TOL, n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
     """Certified holonomy between anchor + s_from*e and anchor + s_to*e.
@@ -155,6 +202,7 @@ def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float
     for n_max + 1 compositions (one past the longest Cauchy scan); unstable
     compositions start one backward step off the anchor.
     """
+    _check_kind(kind)
     anchor = tuple(np.asarray(anchor, float).reshape(2))
     a = sp.base
     start = 0 if kind == "stable" else 1
@@ -173,6 +221,7 @@ def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float
 def leaf_holonomy(sp: SkewProduct, kind: str, x, y, tol: float = DEFAULT_TOL,
                   n_max: int = N_MAX_COMPOSITIONS) -> HolonomyMap:
     """Holonomy from fiber(x) to fiber(y) for y on the `kind` leaf of x."""
+    _check_kind(kind)
     s, resid = leaf_coordinate(sp.base, kind, x, y)
     if resid > LEAF_RESIDUAL_TOL:
         raise BrokenPath(

@@ -3,10 +3,12 @@ import pytest
 
 from skewlab.anosov import make_anosov
 from skewlab.errors import BrokenPath, NoConvergence
-from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
-                           RotationFamily, SkewProduct, VectorField)
-from skewlab.holonomy import PathHolonomy, leaf_holonomy, make_holonomy
-from skewlab.torus import BumpProfile, torus_dist, wrap
+from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
+                           RotationFamily, ScalarField, SkewProduct, VectorField)
+from skewlab.holonomy import (N_MAX_COMPOSITIONS, PathHolonomy, leaf_holonomy,
+                              make_holonomy)
+from skewlab.perturbation import BumpTranslation, PerturbedFamily
+from skewlab.torus import BumpProfile, mod1, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
 
@@ -131,6 +133,88 @@ class TestRotationFamily:
         assert sum(1 for d in h.increments if d > 1e-12) >= 8
         ratio = h.measured_decay_ratio()
         assert 0.0 < ratio <= bound
+
+
+def composed(h, ys, n):
+    """H_n by explicit push/pull over the stored orbits, one fiber map at a time."""
+    fam = h.sp.family
+    push, pull = ((fam.apply, fam.inverse) if h.kind == "stable"
+                  else (fam.inverse, fam.apply))
+    v = mod1(ys)
+    for k in range(n):
+        v = push(h.from_pts[k], v)
+    for k in reversed(range(n)):
+        v = pull(h.to_pts[k], v)
+    return v
+
+
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+@pytest.mark.parametrize("sp_name", ["rot_sp", "broad_rot_sp"])
+class TestTranslationClosedForm:
+    """A translation family's holonomy is evaluated and certified as one translation."""
+
+    @pytest.fixture
+    def h(self, request, cat, sp_name, kind):
+        x, y = PAIRS[kind](cat)
+        return leaf_holonomy(request.getfixturevalue(sp_name), kind, x, y, tol=1e-10)
+
+    def test_matches_explicit_composition(self, h):
+        for n in {0, 1, h.truncation_n, h.truncation_n + 1, N_MAX_COMPOSITIONS}:
+            err = torus_dist(h.evaluate_at(GRID, n), composed(h, GRID, n))
+            assert np.max(err) < 1e-12, n
+
+    def test_zero_truncation_is_mod1(self, h):
+        ys = 3.0 * GRID - 1.0
+        assert np.array_equal(h.evaluate_at(ys, 0), mod1(ys))
+
+    def test_increments_match_grid_scan(self, h):
+        # the Cauchy scan over the fiber grid, written out from the fiber maps
+        prev, scan = GRID, []
+        for n in range(1, len(h.increments) + 1):
+            cur = composed(h, GRID, n)
+            scan.append(float(np.max(torus_dist(cur, prev))))
+            prev = cur
+        trunc = max((n for n, d in enumerate(scan, start=1) if d >= h.tol / 2), default=0)
+        assert h.truncation_n == trunc
+        assert np.max(np.abs(np.array(h.increments) - scan)) <= 1e-15
+
+    def test_point_alone_equals_point_in_batch(self, h):
+        for n in (h.truncation_n, N_MAX_COMPOSITIONS):
+            batch = h.evaluate_at(GRID, n)
+            for i in (0, 517, len(GRID) - 1):
+                assert np.array_equal(h.evaluate_at(GRID[i], n), batch[i])
+
+
+class TestTranslationHook:
+    def test_rotation_family_returns_its_field(self, rot_sp):
+        assert np.array_equal(rot_sp.family.translation(GRID), rot_sp.family.field(GRID))
+
+    def test_other_families_return_none(self, rot_sp):
+        bump = BumpTranslation(base_center=wrap((0.5, 0.5)), base_bump=BumpProfile(0.05, 0.1),
+                               fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.05, 0.1),
+                               v=(0.01, 0.0))
+        for fam in (ConstantFamily(IdentityMap()), LewowiczFamily(ScalarField(1.0)),
+                    PerturbedFamily(rot_sp.family, (bump,))):
+            assert fam.translation(GRID) is None
+
+
+class TestArguments:
+    @pytest.mark.parametrize("kind", ["Stable", ""])
+    def test_unknown_kind_rejected(self, rot_sp, cat, kind):
+        x, y = stable_pair(cat)
+        with pytest.raises(ValueError, match="kind"):
+            make_holonomy(rot_sp, kind, x, 0.0, 0.12)
+        with pytest.raises(ValueError, match="kind"):
+            leaf_holonomy(rot_sp, kind, x, y)
+
+    @pytest.mark.parametrize("sp_name", ["rot_sp", "id_sp"])
+    def test_truncation_out_of_range_rejected(self, request, cat, sp_name):
+        x, y = stable_pair(cat)
+        h = leaf_holonomy(request.getfixturevalue(sp_name), "stable", x, y)
+        assert h.evaluate_at(GRID, len(h.from_pts)).shape == GRID.shape
+        for n in (-1, len(h.from_pts) + 1):
+            with pytest.raises(ValueError, match="truncation"):
+                h.evaluate_at(GRID, n)
 
 
 class TestOracles:
