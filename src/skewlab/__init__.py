@@ -14,8 +14,8 @@ monotone fixed-point analysis underpinning the translation-pair selection.
 __version__ = "0.1.0"
 
 from .accessibility import (ClassSample, Classification, LoopMap, classify_class,
-                            explore_class, explore_classes, find_fixed_points,
-                            loop_map, trivial_set_scan)
+                            explore_classes, find_fixed_points, loop_map,
+                            trivial_set_scan)
 from .anosov import (HeteroclinicQuad, LeafSegment, LinearAnosov, bracket,
                      build_quad, find_periodic_near, leaf, make_anosov,
                      validate_quad)
@@ -28,7 +28,7 @@ from .errors import (AmbiguousBranch, BrokenPath, BumpEscape, ConfigError,
 from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, PHEstimates,
                     RotationFamily, ScalarField, SkewProduct, VectorField,
                     certify_partial_hyperbolicity, cocycle, lewowicz_fixed_point_type)
-from .holonomy import HolonomyMap, PathHolonomy, leaf_holonomy
+from .holonomy import HolonomyMap, leaf_holonomy
 from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
                        VariationReport, find_jumps, fixed_point_set,
                        level_preimage_report, pbb_search, total_variation,

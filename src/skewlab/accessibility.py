@@ -10,13 +10,13 @@ available generators) is trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anosov import HeteroclinicQuad
 from .fiber import SkewProduct
-from .holonomy import DEFAULT_TOL, PathHolonomy, make_holonomy
+from .holonomy import DEFAULT_TOL, HolonomyMap, make_holonomy
 from .torus import Region, cell_grid, lift, mod1, torus_dist, wrapped_diff
 
 DIAMETER_TRIVIAL = 1e-6
@@ -40,26 +40,26 @@ _ROUND_ABS = 1e-14
 
 @dataclass(frozen=True)
 class LoopMap:
-    """Alternating 4-holonomy composition around a quad, acting on fiber(x).
+    """Ordered composition of leaf holonomies acting on one fiber, and its inverse.
 
-    Every image point lies in the center accessibility class of its argument
-    by construction, so fixed points witness trivial classes.
+    Around a quad's loop every image point lies in the center accessibility
+    class of its argument by construction, so fixed points witness trivial
+    classes.
     """
 
-    quad: HeteroclinicQuad
-    index: int
-    path: PathHolonomy
-    tol: float
+    maps: tuple[HolonomyMap, ...]
 
     def __call__(self, ys):
-        return self.path(ys)
+        v = mod1(np.asarray(ys, dtype=float))
+        for h in self.maps:
+            v = h(v)
+        return v
 
     def inverse(self, ys):
-        return self.path.inverse(ys)
-
-    def displacement(self, ys):
-        ys = mod1(np.asarray(ys, dtype=float))
-        return wrapped_diff(self(ys), ys)
+        v = mod1(np.asarray(ys, dtype=float))
+        for h in reversed(self.maps):
+            v = h.inverse_map()(v)
+        return v
 
 
 def loop_map(sp: SkewProduct, quad: HeteroclinicQuad, i: int,
@@ -74,8 +74,7 @@ def loop_map(sp: SkewProduct, quad: HeteroclinicQuad, i: int,
     x, p, k = lift(quad.x), lift(p), i - 1
     legs = (("unstable", x, 0.0, quad.u_z[k]), ("stable", p, quad.s_z[k], 0.0),
             ("unstable", p, 0.0, quad.u_w[k]), ("stable", x, quad.s_w[k], 0.0))
-    path = PathHolonomy(maps=tuple(make_holonomy(sp, *leg, tol=tol) for leg in legs))
-    return LoopMap(quad=quad, index=i, path=path, tol=tol)
+    return LoopMap(tuple(make_holonomy(sp, *leg, tol=tol) for leg in legs))
 
 
 def standard_generators(sp: SkewProduct, quads, tol: float = DEFAULT_TOL) -> list[LoopMap]:
@@ -204,7 +203,7 @@ def _refine_by_scan(map_fn, seeds: np.ndarray, span: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # class exploration and classification
 
-@dataclass
+@dataclass(frozen=True)
 class ClassSample:
     """Orbit of a seed fiber point under the loop-map groupoid."""
 
@@ -212,7 +211,6 @@ class ClassSample:
     points: np.ndarray
     generators_used: int
     word_length: int
-    diagnostics: "Classification | None" = field(default=None)
 
 
 @dataclass(frozen=True)
@@ -225,23 +223,15 @@ class Classification:
     n_points: int
 
 
-def explore_class(sp: SkewProduct, quads, seed, K: int = 2000,
-                  word_length: int = 12, tol: float = DEFAULT_TOL,
-                  generators=None) -> ClassSample:
-    """Breadth-first orbit of one seed under all loop maps and inverses."""
-    return explore_classes(sp, quads, np.asarray(seed, float).reshape(1, 2),
-                           K=K, word_length=word_length, tol=tol,
-                           generators=generators)[0]
-
-
 def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
                     word_length: int = 12, tol: float = DEFAULT_TOL,
                     generators=None) -> list[ClassSample]:
-    """Lockstep breadth-first exploration of many seeds at once.
+    """Lockstep breadth-first orbits of many seeds under all loop maps and
+    their inverses.
 
-    Produces exactly the same per-seed samples as explore_class run seed by
-    seed; batching exists because generator evaluation is vectorized and
-    dominated by per-call overhead.
+    Each seed's sample is exactly the one it gets when explored alone;
+    batching exists because generator evaluation is vectorized and dominated
+    by per-call overhead.
     """
     seeds = mod1(np.asarray(seeds, dtype=float).reshape(-1, 2))
     gens = standard_generators(sp, quads, tol=tol) if generators is None else list(generators)
@@ -418,17 +408,13 @@ def classify_class(sample: ClassSample) -> Classification:
         raise ValueError("empty class sample")
     diameter = sample_diameter(pts)
     if diameter < DIAMETER_TRIVIAL:
-        cls = Classification("Trivial", diameter, 0.0, (), (), n)
-        sample.diagnostics = cls
-        return cls
+        return Classification("Trivial", diameter, 0.0, (), (), n)
     counts = box_counts(pts, DYADIC_SCALES)
     cap = max(n / 4.0, 32.0)
     kept = [(j, c) for j, c in zip(DYADIC_SCALES, counts) if MIN_BOXES <= c <= cap]
     if len(kept) < 2:
-        cls = Classification("Indeterminate", diameter, float("nan"),
-                             tuple(j for j, _ in kept), counts, n)
-        sample.diagnostics = cls
-        return cls
+        return Classification("Indeterminate", diameter, float("nan"),
+                              tuple(j for j, _ in kept), counts, n)
     js = np.array([j for j, _ in kept], dtype=float)
     logs = np.log2([c for _, c in kept])
     slope = float(np.polyfit(js, logs, 1)[0])
@@ -438,9 +424,7 @@ def classify_class(sample: ClassSample) -> Classification:
         verdict = "Open"
     else:
         verdict = "Indeterminate"
-    cls = Classification(verdict, diameter, slope, tuple(int(j) for j in js), counts, n)
-    sample.diagnostics = cls
-    return cls
+    return Classification(verdict, diameter, slope, tuple(int(j) for j in js), counts, n)
 
 
 # ---------------------------------------------------------------------------

@@ -413,18 +413,16 @@ def build_quad(a: LinearAnosov, x, search_radius: float, max_denominator: int,
             f"need two periodic candidates within {reach}, found {len(cands)}")
     x_period = _detect_exact_period(a, x, max_denominator)
     failures = []
-    def leg_scale(rec):
+    halves = []
+    for rec in cands[:14]:
         d = wrapped_diff((float(rec[2]), float(rec[3])), x)
-        return min(abs(float(d @ a.e_u)), abs(float(d @ a.e_s)))
-
-    geometries = []
-    for rec1, rec2 in itertools.combinations(cands[:14], 2):
-        if min(leg_scale(rec1), leg_scale(rec2)) < 1e-6:
-            continue  # p_i nearly on a leaf of x: a leg would collapse
+        if min(abs(float(d @ a.e_u)), abs(float(d @ a.e_s))) < 1e-6:
+            continue  # p nearly on a leaf of x: a leg would collapse
         try:
-            geometries.append(_quad_geometry(a, x, rec1, rec2))
-        except (ConstructionFailed, AmbiguousBranch) as exc:
+            halves.append(_half_loop(a, x, rec))
+        except AmbiguousBranch as exc:
             failures.append(str(exc)[:160])
+    geometries = [_quad_geometry(x, h1, h2) for h1, h2 in itertools.combinations(halves, 2)]
     geometries.sort(key=lambda g: -min(g["radii"]))
     best = None
     for geo in geometries:
@@ -441,43 +439,40 @@ def build_quad(a: LinearAnosov, x, search_radius: float, max_denominator: int,
     if best is not None:
         return best[1]
     raise ConstructionFailed(
-        "no candidate pair satisfied the separation scan; tried "
-        f"{len(failures)} pairs: {failures[:3]}")
+        "no candidate pair satisfied the separation scan; "
+        f"{len(failures)} failures: {failures[:3]}")
 
 
-def _quad_geometry(a, x, rec1, rec2) -> dict:
-    """Heteroclinic points, leaf coordinates and initial ball radii for a pair."""
-    out = {}
-    for i, rec in ((1, rec1), (2, rec2)):
-        _, q, fu, fv = rec
-        p = wrap((float(fu), float(fv)))
-        orbit_fr = _exact_orbit(a.matrix, (fu, fv))
-        w = bracket(a, x, p)
-        z = bracket(a, p, x)
-        out[i] = dict(p=p, period=len(orbit_fr), w=w, z=z,
-                      orbit=np.array([[float(ou), float(ov)] for ou, ov in orbit_fr]))
-    s_w, u_w, u_z, s_z = [], [], [], []
-    for i in (1, 2):
-        s, _ = leaf_coordinate(a, "stable", x, out[i]["w"])
-        s_w.append(s)
-        u, _ = leaf_coordinate(a, "unstable", out[i]["p"], out[i]["w"])
-        u_w.append(u)
-        uz, _ = leaf_coordinate(a, "unstable", x, out[i]["z"])
-        u_z.append(uz)
-        sz, _ = leaf_coordinate(a, "stable", out[i]["p"], out[i]["z"])
-        s_z.append(sz)
+def _half_loop(a, x, rec) -> dict:
+    """One candidate's half of a quad: the periodic point p, its exact orbit
+    and period, the corners w = [x, p] and z = [p, x], and the leaf
+    coordinates s_w (x to w), u_w (p to w), u_z (x to z) and s_z (p to z)."""
+    _, _, fu, fv = rec
+    p = wrap((float(fu), float(fv)))
+    orbit = _exact_orbit(a.matrix, (fu, fv))
+    w, z = bracket(a, x, p), bracket(a, p, x)
+    return dict(p=p, period=len(orbit), w=w, z=z,
+                orbit=np.array([[float(ou), float(ov)] for ou, ov in orbit]),
+                s_w=leaf_coordinate(a, "stable", x, w)[0],
+                u_w=leaf_coordinate(a, "unstable", p, w)[0],
+                u_z=leaf_coordinate(a, "unstable", x, z)[0],
+                s_z=leaf_coordinate(a, "stable", p, z)[0])
 
-    special = [lift(x), lift(out[1]["p"]), lift(out[2]["p"]),
-               lift(out[1]["z"]), lift(out[2]["z"])]
+
+def _quad_geometry(x, half1, half2) -> dict:
+    """A pair of half-loops and the initial radii of the balls around w_1, w_2."""
+    out = {1: half1, 2: half2}
+    special = [lift(x), lift(half1["p"]), lift(half2["p"]),
+               lift(half1["z"]), lift(half2["z"])]
     radii = []
     for i in (1, 2):
         w = lift(out[i]["w"])
-        other = lift(out[2 if i == 1 else 1]["w"])
+        other = lift(out[3 - i]["w"])
         nearest = min(float(torus_dist(w, pt)) for pt in special)
         nearest = min(nearest, float(torus_dist(w, other)) / 2.0)
         radii.append(0.45 * nearest)
-    return dict(points=out, s_w=tuple(s_w), u_w=tuple(u_w), u_z=tuple(u_z),
-                s_z=tuple(s_z), radii=radii)
+    return dict(points=out, radii=radii,
+                **{key: (half1[key], half2[key]) for key in ("s_w", "u_w", "u_z", "s_z")})
 
 
 def _validated_quad(a, x, geo, n_check, x_period) -> HeteroclinicQuad:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ShadowFailure
 from .fiber import ConstantFamily, IdentityMap, SkewProduct
 from .holonomy import N_MAX_COMPOSITIONS, leaf_holonomy
-from .perturbation import PerturbedFamily, _bump_fiber_action
+from .perturbation import PerturbedFamily
 from .torus import torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
@@ -92,40 +92,31 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     """Path for identity-fiber bump perturbations, in O(n m) memory.
 
     The fiber state is piecewise constant between visits of the base orbit to
-    a bump support, so base orbits and activations vectorize wholesale, bump
-    events batch across initial conditions rank by rank, and observables sum
-    over a gathered fiber timeline.
+    a bump support, so base orbits and firing masks vectorize wholesale, the
+    j-th events of all initial conditions go through the family in one
+    batch, and observables sum over a gathered fiber timeline.
     """
     m = len(xs)
-    bumps = sp.family.bumps
+    family = sp.family
     orbit = np.empty((n, m, 2))
     cur = xs
     for k in range(n):
         orbit[k] = cur
         cur = sp.base.apply(cur)
-    act = np.zeros((n, m))
-    which = np.zeros((n, m), dtype=np.int8)
-    for b_idx, b in enumerate(bumps):
-        a = b.base_value(orbit)
-        on = a > 0
-        act[on] = a[on]      # base supports disjoint: at most one bump fires
-        which[on] = b_idx
-        del a, on
-    fired = act > 0
+    fired = np.zeros((n, m), dtype=bool)
+    for b in family.bumps:
+        fired |= b.base_value(orbit) > 0
     ic, step = np.nonzero(fired.T)   # by IC, then by step
-    ev_t, ev_bump = act[step, ic], which[step, ic]
-    del act, which
     # per-IC timelines laid end to end: the initial state, then one slot per event
     first = np.searchsorted(ic, np.arange(m)) + np.arange(m)
     slot = np.arange(len(ic)) + ic + 1
     timeline = np.empty((len(ic) + m, 2))
     timeline[first] = ys
-    key = (np.arange(len(ic)) - np.searchsorted(ic, ic)) * len(bumps) + ev_bump
-    order = np.argsort(key, kind="stable")   # by rank, then bump; ICs in order
-    keys, starts = np.unique(key[order], return_index=True)
-    for k, grp in zip(keys, np.split(order, starts[1:])):
-        timeline[slot[grp]] = _bump_fiber_action(bumps[k % len(bumps)], ev_t[grp],
-                                                 timeline[slot[grp] - 1], inverse=True)
+    rank = np.arange(len(ic)) - np.searchsorted(ic, ic)
+    order = np.argsort(rank, kind="stable")   # by rank; ICs in order within a rank
+    for grp in np.split(order, np.cumsum(np.bincount(rank))[:-1]):
+        timeline[slot[grp]] = family.apply(orbit[step[grp], ic[grp]],
+                                           timeline[slot[grp] - 1])
 
     at = np.cumsum(fired, axis=0)   # events up to and including each step
     at -= fired

@@ -229,26 +229,3 @@ def leaf_holonomy(sp: SkewProduct, kind: str, x, y, tol: float = DEFAULT_TOL,
             f"{tuple(np.round(lift(x), 12))} (residual {resid:.3e})")
     return make_holonomy(sp, kind, lift(x), 0.0, s, tol, n_max)
 
-
-@dataclass(frozen=True)
-class PathHolonomy:
-    """Ordered composition of leaf holonomies, and its inverse."""
-
-    maps: tuple[HolonomyMap, ...]
-
-    def __call__(self, ys):
-        v = mod1(np.asarray(ys, dtype=float))
-        for h in self.maps:
-            v = h(v)
-        return v
-
-    def inverse(self, ys):
-        v = mod1(np.asarray(ys, dtype=float))
-        for h in reversed(self.maps):
-            v = h.inverse_map()(v)
-        return v
-
-    @property
-    def certified_tol(self) -> float:
-        return float(sum(h.certified_tol for h in self.maps))
-

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessibility import (displacement_jacobian, find_fixed_points, loop_map,
-                            standard_generators, trivial_set_scan)
+from .accessibility import (LoopMap, displacement_jacobian, find_fixed_points,
+                            loop_map, standard_generators, trivial_set_scan)
 from .errors import (BumpEscape, NoConvergence, OverlapError, PostconditionFailure,
                      RegularValueFailure)
 from .fiber import FiberFamily, SkewProduct
-from .holonomy import DEFAULT_TOL, PathHolonomy, make_holonomy
+from .holonomy import DEFAULT_TOL, make_holonomy
 from .torus import BumpProfile, Region, TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
 
 MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
@@ -51,6 +51,8 @@ class BumpTranslation:
     v: tuple[float, float]
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.v):
+            raise BumpEscape(f"translation vector {self.v} must be finite")
         if self.base_bump.outer_radius >= 0.5 or self.fiber_bump.outer_radius >= 0.5:
             raise BumpEscape("bump support must fit in one torus chart (outer < 1/2)")
         vmax = (self.fiber_bump.outer_radius - self.fiber_bump.inner_radius) / 2.0
@@ -326,8 +328,8 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     # l_i based at fiber(w_i): loop i rotated to w_i -> x -> z_i -> p_i -> w_i
     l_paths = {}
     for i in (1, 2):
-        maps = loop_map(sp, quad, i, params.holonomy_tol).path.maps
-        l_paths[i] = PathHolonomy(maps[-1:] + maps[:-1])
+        maps = loop_map(sp, quad, i, params.holonomy_tol).maps
+        l_paths[i] = LoopMap(maps[-1:] + maps[:-1])
 
     anchor_y = np.asarray(FIBER_ANCHOR, float)
     anchor2 = anchor_y if params.fiber_anchor2 is None \

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample,
                                    _refine_by_scan, box_counts, classify_class,
-                                   explore_class, explore_classes, find_fixed_points,
+                                   explore_classes, find_fixed_points,
                                    loop_map, sample_diameter, standard_generators,
                                    trivial_set_scan)
 from skewlab.anosov import build_quad, make_anosov
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
                            RotationFamily, SkewProduct, VectorField, lewowicz_raw)
 from skewlab.perturbation import BumpTranslation, _bump_fiber_action
-from skewlab.torus import BumpProfile, Region, torus_dist, wrap
+from skewlab.torus import BumpProfile, Region, torus_dist, wrap, wrapped_diff
 
 CAT = [[2, 1], [1, 1]]
 
@@ -81,7 +81,7 @@ class TestLoopMap:
                  + unstable_series(p, 0.0, quad.u_w[0])
                  + stable_series(x, quad.s_w[0], 0.0))
         pts = np.random.default_rng(1).random((50, 2))
-        disp = L.displacement(pts)
+        disp = wrapped_diff(L(pts), pts)
         assert np.max(np.abs(disp - total)) < 1e-10
         assert np.max(np.abs(disp[:, 1])) < 1e-8  # horizontal field
 
@@ -191,14 +191,14 @@ class TestFindFixedPoints:
 
 class TestExploreAndClassify:
     def test_constant_family_single_point(self, id_sp, quad):
-        sample = explore_class(id_sp, [quad], (0.3, 0.6), K=500, word_length=8)
+        sample, = explore_classes(id_sp, [quad], (0.3, 0.6), K=500, word_length=8)
         assert sample.points.shape == (1, 2)
         assert classify_class(sample).verdict == "Trivial"
 
     def test_horizontal_family_circle(self, horiz_sp, quad):
         gens = standard_generators(horiz_sp, [quad])
-        sample = explore_class(horiz_sp, [quad], (0.3, 0.6), K=2000,
-                               word_length=24, generators=gens)
+        sample, = explore_classes(horiz_sp, [quad], (0.3, 0.6), K=2000,
+                                  word_length=24, generators=gens)
         assert len(sample.points) > 200
         assert np.max(np.abs(((sample.points[:, 1] - 0.6 + 0.5) % 1) - 0.5)) < 1e-8
         assert classify_class(sample).verdict == "Curve"
@@ -209,18 +209,18 @@ class TestExploreAndClassify:
         batch = explore_classes(horiz_sp, [quad], seeds, K=300, word_length=10,
                                 generators=gens)
         for seed, got in zip(seeds, batch):
-            single = explore_class(horiz_sp, [quad], seed, K=300, word_length=10,
-                                   generators=gens)
+            single, = explore_classes(horiz_sp, [quad], seed, K=300, word_length=10,
+                                      generators=gens)
             assert np.array_equal(single.points, got.points)
 
     def test_class_membership_closure(self, horiz_sp, quad):
         gens = standard_generators(horiz_sp, [quad])
         seed = np.array([0.3, 0.6])
-        s1 = explore_class(horiz_sp, [quad], seed, K=400, word_length=10,
-                           generators=gens)
+        s1, = explore_classes(horiz_sp, [quad], seed, K=400, word_length=10,
+                              generators=gens)
         moved = gens[0](seed[None, :])[0]
-        s2 = explore_class(horiz_sp, [quad], moved, K=400, word_length=10,
-                           generators=gens)
+        s2, = explore_classes(horiz_sp, [quad], moved, K=400, word_length=10,
+                              generators=gens)
         d = torus_dist(s1.points[:, None, :], s2.points[None, :, :])
         assert np.min(d) < 1e-9
 

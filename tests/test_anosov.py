@@ -159,6 +159,26 @@ class TestBuildQuad:
     def test_invariants(self, cat, cat_quad):
         validate_quad(cat, cat_quad)  # must not raise
 
+    def test_default_quad_pinned(self, cat_quad):
+        # the quad of the default config and of every acceptance test, bit for bit
+        q = cat_quad
+        assert (tuple(q.x), tuple(q.p1), tuple(q.p2)) == ((0.0, 0.0), (0.0, 0.125),
+                                                          (0.0, 0.875))
+        assert tuple(q.w1) == (0.9440983005625052, 0.09045084971874737)
+        assert tuple(q.w2) == (0.05590169943749475, 0.9095491502812526)
+        assert tuple(q.z1) == (0.05590169943749475, 0.03454915028125263)
+        assert tuple(q.z2) == (0.9440983005625052, 0.9654508497187474)
+        assert (q.k1, q.k2, q.x_period) == (6, 6, 1)
+        assert (q.U1_radius, q.U2_radius) == (0.029572375056701277, 0.029572375056701277)
+        assert q.s_w == (-0.10633135104400503, 0.10633135104400512)
+        assert q.u_w == (-0.06571638901489173, 0.06571638901489173)
+        assert q.u_z == (0.06571638901489173, -0.06571638901489166)
+        assert q.s_z == (0.10633135104400503, -0.10633135104400503)
+        eighths = ([[0, 1], [1, 1], [3, 2], [0, 5], [5, 5], [7, 2]],
+                   [[0, 7], [7, 7], [5, 6], [0, 3], [3, 3], [1, 6]])
+        np.testing.assert_array_equal(q.p1_orbit, np.array(eighths[0]) / 8)
+        np.testing.assert_array_equal(q.p2_orbit, np.array(eighths[1]) / 8)
+
     def test_leg_residuals(self, cat, cat_quad):
         q = cat_quad
         for kind, frm, to in [("stable", q.x, q.w1), ("unstable", q.p1, q.w1),

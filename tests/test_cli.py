@@ -159,13 +159,21 @@ class TestScenarios:
         ("certify", {"quad": {"max_denominator": 101}}),
         ("certify", {"quad": {"n_check": 1001}}),
         ("certify", {"ergodic": {"m_ics": 10_001}}),
+        ("pbb", {"pbb": {"max_jumps": 0}}),
+        ("pbb", {"pbb": {"denominator": 1}}),
+        ("pbb", {"pbb": {"epsilon": "0"}}),
+        ("certify", {"pbb": {"max_jumps": 1001}}),
+        ("certify", {"pbb": {"denominator": 1_000_001}}),
+        ("sweep", {"sweep": {"c_values": ["1/2", "1e400"]}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
             "max-denominator", "base-not-hyperbolic", "family-vector", "holonomy-tol-inf",
             "family-c-nan", "leaf-offset-str", "leaf-offset-inf", "leaf-offset-off-leaf",
             "base-value-short", "base-value-long", "base-value-scalar-pair",
-            "max-denominator-large", "n-check-large", "m-ics-large"])
+            "max-denominator-large", "n-check-large", "m-ics-large", "pbb-max-jumps",
+            "pbb-denominator", "pbb-epsilon", "pbb-max-jumps-large",
+            "pbb-denominator-large", "c-values-overflow"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN

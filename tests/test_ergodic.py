@@ -47,6 +47,15 @@ def destroyed_sp(cat, product_sp):
     return perturb_skew(product_sp, bumps)
 
 
+@pytest.fixture(scope="module")
+def three_bump_sp(destroyed_sp):
+    """The destroyed system plus a third bump on a disjoint base support."""
+    third = BumpTranslation(base_center=wrap((0.5, 0.5)), base_bump=BumpProfile(0.05, 0.1),
+                            fiber_center=wrap((0.25, 0.75)),
+                            fiber_bump=BumpProfile(0.34, 0.46), v=(0.02, 0.03))
+    return perturb_skew(destroyed_sp, [third])
+
+
 class TestBirkhoff:
     def test_constant_observable(self, product_sp):
         avg = birkhoff(product_sp, lambda xs, ys: np.ones(()), ((0.1, 0.2), (0.3, 0.4)), 50)
@@ -117,18 +126,23 @@ class TestErgodicScan:
             with pytest.raises(ValueError):
                 ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
 
-    def test_event_path_matches_generic(self, destroyed_sp):
+    def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp):
         # the bump map of a point does not depend on its batch, so the event
         # path (one batch per bump visit rank) and the generic loop (one
         # batch per time step) agree bitwise
         fn = observable("fiber_cos")
-        for n, m in ((400, 8), (2000, 20)):
+        for sp, n, m in ((destroyed_sp, 400, 8), (destroyed_sp, 2000, 20),
+                         (three_bump_sp, 2000, 20)):
             rng = np.random.default_rng(1)
             xs, ys = rng.random((m, 2)), rng.random((m, 2))
             checkpoints = [n // 4, n // 2, n]
-            sigma_ev, avg_ev = _scan_event_driven(destroyed_sp, fn, xs, ys, n, checkpoints)
-            sigma_gen, avg_gen = _scan_generic(destroyed_sp, fn, xs, ys, n, checkpoints)
-            # the bumps moved some fibers, so the comparison is not of frozen orbits
+            sigma_ev, avg_ev = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
+            sigma_gen, avg_gen = _scan_generic(sp, fn, xs, ys, n, checkpoints)
+            # every bump fires and some fibers moved: the orbits are not frozen
+            orbit = [xs]
+            for _ in range(n - 1):
+                orbit.append(sp.base.apply(orbit[-1]))
+            assert all(np.any(b.base_value(np.array(orbit)) > 0) for b in sp.family.bumps)
             assert np.max(np.abs(avg_gen - fn(xs, ys))) > 1e-3
             np.testing.assert_array_equal(sigma_ev, sigma_gen)
             np.testing.assert_array_equal(avg_ev, avg_gen)

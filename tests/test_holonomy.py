@@ -5,8 +5,8 @@ from skewlab.anosov import make_anosov
 from skewlab.errors import BrokenPath, NoConvergence
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField)
-from skewlab.holonomy import (N_MAX_COMPOSITIONS, PathHolonomy, leaf_holonomy,
-                              make_holonomy)
+from skewlab.accessibility import LoopMap
+from skewlab.holonomy import N_MAX_COMPOSITIONS, leaf_holonomy, make_holonomy
 from skewlab.perturbation import BumpTranslation, PerturbedFamily
 from skewlab.torus import BumpProfile, mod1, torus_dist, wrap
 
@@ -266,15 +266,17 @@ class TestOracles:
 
 
 class TestPathHolonomy:
+    """Holonomy along a path of legs: a LoopMap composes leaf holonomies."""
+
     def test_empty_path_identity(self):
-        ph = PathHolonomy(maps=())
+        ph = LoopMap(maps=())
         assert np.array_equal(ph(GRID), GRID)
 
     def test_two_leg_loop_constant_family(self, id_sp, cat):
         x = wrap((0.2, 0.3))
         z = wrap(np.asarray(list(x)) + 0.1 * cat.e_u)
-        ph = PathHolonomy(maps=(leaf_holonomy(id_sp, "unstable", x, z),
-                                leaf_holonomy(id_sp, "unstable", z, x)))
+        ph = LoopMap(maps=(leaf_holonomy(id_sp, "unstable", x, z),
+                           leaf_holonomy(id_sp, "unstable", z, x)))
         assert np.max(torus_dist(ph(GRID), GRID)) == 0.0
 
     def test_bad_leaf_membership_rejected(self, rot_sp):
@@ -285,8 +287,8 @@ class TestPathHolonomy:
         x = wrap((0.2, 0.3))
         z = wrap(np.asarray(list(x)) + 0.1 * cat.e_u)
         w = wrap(np.asarray(list(z)) + 0.08 * cat.e_s)
-        ph = PathHolonomy(maps=(leaf_holonomy(rot_sp, "unstable", x, z),
-                                leaf_holonomy(rot_sp, "stable", z, w)))
+        ph = LoopMap(maps=(leaf_holonomy(rot_sp, "unstable", x, z),
+                           leaf_holonomy(rot_sp, "stable", z, w)))
         assert np.max(torus_dist(ph.inverse(ph(GRID)), GRID)) < 1e-9
 
 

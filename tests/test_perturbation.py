@@ -13,7 +13,7 @@ from skewlab.holonomy import make_holonomy
 from skewlab.perturbation import (BumpTranslation, DestroyParams, PerturbedFamily,
                                   apply_bump, apply_bump_inverse, bump_jacobian,
                                   destroy_trivial_class, perturb_skew)
-from skewlab.torus import BumpProfile, lift, torus_dist, wrap
+from skewlab.torus import BumpProfile, lift, torus_dist, wrap, wrapped_diff
 
 CAT = [[2, 1], [1, 1]]
 
@@ -58,6 +58,8 @@ class TestBumpTranslation:
             make_bump(quad, v=(0.07, 0.0))   # |v| >= (outer - inner)/2
         with pytest.raises(BumpEscape):
             make_bump(quad, v=(0.0, 0.0))
+        with pytest.raises(BumpEscape):
+            make_bump(quad, v=(math.nan, 0.01))   # |v| is nan: every bound compares false
         w = quad.w1
         with pytest.raises(BumpEscape):
             BumpTranslation(base_center=w, base_bump=BumpProfile(0.2, 0.6),
@@ -293,7 +295,7 @@ class TestPerturbSkew:
         sp_g = destroyed.skew_product
         L = loop_map(sp_g, quad, 1)
         pts = destroyed.region.grid(8)
-        disp = L.displacement(pts)
+        disp = wrapped_diff(L(pts), pts)
         v1 = np.asarray(destroyed.v1)
         assert np.max(np.hypot(disp[:, 0] + v1[0], disp[:, 1] + v1[1])) < 1e-7
 
@@ -329,12 +331,12 @@ class TestDestroy:
 
     def test_two_transverse_translations_fill_2d_patch(self, destroyed, quad):
         # orbit of a plateau seed has positive convex-hull area at budget K
-        from skewlab.accessibility import explore_class, standard_generators
+        from skewlab.accessibility import explore_classes, standard_generators
 
         sp_g = destroyed.skew_product
         gens = standard_generators(sp_g, [quad])
-        sample = explore_class(sp_g, [quad], destroyed.region.center, K=2000,
-                               word_length=14, generators=gens)
+        sample, = explore_classes(sp_g, [quad], destroyed.region.center, K=2000,
+                                  word_length=14, generators=gens)
         pts = sample.points
         assert len(pts) > 100
 
