@@ -16,10 +16,11 @@ from .errors import ShadowFailure
 from .fiber import ConstantFamily, IdentityMap, SkewProduct
 from .holonomy import N_MAX_COMPOSITIONS, leaf_holonomy
 from .perturbation import PerturbedFamily
-from .torus import torus_dist
+from .torus import lift, torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
 _DIST_FLOOR = 1e-13
+FIRE_BLOCK = 1024   # orbit steps per block of the firing-mask prefilter
 OBSERVABLES = ("fiber_cos", "base_cos", "product_cos")
 
 
@@ -88,11 +89,35 @@ def _scan_generic(sp, fn, xs, ys, n, checkpoints):
     return sigma, finals
 
 
+def _firing_mask(bumps, orbit):
+    """(n, m) mask of the orbit points, which lie in [0, 1)^2, where some
+    bump's base value is > 0.
+
+    Only points whose per-axis wrapped distance to a base centre is below its
+    outer radius + 1e-9 are evaluated.  That distance differs from the one
+    ``torus_dist`` computes by rounding only, far below the margin, so every
+    other point has torus distance r >= outer, where the profile is exactly
+    0: the mask equals ``base_value(orbit) > 0`` bitwise.  Steps go
+    FIRE_BLOCK at a time, so no temporary is as large as the orbit.
+    """
+    fired = np.zeros(orbit.shape[:-1], dtype=bool)
+    for b in bumps:
+        c0, c1 = lift(b.base_center)
+        reach = b.base_bump.outer_radius + 1e-9
+        for k in range(0, len(orbit), FIRE_BLOCK):
+            block = orbit[k:k + FIRE_BLOCK]
+            a0 = np.abs(block[..., 0] - c0)
+            a1 = np.abs(block[..., 1] - c1)
+            near = (np.minimum(a0, 1.0 - a0) < reach) & (np.minimum(a1, 1.0 - a1) < reach)
+            fired[k:k + FIRE_BLOCK][near] |= b.base_value(block[near]) > 0
+    return fired
+
+
 def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     """Path for identity-fiber bump perturbations, in O(n m) memory.
 
     The fiber state is piecewise constant between visits of the base orbit to
-    a bump support, so base orbits and firing masks vectorize wholesale, the
+    a bump support, so base orbits and firing masks vectorize, the
     j-th events of all initial conditions go through the family in one
     batch, and observables sum over a gathered fiber timeline.
     """
@@ -103,9 +128,7 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     for k in range(n):
         orbit[k] = cur
         cur = sp.base.apply(cur)
-    fired = np.zeros((n, m), dtype=bool)
-    for b in family.bumps:
-        fired |= b.base_value(orbit) > 0
+    fired = _firing_mask(family.bumps, orbit)
     ic, step = np.nonzero(fired.T)   # by IC, then by step
     # per-IC timelines laid end to end: the initial state, then one slot per event
     first = np.searchsorted(ic, np.arange(m)) + np.arange(m)

@@ -304,7 +304,8 @@ def _singular_values(jac):
     det = a * d - b * c
     disc = np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0))
     smax = np.sqrt((t + disc) / 2.0)
-    smin = np.sqrt(np.maximum((t - disc) / 2.0, 0.0))
+    # smin * smax = |det|; sqrt((t - disc)/2) would cancel to 0 once smax >> 1
+    smin = np.divide(np.abs(det), smax, out=np.zeros_like(smax), where=smax > 0)
     return smax, smin
 
 

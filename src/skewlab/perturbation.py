@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .errors import (BumpEscape, NoConvergence, OverlapError, PostconditionFailu
                      RegularValueFailure)
 from .fiber import FiberFamily, SkewProduct
 from .holonomy import DEFAULT_TOL, make_holonomy
-from .torus import BumpProfile, Region, TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
+from .torus import (BumpProfile, Region, TorusPoint, lift, mod1, smoothstep, torus_dist, wrap,
+                    wrapped_diff)
 
 MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
 NEWTON_ITERS = 5        # fixed Newton iterations per step (no early stop)
@@ -76,84 +78,94 @@ class BumpTranslation:
         return self.base_bump.value(torus_dist(x, self.base_center))
 
 
-def _field(d, vs, prof: BumpProfile):
-    """Hamiltonian field X and its derivative DX at fiber offsets d from the center."""
-    r = np.hypot(d[..., 0], d[..., 1])
-    psi, dpsi, d2psi = prof.value_and_derivatives(r, 2)
-    v0, v1 = vs[..., 0], vs[..., 1]
-    h0 = d[..., 1] * v0 - d[..., 0] * v1
+def _field(d0, d1, v0, v1, inner, band):
+    """Hamiltonian field (X0, X1) and its derivative (DX00, DX01, DX10, DX11) at
+    fiber offsets (d0, d1) from the center, component by component."""
+    r = np.hypot(d0, d1)
+    psi, dpsi, d2psi = smoothstep(r, inner, band, 2)
+    h0 = d1 * v0 - d0 * v1
     rsafe = np.where(r > 0, r, 1.0)
-    w = dpsi * h0 / rsafe
-    X = np.empty_like(d)
-    X[..., 0] = w * d[..., 1] + psi * v0
-    X[..., 1] = -w * d[..., 0] + psi * v1
-    rh0 = d[..., 0] / rsafe
-    rh1 = d[..., 1] / rsafe
+    dh = dpsi * h0
+    w = dh / rsafe
+    X0 = w * d1 + psi * v0
+    X1 = -w * d0 + psi * v1
+    rh0 = d0 / rsafe
+    rh1 = d1 / rsafe
     # dw/dd_j = psi'' rhat_j H0/r + psi' gradH_j / r - psi' H0 d_j / r^3
-    gw0 = d2psi * rh0 * h0 / rsafe + dpsi * (-v1) / rsafe - dpsi * h0 * d[..., 0] / rsafe**3
-    gw1 = d2psi * rh1 * h0 / rsafe + dpsi * v0 / rsafe - dpsi * h0 * d[..., 1] / rsafe**3
-    DX = np.empty(d.shape[:-1] + (2, 2))
-    DX[..., 0, 0] = gw0 * d[..., 1] + dpsi * rh0 * v0
-    DX[..., 0, 1] = gw1 * d[..., 1] + w + dpsi * rh1 * v0
-    DX[..., 1, 0] = -gw0 * d[..., 0] - w + dpsi * rh0 * v1
-    DX[..., 1, 1] = -gw1 * d[..., 0] + dpsi * rh1 * v1
-    return X, DX
+    r3 = rsafe**3
+    gw0 = d2psi * rh0 * h0 / rsafe + dpsi * (-v1) / rsafe - dh * d0 / r3
+    gw1 = d2psi * rh1 * h0 / rsafe + dpsi * v0 / rsafe - dh * d1 / r3
+    p0 = dpsi * rh0
+    p1 = dpsi * rh1
+    return (X0, X1, gw0 * d1 + p0 * v0, gw1 * d1 + w + p1 * v0,
+            -gw0 * d0 - w + p0 * v1, -gw1 * d0 + p1 * v1)
 
 
-def _solve_unit_minus(A, b):
-    """x with (I - A) x = b for batched 2x2 A and b of shape (..., 2, k), in
-    closed form so that no point's result depends on its batch."""
-    p, q = 1.0 - A[..., 0, 0, None], -A[..., 0, 1, None]
-    r, s = -A[..., 1, 0, None], 1.0 - A[..., 1, 1, None]
-    det = p * s - q * r
-    b0, b1 = b[..., 0, :], b[..., 1, :]
-    return np.stack(((s * b0 - q * b1) / det, (p * b1 - r * b0) / det), axis=-2)
+def _unit_minus(h2, a00, a01, a10, a11):
+    """Entries p, q, r, s of I - h2 DX, row by row, and its determinant."""
+    p, q = 1.0 - h2 * a00, -(h2 * a01)
+    r, s = -(h2 * a10), 1.0 - h2 * a11
+    return p, q, r, s, p * s - q * r
 
 
-def _flow(d0, times, vs, prof: BumpProfile, want_jac: bool = False):
-    """Implicit-midpoint flow of the bump field for per-point signed times.
+def _flow(y0, y1, times, v0, v1, inner, band, want_jac: bool = False):
+    """Implicit-midpoint flow of the bump field for per-point signed times, on
+    1-D component arrays.
 
     Each step of h = t / MIDPOINT_STEPS solves m = y + (h/2) X(m) by
     NEWTON_ITERS Newton iterations, raises NoConvergence if the residual is
     still above NEWTON_TOL, and sets y <- y + h X(m).  Its Jacobian factor is
-    (I - A)^{-1} (I + A) = 2 (I - A)^{-1} - I with A = (h/2) DX(m).
+    (I - A)^{-1} (I + A) = 2 (I - A)^{-1} - I with A = (h/2) DX(m).  Every
+    2x2 solve is written out in closed form, so no point's result depends on
+    its batch.  Returns (y0, y1, jac) with jac = (J00, J01, J10, J11) or None.
     """
-    y = np.array(d0, dtype=float)
-    h2 = (0.5 / MIDPOINT_STEPS) * np.asarray(times, dtype=float)[..., None]
-    vs = np.broadcast_to(np.asarray(vs, float), y.shape)
-    jac = None
-    if want_jac:
-        jac = np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
+    h2 = (0.5 / MIDPOINT_STEPS) * np.asarray(times, dtype=float)
+    h = 2.0 * h2
+    j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
     for _ in range(MIDPOINT_STEPS):
-        m = y
+        m0, m1 = y0, y1
         for _ in range(NEWTON_ITERS):
-            X, DX = _field(m, vs, prof)
-            m = m - _solve_unit_minus(h2[..., None] * DX, (m - y - h2 * X)[..., None])[..., 0]
-        X, DX = _field(m, vs, prof)
-        resid = float(np.max(np.abs(m - y - h2 * X)))
+            X0, X1, *dx = _field(m0, m1, v0, v1, inner, band)
+            # Newton update: solve (I - h2 DX) x = m - y - h2 X
+            p, q, r, s, det = _unit_minus(h2, *dx)
+            b0 = m0 - y0 - h2 * X0
+            b1 = m1 - y1 - h2 * X1
+            m0, m1 = m0 - (s * b0 - q * b1) / det, m1 - (p * b1 - r * b0) / det
+        X0, X1, *dx = _field(m0, m1, v0, v1, inner, band)
+        resid = float(np.max(np.maximum(np.abs(m0 - y0 - h2 * X0),
+                                        np.abs(m1 - y1 - h2 * X1))))
         if resid > NEWTON_TOL:
             raise NoConvergence(f"implicit-midpoint residual {resid:.3g} > {NEWTON_TOL:g}")
         if want_jac:
-            jac = 2.0 * _solve_unit_minus(h2[..., None] * DX, jac) - jac
-        y = y + 2.0 * h2 * X
-    return y, jac
+            p, q, r, s, det = _unit_minus(h2, *dx)
+            j00, j01, j10, j11 = (2.0 * ((s * j00 - q * j10) / det) - j00,
+                                  2.0 * ((s * j01 - q * j11) / det) - j01,
+                                  2.0 * ((p * j10 - r * j00) / det) - j10,
+                                  2.0 * ((p * j11 - r * j01) / det) - j11)
+        y0, y1 = y0 + h * X0, y1 + h * X1
+    return y0, y1, ((j00, j01, j10, j11) if want_jac else None)
 
 
-def _bump_fiber_action(bt: BumpTranslation, t, ys, inverse: bool = False,
-                       want_jac: bool = False):
+def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False):
     """Apply h (or h^{-1}) with per-point base activation t to fiber points ys.
 
-    Exact identity outside the support; exact translation where the whole
-    trajectory stays in the plateau; implicit midpoint on the band.
+    ``bt`` is one BumpTranslation, or per-point fiber parameters
+    (centre, v, inner, outer) of shapes (..., 2), (..., 2), (...) and (...),
+    the shapes of ys and t, so that points of several bumps flow in one
+    call.  Exact identity outside the support; exact translation where the
+    whole trajectory stays in the plateau; implicit midpoint on the band.
     """
     ys = np.asarray(ys, dtype=float)
     t = np.broadcast_to(np.asarray(t, dtype=float), ys.shape[:-1]).copy()
+    per_point = not isinstance(bt, BumpTranslation)
+    if per_point:
+        c, v, inner, outer = bt
+    else:   # one bump: its parameters stay scalars
+        c, v = lift(bt.fiber_center), np.asarray(bt.v, float)
+        inner, outer = bt.fiber_bump.inner_radius, bt.fiber_bump.outer_radius
     sign = -1.0 if inverse else 1.0
-    c = lift(bt.fiber_center)
-    v = np.asarray(bt.v, float)
     d = wrapped_diff(ys, c)
     r = np.hypot(d[..., 0], d[..., 1])
-    inner, outer = bt.fiber_bump.inner_radius, bt.fiber_bump.outer_radius
     active = (t > 0) & (r < outer)
     shifted = d + sign * t[..., None] * v
     r_shift = np.hypot(shifted[..., 0], shifted[..., 1])
@@ -165,11 +177,14 @@ def _bump_fiber_action(bt: BumpTranslation, t, ys, inverse: bool = False,
     if want_jac:
         jac = np.broadcast_to(np.eye(2), ys.shape[:-1] + (2, 2)).copy()
     if np.any(band):
-        flowed, jband = _flow(d[band], sign * t[band], v, bt.fiber_bump,
-                              want_jac=want_jac)
-        out[band] = flowed
+        if per_point:
+            v, inner, outer = v[band], inner[band], outer[band]
+        db = d[band]
+        y0, y1, jb = _flow(db[:, 0], db[:, 1], sign * t[band], v[..., 0], v[..., 1],
+                           inner, outer - inner, want_jac=want_jac)
+        out[band] = np.stack((y0, y1), axis=-1)
         if want_jac:
-            jac[band] = jband
+            jac[band] = np.stack(jb, axis=-1).reshape(-1, 2, 2)
     result = mod1(c + out)
     # preserve untouched points bitwise
     result[~active] = mod1(ys)[~active]
@@ -196,13 +211,35 @@ def bump_jacobian(bt: BumpTranslation, x, y, inverse: bool = False):
 @dataclass(frozen=True)
 class PerturbedFamily(FiberFamily):
     """inner family post-composed fiberwise with the inverse combined bump map:
-    g'_x = g_x o h_x^{-1} (the skew product becomes F o h^{-1})."""
+    g'_x = g_x o h_x^{-1} (the skew product becomes F o h^{-1}).
+
+    Base supports must be pairwise disjoint, so at most one bump is active
+    over any base point.
+    """
 
     inner: FiberFamily
     bumps: tuple[BumpTranslation, ...]
 
+    def __post_init__(self):
+        bumps = self.bumps
+        for i in range(len(bumps)):
+            for j in range(i + 1, len(bumps)):
+                gap = float(torus_dist(bumps[i].base_center, bumps[j].base_center))
+                if gap <= bumps[i].base_bump.outer_radius + bumps[j].base_bump.outer_radius:
+                    raise OverlapError(
+                        f"base supports of bumps {i} and {j} overlap (centers {gap:.4g} apart)")
+
+    @cached_property
+    def _fiber_params(self):
+        """Per-bump fiber (centre, v, inner, outer) tables, indexed by bump."""
+        return (np.array([lift(b.fiber_center) for b in self.bumps]),
+                np.array([b.v for b in self.bumps], dtype=float),
+                np.array([b.fiber_bump.inner_radius for b in self.bumps]),
+                np.array([b.fiber_bump.outer_radius for b in self.bumps]))
+
     def _h_action(self, x, y, inverse: bool, want_jac: bool = False):
-        """Combined bump map h_x^{±1} on broadcast (x, y) batches."""
+        """Combined bump map h_x^{±1} on broadcast (x, y) batches, in one
+        kernel call whatever the number of bumps."""
         xb = np.asarray(x, dtype=float)
         yb = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(xb.shape, yb.shape)
@@ -210,19 +247,26 @@ class PerturbedFamily(FiberFamily):
         jac = None
         if want_jac:
             jac = np.broadcast_to(np.eye(2), shape[:-1] + (2, 2)).copy()
-        for bt in self.bumps:
-            # activation at x's own shape (often one point), then broadcast
-            t = np.broadcast_to(bt.base_value(xb), shape[:-1])
-            mask = t > 0
-            if not np.any(mask):
-                continue
-            if want_jac:
-                res, jb = _bump_fiber_action(bt, t[mask], out[mask],
-                                             inverse=inverse, want_jac=True)
-                out[mask] = res
-                jac[mask] = jb  # supports disjoint: at most one active bump
+        # activation and active bump at x's own shape (often one point), then
+        # broadcast; the supports are disjoint, so at most one bump is active
+        t = which = 0
+        for i, bt in enumerate(self.bumps):
+            ti = bt.base_value(xb)
+            on = ti > 0
+            t, which = np.where(on, ti, t), np.where(on, i, which)
+        t = np.broadcast_to(t, shape[:-1])
+        mask = t > 0
+        if np.any(mask):
+            if np.ndim(which) == 0:   # one base point: one bump for the whole batch
+                params = self.bumps[which]
             else:
-                out[mask] = _bump_fiber_action(bt, t[mask], out[mask], inverse=inverse)
+                which = np.broadcast_to(which, shape[:-1])[mask]
+                params = tuple(p[which] for p in self._fiber_params)
+            if want_jac:
+                out[mask], jac[mask] = _bump_fiber_action(params, t[mask], out[mask],
+                                                          inverse=inverse, want_jac=True)
+            else:
+                out[mask] = _bump_fiber_action(params, t[mask], out[mask], inverse=inverse)
         return (out, jac) if want_jac else out
 
     def apply(self, x, y):
@@ -244,8 +288,8 @@ def perturb_skew(sp: SkewProduct, bumps) -> SkewProduct:
     """Wrap a skew product with fiberwise bump translations (F -> F o h^{-1}).
 
     Holonomies whose defining orbits avoid every base support are unchanged.
-    Base supports must be pairwise disjoint, including those of the bumps
-    already on a perturbed family.
+    Bumps on an already perturbed family are joined with the new ones, so
+    their base supports must be disjoint from the new ones too (OverlapError).
     """
     bumps = tuple(bumps)
     if not bumps:
@@ -253,12 +297,6 @@ def perturb_skew(sp: SkewProduct, bumps) -> SkewProduct:
     inner = sp.family
     if isinstance(inner, PerturbedFamily):
         inner, bumps = inner.inner, inner.bumps + bumps
-    for i in range(len(bumps)):
-        for j in range(i + 1, len(bumps)):
-            gap = float(torus_dist(bumps[i].base_center, bumps[j].base_center))
-            if gap <= bumps[i].base_bump.outer_radius + bumps[j].base_bump.outer_radius:
-                raise OverlapError(
-                    f"base supports of bumps {i} and {j} overlap (centers {gap:.4g} apart)")
     return SkewProduct(base=sp.base, family=PerturbedFamily(inner, bumps))
 
 

@@ -130,6 +130,24 @@ class Region:
         return mod1(c + offs)
 
 
+def smoothstep(r, inner, band, n_derivs: int = 2):
+    """Radial quintic profile 1 - (10t^3 - 15t^4 + 6t^5) of
+    t = clip((r - inner) / band, 0, 1), and its first ``n_derivs`` derivatives
+    in r.  ``inner`` and ``band`` are scalars or arrays broadcasting against r,
+    which must be nonnegative (not checked here)."""
+    t = np.clip((r - inner) / band, 0.0, 1.0)
+    # s, s', s'' all reach their clip values exactly (s(1) = 1 in exact
+    # float arithmetic), so no branch masks are needed.
+    t2 = t * t
+    s = t2 * t * (10.0 + t * (-15.0 + 6.0 * t))
+    out = [1.0 - s]
+    if n_derivs >= 1:
+        out.append(t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / band))
+    if n_derivs >= 2:
+        out.append(t * (60.0 + t * (-180.0 + 120.0 * t)) / -band**2)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """Radial bump: 1 on [0, inner], 0 on [outer, inf), smooth monotone between.
@@ -159,17 +177,7 @@ class BumpProfile:
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
-        t = np.clip((r - self.inner_radius) / self.band, 0.0, 1.0)
-        # s, s', s'' all reach their clip values exactly (s(1) = 1 in exact
-        # float arithmetic), so no branch masks are needed.
-        t2 = t * t
-        s = t2 * t * (10.0 + t * (-15.0 + 6.0 * t))
-        out = [1.0 - s]
-        if n_derivs >= 1:
-            out.append(t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / self.band))
-        if n_derivs >= 2:
-            out.append(t * (60.0 + t * (-180.0 + 120.0 * t)) / -self.band**2)
-        return tuple(out)
+        return smoothstep(r, self.inner_radius, self.band, n_derivs)
 
     def max_abs_derivative(self) -> float:
         """max |d value/dr|: 30 t^2 (1 - t)^2 / band peaks at t = 1/2."""

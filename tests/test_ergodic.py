@@ -5,12 +5,12 @@ import pytest
 
 from skewlab import ergodic
 from skewlab.anosov import build_quad, make_anosov
-from skewlab.ergodic import (_scan_event_driven, _scan_generic, birkhoff,
+from skewlab.ergodic import (_firing_mask, _scan_event_driven, _scan_generic, birkhoff,
                              ergodic_scan, observable)
 from skewlab.fiber import (ConstantFamily, IdentityMap, RotationFamily, SkewProduct,
                            VectorField)
 from skewlab.perturbation import BumpTranslation, perturb_skew
-from skewlab.torus import BumpProfile, wrap
+from skewlab.torus import BumpProfile, lift, mod1, wrap
 
 CAT = [[2, 1], [1, 1]]
 
@@ -54,6 +54,19 @@ def three_bump_sp(destroyed_sp):
                             fiber_center=wrap((0.25, 0.75)),
                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.02, 0.03))
     return perturb_skew(destroyed_sp, [third])
+
+
+@pytest.fixture(scope="module")
+def seam_bump():
+    """A base bump whose support straddles both seams of the base torus."""
+    return BumpTranslation(base_center=wrap((0.995, 0.005)), base_bump=BumpProfile(0.03, 0.06),
+                           fiber_center=wrap((0.25, 0.75)),
+                           fiber_bump=BumpProfile(0.3, 0.42), v=(0.02, -0.03))
+
+
+@pytest.fixture(scope="module")
+def seam_sp(destroyed_sp, seam_bump):
+    return perturb_skew(destroyed_sp, [seam_bump])
 
 
 class TestBirkhoff:
@@ -126,13 +139,13 @@ class TestErgodicScan:
             with pytest.raises(ValueError):
                 ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
 
-    def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp):
+    def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp, seam_sp):
         # the bump map of a point does not depend on its batch, so the event
         # path (one batch per bump visit rank) and the generic loop (one
         # batch per time step) agree bitwise
         fn = observable("fiber_cos")
         for sp, n, m in ((destroyed_sp, 400, 8), (destroyed_sp, 2000, 20),
-                         (three_bump_sp, 2000, 20)):
+                         (three_bump_sp, 2000, 20), (seam_sp, 2000, 20)):
             rng = np.random.default_rng(1)
             xs, ys = rng.random((m, 2)), rng.random((m, 2))
             checkpoints = [n // 4, n // 2, n]
@@ -146,6 +159,27 @@ class TestErgodicScan:
             assert np.max(np.abs(avg_gen - fn(xs, ys))) > 1e-3
             np.testing.assert_array_equal(sigma_ev, sigma_gen)
             np.testing.assert_array_equal(avg_ev, avg_gen)
+
+    def test_firing_prefilter_matches_base_value_at_the_support_edge(self, destroyed_sp,
+                                                                     seam_bump):
+        # points at per-axis offsets of exactly outer, just inside it and just
+        # outside it, on both sides of each axis (across the seam for the
+        # seam bump), plus uniform points
+        for bt in destroyed_sp.family.bumps + (seam_bump,):
+            outer = bt.base_bump.outer_radius
+            offs = [outer, np.nextafter(outer, 0.0), outer + 1e-10, outer - 1e-3, 0.5 * outer]
+            pts = [lift(bt.base_center) + sign * o * np.eye(2)[axis]
+                   for o in offs for sign in (1.0, -1.0) for axis in (0, 1)]
+            pts = np.concatenate([mod1(np.array(pts)),
+                                  np.random.default_rng(2).random((3000, 2))])
+            orbit = pts.reshape(-1, 4, 2)   # (steps, ICs, 2)
+            want = bt.base_value(orbit) > 0
+            assert np.array_equal(_firing_mask((bt,), orbit), want)
+            assert want.any() and not want.all()
+        fam = destroyed_sp.family
+        orbit = np.random.default_rng(3).random((3000, 5, 2))
+        want = (fam.bumps[0].base_value(orbit) > 0) | (fam.bumps[1].base_value(orbit) > 0)
+        assert np.array_equal(_firing_mask(fam.bumps, orbit), want)
 
     def test_small_frozen_scan_takes_event_path(self, destroyed_sp, monkeypatch):
         def generic(*args):

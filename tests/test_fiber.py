@@ -258,6 +258,15 @@ class TestCertification:
         if est1.dominated:
             assert est2.dominated
 
+    @pytest.mark.parametrize("c", [1e2, 1e4, 1e6])
+    def test_l_minus_is_reciprocal_of_l_plus_for_large_c(self, cat, c):
+        # det Dg = 1, so sigma_min = 1/sigma_max at every grid point, also
+        # where sigma_max is large enough for sqrt((t - disc)/2) to cancel
+        est = certify_partial_hyperbolicity(SkewProduct(base=cat, family=lewowicz_constant(c)),
+                                            16)
+        assert est.L_minus == pytest.approx(1.0 / est.L_plus, rel=1e-9)
+        assert not est.dominated and not est.bunched
+
     def test_grid_floor(self, cat):
         sp = SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
         with pytest.raises(ValueError):

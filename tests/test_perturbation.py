@@ -194,6 +194,48 @@ class TestBumpTranslation:
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         assert np.max(np.abs(det - 1.0)) < 1e-10
 
+    def test_two_bumps_in_one_batch_match_each_point_alone_bitwise(self, quad):
+        # one kernel call carries per-point fiber centre, v and profile; each
+        # point gets the bits of its own bump applied to it alone
+        b1 = make_bump(quad, 1, v=(0.03, 0.012), fiber_center=(0.5, 0.5))
+        r2 = quad.ball_radius(2)
+        b2 = BumpTranslation(base_center=quad.w2,
+                             base_bump=BumpProfile(0.45 * r2, 0.9 * r2),
+                             fiber_center=wrap((0.1, 0.85)),
+                             fiber_bump=BumpProfile(0.3, 0.42), v=(-0.021, 0.034))
+        fam = PerturbedFamily(ConstantFamily(IdentityMap()), (b1, b2))
+        rng = np.random.default_rng(13)
+        xs, ys, owner = [], [], []
+        for bt in (b1, b2):
+            c, outer = lift(bt.base_center), bt.base_bump.outer_radius
+            for frac in (0.0, 0.6, 0.7, 0.8):   # plateau and band of the base bump
+                th = rng.uniform(0, 2 * math.pi, 6)
+                x = (c + frac * outer * np.stack([np.cos(th), np.sin(th)], axis=-1)) % 1.0
+                # fiber points on the band, in the plateau and off the support
+                rr = rng.uniform(0.2, 0.5, 6)
+                phi = rng.uniform(0, 2 * math.pi, 6)
+                y = (lift(bt.fiber_center)
+                     + rr[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)) % 1.0
+                xs.append(x)
+                ys.append(y)
+                owner += [bt] * 6
+        xs.append(np.array([[0.7, 0.2], [0.3, 0.6]]))   # off both supports
+        ys.append(np.array([[0.5, 0.45], [0.12, 0.8]]))
+        owner += [b1, b2]
+        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        order = rng.permutation(len(xs))   # interleave the two bumps' points
+        xs, ys, owner = xs[order], ys[order], [owner[k] for k in order]
+        t = np.array([float(bt.base_value(x)) for bt, x in zip(owner, xs)])
+        assert np.any(t == 1.0) and np.any((t > 0) & (t < 1.0)) and np.any(t == 0.0)
+        fwd, back, jac = fam.apply(xs, ys), fam.inverse(xs, ys), fam.jacobian(xs, ys)
+        for k, bt in enumerate(owner):
+            assert np.array_equal(fwd[k], apply_bump_inverse(bt, xs[k], ys[k:k + 1])[0])
+            assert np.array_equal(back[k], apply_bump(bt, xs[k], ys[k:k + 1])[0])
+            assert np.array_equal(jac[k], bump_jacobian(bt, xs[k], ys[k:k + 1],
+                                                        inverse=True)[0])
+        moved = ~np.all(fwd == ys, axis=-1)
+        assert np.any(moved) and not np.all(moved)
+
     def test_rejection_sampled_support_exactness(self, bump, quad):
         rng = np.random.default_rng(6)
         xs = rng.random((300, 2))
@@ -216,6 +258,18 @@ class TestPerturbSkew:
                              fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
         with pytest.raises(OverlapError):
             perturb_skew(id_sp, [b1, b2])
+
+    def test_overlap_rejected_on_direct_family(self, quad):
+        # the family itself refuses overlapping supports: at most one bump
+        # may be active over a base point
+        b1 = make_bump(quad, 1)
+        b2 = BumpTranslation(base_center=quad.w1,
+                             base_bump=b1.base_bump,
+                             fiber_center=wrap((0.5, 0.5)),
+                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
+        with pytest.raises(OverlapError):
+            PerturbedFamily(ConstantFamily(IdentityMap()), (b1, b2))
+        PerturbedFamily(ConstantFamily(IdentityMap()), (b1, make_bump(quad, 2)))
 
     def test_overlap_with_earlier_bumps_rejected(self, id_sp, quad):
         # post-composing one bump at a time is checked like one call with both

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.perturbation import BASE_INNER_FRAC, BASE_OUTER_FRAC, FIBER_INNER, FIBER_OUTER
-from skewlab.torus import (BumpProfile, Region, TorusPoint, cell_grid, torus_dist,
-                           wrap, wrapped_diff)
+from skewlab.torus import (BumpProfile, Region, TorusPoint, cell_grid, smoothstep,
+                           torus_dist, wrap, wrapped_diff)
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -142,6 +142,24 @@ class TestBumpProfile:
         bound = b.max_abs_derivative()
         assert peak <= bound * (1 + 4 * np.finfo(float).eps)
         assert peak >= bound * (1 - 4 * np.finfo(float).eps)
+
+    def test_smoothstep_per_point_parameters_bitwise(self):
+        # one call with per-point (inner, band) gives each point the bits of
+        # its own profile
+        profiles = [BumpProfile(FIBER_INNER, FIBER_OUTER), BumpProfile(0.3, 0.42),
+                    BumpProfile(0.05, 0.14), BumpProfile(1.0, 2.0)]
+        rng = np.random.default_rng(0)
+        rs = [rng.uniform(0.0, 1.2 * p.outer_radius, 50) for p in profiles]
+        which = np.repeat(np.arange(len(profiles)), 50)
+        inner = np.array([p.inner_radius for p in profiles])[which]
+        band = np.array([p.band for p in profiles])[which]
+        for n_derivs in (0, 1, 2):
+            got = smoothstep(np.concatenate(rs), inner, band, n_derivs)
+            assert len(got) == n_derivs + 1
+            for k, (p, r) in enumerate(zip(profiles, rs)):
+                want = p.value_and_derivatives(r, n_derivs)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[which == k], w)
 
 
 @pytest.mark.parametrize("n", [1, 5, 32])
