@@ -53,13 +53,28 @@ class LinearAnosov:
         pts = np.asarray(points, dtype=float)
         return mod1(pts @ self.inverse.T)
 
-    def orbit(self, point, n: int, forward: bool = True) -> np.ndarray:
-        """(n+1, 2) array: point, f(point), ..., f^{±n}(point)."""
-        out = np.empty((n + 1, 2))
-        out[0] = np.asarray(point, dtype=float).reshape(2)
-        step = self.apply if forward else self.apply_inverse
+    def orbit(self, points, n: int, forward: bool = True) -> np.ndarray:
+        """(n+1, ..., 2) array: points, f(points), ..., f^{±n}(points) for a
+        batch of shape (..., 2).
+
+        Each step is apply's (or apply_inverse's) matmul, remainder and seam
+        fold, written into one preallocated array; a finite input stays finite
+        under an integer matrix mod 1, so the finite check runs on the input
+        and on the result only.
+        """
+        pts = np.asarray(points, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("non-finite input to orbit")
+        mat = (self.matrix if forward else self.inverse).T
+        out = np.empty((n + 1,) + pts.shape)
+        out[0] = pts
         for k in range(n):
-            out[k + 1] = step(out[k])
+            nxt = out[k + 1]
+            np.matmul(out[k], mat, out=nxt)
+            np.remainder(nxt, 1.0, out=nxt)
+            nxt[nxt >= 1.0] = 0.0
+        if not np.all(np.isfinite(out)):
+            raise ValueError("non-finite orbit")
         return out
 
     def eigen_direction(self, kind: str) -> np.ndarray:

@@ -178,11 +178,17 @@ class FiberFamily:
         """tau(x) when every g_x is the translation y -> y + tau(x), else None."""
         return None
 
+    def quiet(self, x):
+        """Bool mask, of x's shape without the last axis, of the base points
+        where g_x and its inverse return every y in [0, 1)^2 bitwise; None
+        when the family cannot say."""
+        return None
+
 
 @dataclass(frozen=True)
 class ConstantFamily(FiberFamily):
-    """The identity family ConstantFamily(IdentityMap()): the cheapest one, and
-    the one whose perturbations the ergodic event scan recognises."""
+    """The identity family ConstantFamily(IdentityMap()): the cheapest one,
+    quiet at every base point."""
 
     fiber_map: IdentityMap
 
@@ -197,6 +203,9 @@ class ConstantFamily(FiberFamily):
 
     def base_lipschitz(self) -> float:
         return 0.0
+
+    def quiet(self, x):
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
 
 @dataclass(frozen=True)

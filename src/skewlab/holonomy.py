@@ -6,7 +6,9 @@ holonomy from fiber(x0) to fiber(y0) is the C^0 limit of
     H_n = (g^(n) over y0)^{-1} o (g^(n) over x0),
 
 certified by a Cauchy test on a fiber grid, or on exact step lengths for a
-translation family, whose H_n is one translation.  Both base orbits are
+translation family, whose H_n is one translation.  A step whose two base
+points are both quiet (g is the identity there, bitwise) is skipped: it
+leaves H_n equal to H_{n-1} bitwise.  Both base orbits are
 derived from a single *anchor* orbit plus analytic leaf offsets s * rate^k
 along the eigendirection: iterating the two base points independently in
 floating point would inject noise growing like lambda_u^n and destroy the
@@ -17,6 +19,7 @@ shadowing) are stated against this evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +41,8 @@ class HolonomyMap:
 
     The two base points are anchor + s_from * e and anchor + s_to * e on a
     common leaf; from_pts/to_pts hold their anchored orbits in visiting order,
-    so composition k steps over index k for either kind.
+    so composition k steps over index k for either kind.  Step k is loud
+    where from_pts[k] or to_pts[k] is not quiet for the family.
     """
 
     sp: SkewProduct
@@ -57,6 +61,15 @@ class HolonomyMap:
         """Fiber steps: push along the from-orbit, pull back over the to-orbit."""
         fam = self.sp.family
         return (fam.apply, fam.inverse) if self.kind == "stable" else (fam.inverse, fam.apply)
+
+    @cached_property
+    def _loud(self):
+        """Bool mask of the loud steps, or None when the family cannot say."""
+        fam = self.sp.family
+        quiet_from = fam.quiet(self.from_pts)
+        if quiet_from is None:
+            return None
+        return ~(quiet_from & fam.quiet(self.to_pts))
 
     def _translation_steps(self, n: int):
         """The n per-composition translations of a translation family, or None.
@@ -86,16 +99,22 @@ class HolonomyMap:
         if steps is not None:
             return mod1(v + steps.sum(axis=0))
         push, pull = self.push_pull()
-        for k in range(n):
+        loud = range(n) if self._loud is None else np.flatnonzero(self._loud[:n])
+        for k in loud:
             v = push(self.from_pts[k], v)
-        for k in range(n - 1, -1, -1):
+        for k in reversed(loud):
             v = pull(self.to_pts[k], v)
         return v
 
     def inverse_map(self) -> "HolonomyMap":
-        """The reverse holonomy (same anchor, endpoints and orbits swapped)."""
-        return replace(self, s_from=self.s_to, s_to=self.s_from,
-                       from_pts=self.to_pts, to_pts=self.from_pts)
+        """The reverse holonomy (same anchor, endpoints and orbits swapped).
+
+        The loud mask is symmetric in the two orbits, so it carries over.
+        """
+        inv = replace(self, s_from=self.s_to, s_to=self.s_from,
+                      from_pts=self.to_pts, to_pts=self.from_pts)
+        inv.__dict__["_loud"] = self._loud
+        return inv
 
     def measured_decay_ratio(self) -> float:
         """Geometric-mean per-step ratio of the Cauchy increments above _DECAY_FLOOR.
@@ -137,9 +156,11 @@ def _increments(h: HolonomyMap, n_max: int):
     """Yield the Cauchy increment sup_y d(H_n(y), H_{n-1}(y)) for n = 1..n_max.
 
     A translation family moves every fiber point by the same step, so its
-    increments are the exact step lengths.  Any other family is sampled on a
-    CERT_GRID_N^2 fiber grid; the push is kept from one n to the next and the
-    pull is redone for each n.
+    increments are the exact step lengths.  A quiet step leaves H_n equal to
+    H_{n-1} bitwise, so its increment is exactly 0.0 at every fiber point.
+    A loud step of any other family is sampled on a CERT_GRID_N^2 fiber grid;
+    the push is kept from one n to the next and the pull through the loud
+    steps so far is redone for each n.
     """
     steps = h._translation_steps(n_max)
     if steps is not None:
@@ -149,11 +170,17 @@ def _increments(h: HolonomyMap, n_max: int):
     grid = cell_grid(CERT_GRID_N)
     ups = grid.copy()
     h_prev = grid.copy()
-    for n in range(1, n_max + 1):
-        ups = push(h.from_pts[n - 1], ups)
+    loud = h._loud
+    pulled: list[int] = []
+    for k in range(n_max):
+        if loud is not None and not loud[k]:
+            yield 0.0
+            continue
+        ups = push(h.from_pts[k], ups)
+        pulled.append(k)
         v = ups
-        for k in range(n - 1, -1, -1):
-            v = pull(h.to_pts[k], v)
+        for j in reversed(pulled):
+            v = pull(h.to_pts[j], v)
         yield float(np.max(torus_dist(v, h_prev)))
         h_prev = v
 
@@ -163,8 +190,9 @@ def _certify(h: HolonomyMap, n_max: int):
 
     The scan stops once _LOOKAHEAD consecutive increments past the analytic
     horizon are below tol/2.  For a translation family the increments are the
-    exact step lengths, valid at every fiber point; for any other family they
-    are maxima over the fiber grid.
+    exact step lengths, and at a quiet step they are exactly 0.0, both valid
+    at every fiber point; at the loud steps of any other family they are
+    maxima over the fiber grid.
     """
     tol = h.tol
     n_min = _min_horizon(h.sp, h.kind, h.s_from, h.s_to, tol, n_max)

@@ -283,6 +283,33 @@ class PerturbedFamily(FiberFamily):
         extra = sum(b.base_bump.max_abs_derivative() * b.v_norm for b in self.bumps)
         return self.inner.base_lipschitz() + extra
 
+    def quiet(self, x):
+        """The inner family's mask, False where some bump's base value is > 0;
+        None when the inner family's is None.  Where no bump is active,
+        ``_h_action`` returns a copy of y, so g_x is the inner map.
+
+        A bump's base value is evaluated only at the points whose per-axis
+        wrapped distance to its centre is below its outer radius + 1e-9.  That
+        distance differs from the one ``torus_dist`` computes by rounding
+        only, far below the margin, so every other point has torus distance
+        r >= outer, where the profile is exactly 0: the mask is exact.  Off
+        [0, 1)^2 an axis offset a >= 1 gives min(a, 1 - a) <= 0, so the filter
+        never drops a point that it should evaluate.
+        """
+        quiet = self.inner.quiet(x)
+        if quiet is None:
+            return None
+        quiet = np.array(quiet, dtype=bool)
+        x = np.asarray(x, dtype=float)
+        for b in self.bumps:
+            c0, c1 = lift(b.base_center)
+            reach = b.base_bump.outer_radius + 1e-9
+            a0 = np.abs(x[..., 0] - c0)
+            a1 = np.abs(x[..., 1] - c1)
+            near = (np.minimum(a0, 1.0 - a0) < reach) & (np.minimum(a1, 1.0 - a1) < reach)
+            quiet[near] &= ~(b.base_value(x[near]) > 0)
+        return quiet
+
 
 def perturb_skew(sp: SkewProduct, bumps) -> SkewProduct:
     """Wrap a skew product with fiberwise bump translations (F -> F o h^{-1}).

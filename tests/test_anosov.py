@@ -50,6 +50,24 @@ class TestMakeAnosov:
     def test_inverse_matrix(self, cat):
         assert np.all(cat.matrix @ cat.inverse == np.eye(2, dtype=int))
 
+    @pytest.mark.parametrize("matrix", [CAT, [[3, 2], [1, 1]], [[-3, 1], [-1, 0]], [[3, 1], [1, 0]]])
+    def test_orbit_is_applys_orbit_bitwise(self, matrix):
+        a = make_anosov(matrix)
+        rng = np.random.default_rng(0)
+        for start in (rng.random((6, 5, 2)), rng.random(2), (0.0, np.nextafter(1.0, 0.0))):
+            for forward, step in ((True, a.apply), (False, a.apply_inverse)):
+                orbit = a.orbit(start, 40, forward=forward)
+                cur = np.asarray(start, float)
+                assert orbit.shape == (41,) + cur.shape
+                for k in range(41):
+                    assert np.array_equal(orbit[k], cur), (forward, k)
+                    cur = step(cur)
+
+    def test_orbit_rejects_non_finite_input(self, cat):
+        for bad in ((np.nan, 0.1), [[0.1, 0.2], [np.inf, 0.3]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                cat.orbit(bad, 3)
+
     def test_powers_square_eigenvalues(self):
         a3 = make_anosov(np.linalg.matrix_power(np.array(CAT), 3))
         cat = make_anosov(CAT)

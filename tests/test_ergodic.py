@@ -5,11 +5,10 @@ import pytest
 
 from skewlab import ergodic
 from skewlab.anosov import build_quad, make_anosov
-from skewlab.ergodic import (_firing_mask, _scan_event_driven, _scan_generic, birkhoff,
-                             ergodic_scan, observable)
+from skewlab.ergodic import _scan_event_driven, _scan_generic, birkhoff, ergodic_scan, observable
 from skewlab.fiber import (ConstantFamily, IdentityMap, RotationFamily, SkewProduct,
                            VectorField)
-from skewlab.perturbation import BumpTranslation, perturb_skew
+from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, lift, mod1, wrap
 
 CAT = [[2, 1], [1, 1]]
@@ -174,12 +173,13 @@ class TestErgodicScan:
                                   np.random.default_rng(2).random((3000, 2))])
             orbit = pts.reshape(-1, 4, 2)   # (steps, ICs, 2)
             want = bt.base_value(orbit) > 0
-            assert np.array_equal(_firing_mask((bt,), orbit), want)
+            fam = PerturbedFamily(ConstantFamily(IdentityMap()), (bt,))
+            assert np.array_equal(~fam.quiet(orbit), want)
             assert want.any() and not want.all()
         fam = destroyed_sp.family
         orbit = np.random.default_rng(3).random((3000, 5, 2))
         want = (fam.bumps[0].base_value(orbit) > 0) | (fam.bumps[1].base_value(orbit) > 0)
-        assert np.array_equal(_firing_mask(fam.bumps, orbit), want)
+        assert np.array_equal(~fam.quiet(orbit), want)
 
     def test_small_frozen_scan_takes_event_path(self, destroyed_sp, monkeypatch):
         def generic(*args):
@@ -188,3 +188,20 @@ class TestErgodicScan:
         monkeypatch.setattr(ergodic, "_scan_generic", generic)
         rep = ergodic_scan(destroyed_sp, "fiber_cos", 400, 8, seed=1)
         assert len(rep.per_ic_averages) == 8
+
+    def test_quiet_hook_decides_the_path(self, cat, destroyed_sp, monkeypatch):
+        def fail(*args):
+            raise AssertionError("scan took the path its family's quiet hook rules out")
+
+        with monkeypatch.context() as mp:   # a family that cannot say: generic loop
+            mp.setattr(PerturbedFamily, "quiet", lambda self, x: None)
+            mp.setattr(ergodic, "_scan_event_driven", fail)
+            ergodic_scan(destroyed_sp, "fiber_cos", 400, 8, seed=1)
+        # a mask takes the event path, even on a family that keeps the default;
+        # the zero translation is the identity, so the mask is true
+        zero = SkewProduct(base=cat, family=RotationFamily(VectorField((0.0, 0.0))))
+        want = ergodic_scan(zero, "fiber_cos", 400, 8, seed=1)
+        monkeypatch.setattr(RotationFamily, "quiet",
+                            lambda self, x: np.ones(np.shape(x)[:-1], dtype=bool))
+        monkeypatch.setattr(ergodic, "_scan_generic", fail)
+        assert ergodic_scan(zero, "fiber_cos", 400, 8, seed=1) == want

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from skewlab.anosov import make_anosov
+from skewlab.anosov import build_quad, make_anosov
 from skewlab.errors import BrokenPath, NoConvergence
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField)
-from skewlab.accessibility import LoopMap
+from skewlab.accessibility import LoopMap, standard_generators
 from skewlab.holonomy import N_MAX_COMPOSITIONS, leaf_holonomy, make_holonomy
 from skewlab.perturbation import BumpTranslation, PerturbedFamily
-from skewlab.torus import BumpProfile, mod1, torus_dist, wrap
+from skewlab.torus import BumpProfile, lift, mod1, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
 
@@ -331,3 +333,155 @@ class TestShadowing:
         rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=230)
         assert len(rep.distances) == 231
         assert rep.ratio_estimate <= abs(cat.lambda_s) + 0.1
+
+
+# The two destroyed systems of the benchmark: the translations that
+# destroy_trivial_class drew for the default quad at epsilon 0.03 (fine) and
+# at 0.12 with v_frac 0.9 and the second fiber anchor at (0, 0) (strong).
+DESTROYED = {
+    "fine": (((-0.009780243953765491, -0.011373074703211682), (0.5, 0.5)),
+             ((0.009389670321860106, -0.011697610493035726), (0.5, 0.5))),
+    "strong": (((-0.03344843432187798, -0.03889591548498395), (0.5, 0.5)),
+               ((0.03211267250076156, -0.040005827886182184), (0.0, 0.0))),
+}
+
+
+@pytest.fixture(scope="module")
+def quad(cat):
+    return build_quad(cat, (0.0, 0.0), 0.2, 10, 50)
+
+
+def destroyed_bumps(quad, name):
+    bumps = []
+    for i, (v, centre) in enumerate(DESTROYED[name], start=1):
+        r = quad.ball_radius(i)
+        bumps.append(BumpTranslation(
+            base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
+            fiber_center=wrap(centre), fiber_bump=BumpProfile(0.34, 0.46), v=v))
+    return tuple(bumps)
+
+
+SEAM_BUMP = BumpTranslation(base_center=wrap((0.995, 0.005)), base_bump=BumpProfile(0.03, 0.06),
+                            fiber_center=wrap((0.25, 0.75)), fiber_bump=BumpProfile(0.3, 0.42),
+                            v=(0.02, -0.03))
+
+
+@pytest.fixture(scope="module")
+def destroyed(quad, id_sp):
+    return {name: SkewProduct(base=id_sp.base,
+                              family=PerturbedFamily(id_sp.family, destroyed_bumps(quad, name)))
+            for name in DESTROYED}
+
+
+def edge_points(bumps, rng):
+    """Base points at per-axis and diagonal offsets of exactly a support's outer
+    radius, one ulp inside it, further inside and just outside, plus uniform
+    points."""
+    pts = [rng.random((40, 2))]
+    for b in bumps:
+        outer = b.base_bump.outer_radius
+        offs = (outer, np.nextafter(outer, 0.0), outer * (1 - 1e-12), outer - 1e-3,
+                outer + 1e-10, 0.5 * outer)
+        dirs = np.concatenate([np.eye(2), -np.eye(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2)])
+        pts.append(mod1(lift(b.base_center) + np.multiply.outer(offs, dirs).reshape(-1, 2)))
+    return np.concatenate(pts)
+
+
+class TestQuietSteps:
+    """Where the quiet hook is True, g_x is the identity bitwise; holonomies skip
+    the steps where both base points are quiet and keep every bit."""
+
+    FIBER = np.concatenate([GRID[::8], np.random.default_rng(5).random((200, 2)),
+                            [[0.0, 0.0], [np.nextafter(1.0, 0.0), 0.5], [0.5, 0.0]]])
+
+    def test_quiet_base_points_map_fibers_bitwise(self, id_sp, destroyed):
+        strong = destroyed["strong"].family
+        families = {"identity": id_sp.family, "fine": destroyed["fine"].family,
+                    "strong": strong,
+                    "seam": PerturbedFamily(id_sp.family, strong.bumps + (SEAM_BUMP,))}
+        rng = np.random.default_rng(4)
+        for name, fam in families.items():
+            xs = edge_points(getattr(fam, "bumps", ()) + (SEAM_BUMP,), rng)
+            quiet = fam.quiet(xs)
+            assert quiet.shape == xs.shape[:-1] and quiet.dtype == bool
+            if name == "identity":
+                assert quiet.all()
+            else:
+                assert quiet.any() and not quiet.all(), name
+                active = np.any([b.base_value(xs) > 0 for b in fam.bumps], axis=0)
+                assert np.array_equal(quiet, ~active), name
+            for x in xs[quiet]:
+                assert np.array_equal(fam.apply(x, self.FIBER), self.FIBER), (name, x)
+                assert np.array_equal(fam.inverse(x, self.FIBER), self.FIBER), (name, x)
+
+    def test_families_that_cannot_say(self, rot_sp, destroyed):
+        bumps = destroyed["fine"].family.bumps
+        for fam in (rot_sp.family, LewowiczFamily(ScalarField(0.5)),
+                    PerturbedFamily(LewowiczFamily(ScalarField(0.5)), bumps)):
+            assert fam.quiet(GRID) is None
+
+    def test_every_step_composed_over_a_lewowicz_inner(self, quad, destroyed, monkeypatch):
+        # a Lewowicz fiber map is hyperbolic, so its pushes and pulls amplify
+        # rounding and no Lewowicz holonomy certifies: take a certified leg of
+        # the fine system and swap the family under it
+        fine = destroyed["fine"]
+        lew = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), fine.family.bumps)
+        leg = standard_generators(fine, [quad])[0].maps[-1]
+        h = replace(leg, sp=SkewProduct(base=fine.base, family=lew))
+        assert leg._loud.any() and not leg._loud.all()
+        assert h._loud is None
+        calls = []
+        for name in ("apply", "inverse"):
+            orig = getattr(PerturbedFamily, name)
+            monkeypatch.setattr(PerturbedFamily, name,
+                                lambda self, x, y, _f=orig, _n=name: calls.append(_n) or _f(self, x, y))
+        n = 8
+        got = h.evaluate_at(GRID, n)
+        assert calls == ["apply"] * n + ["inverse"] * n
+        assert np.array_equal(got, composed(h, GRID, n))
+
+    @pytest.mark.parametrize("name", sorted(DESTROYED))
+    def test_legs_match_all_step_composition(self, quad, destroyed, name):
+        legs = [h for loop in standard_generators(destroyed[name], [quad]) for h in loop.maps]
+        assert len(legs) == 8
+        for h in legs:
+            self.check_leg(h)
+        # step 1 of each stable leg w_i -> x fires a bump; nothing else does
+        assert sum(bool(h._loud.any()) for h in legs) == 2
+
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    def test_interleaved_loud_steps(self, id_sp, cat, kind):
+        # a base support that the leg's orbits visit three times within its
+        # scan, so the order of the loud pushes and pulls matters
+        bump = BumpTranslation(base_center=wrap((0.5, 0.5)), base_bump=BumpProfile(0.05, 0.15),
+                               fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.2, 0.4),
+                               v=(0.02, 0.01))
+        sp = SkewProduct(base=cat, family=PerturbedFamily(id_sp.family, (bump,)))
+        x, y = PAIRS[kind](cat, x=(0.45, 0.52))
+        h = leaf_holonomy(sp, kind, x, y, tol=1e-10)
+        assert np.count_nonzero(h._loud[:len(h.increments)]) == 3
+        self.check_leg(h)
+
+    def check_leg(self, h):
+        """Evaluation, the loud mask and the Cauchy increments against the
+        all-steps composition, bitwise."""
+        n_scan = len(h.increments)
+        loud = h._loud[:n_scan]
+        swapped = replace(h, from_pts=h.to_pts, to_pts=h.from_pts)
+        assert np.array_equal(swapped._loud, h._loud)
+        assert h.inverse_map()._loud is h._loud
+        assert np.all(np.array(h.increments)[~loud] == 0.0)
+        # the Cauchy scan through every step, on the certification grid: the
+        # push kept from one n to the next, the pull redone
+        push, pull = h.push_pull()
+        ups, prev, scan = GRID, GRID, []
+        for n in range(1, n_scan + 1):
+            ups = cur = push(h.from_pts[n - 1], ups)
+            for k in reversed(range(n)):
+                cur = pull(h.to_pts[k], cur)
+            scan.append(float(np.max(torus_dist(cur, prev))))
+            prev = cur
+        assert tuple(scan) == h.increments
+        for n in [*range(h.truncation_n + 3), n_scan, len(h.from_pts)]:
+            assert np.array_equal(h.evaluate_at(self.FIBER, n),
+                                  composed(h, self.FIBER, n)), (h.kind, n)
