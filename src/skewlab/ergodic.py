@@ -19,7 +19,8 @@ from .torus import torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
 _DIST_FLOOR = 1e-13
-FIRE_BLOCK = 1024   # orbit steps per block of the firing mask
+SCAN_BLOCK_POINTS = 1 << 21   # base orbit points held by the event scan
+SUM_BLOCK_POINTS = 1 << 16    # orbit points per observable sum of that scan
 OBSERVABLES = ("fiber_cos", "base_cos", "product_cos")
 
 
@@ -81,23 +82,15 @@ def _scan_generic(sp, fn, xs, ys, n, checkpoints):
     return sigma, finals
 
 
-def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
-    """Path for families with a quiet mask, in O(n m) memory.
+def _event_timeline(family, orbit, fired, ys):
+    """Fiber states of one block of steps: (timeline, first).
 
-    The fiber state changes only where the base orbit is not quiet (an
-    event), so base orbits and firing masks vectorize, the j-th events of all
-    initial conditions go through the family in one batch, and observables
-    sum over a gathered fiber timeline.  The mask is taken FIRE_BLOCK steps
-    at a time, so no temporary is as large as the orbit.
+    Per-IC timelines lie end to end: at first[i] the state of IC i entering
+    the block, then one slot per event.  The j-th events of all ICs go
+    through the family in one batch.
     """
-    m = len(xs)
-    family = sp.family
-    orbit = sp.base.orbit(xs, n - 1)
-    fired = np.empty((n, m), dtype=bool)
-    for k in range(0, n, FIRE_BLOCK):
-        np.logical_not(family.quiet(orbit[k:k + FIRE_BLOCK]), out=fired[k:k + FIRE_BLOCK])
+    m = len(ys)
     ic, step = np.nonzero(fired.T)   # by IC, then by step
-    # per-IC timelines laid end to end: the initial state, then one slot per event
     first = np.searchsorted(ic, np.arange(m)) + np.arange(m)
     slot = np.arange(len(ic)) + ic + 1
     timeline = np.empty((len(ic) + m, 2))
@@ -107,14 +100,60 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     for grp in np.split(order, np.cumsum(np.bincount(rank))[:-1]):
         timeline[slot[grp]] = family.apply(orbit[step[grp], ic[grp]],
                                            timeline[slot[grp] - 1])
+    return timeline, first
 
-    at = np.cumsum(fired, axis=0)   # events up to and including each step
-    at -= fired
-    at += first
-    vals = fn(orbit, timeline[at])
-    np.cumsum(vals, axis=0, out=vals)
-    sigma = [float(np.std(vals[cpn - 1] / cpn)) for cpn in checkpoints]
-    return sigma, vals[n - 1] / n
+
+def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
+    """Path for families with a quiet mask; None when the family cannot say.
+
+    The fiber state changes only where the base orbit is not quiet (an
+    event).  The scan holds the base orbit one block of steps at a time and
+    runs the block's events through _event_timeline; the quiet mask and the
+    observable sums over the gathered timeline go SUM_BLOCK_POINTS orbit
+    points (steps times initial conditions) at a time.  A block is that long
+    until the family first fires and SCAN_BLOCK_POINTS long from then on,
+    since the longer the block, the fewer the event batches.  Each initial
+    condition's base point, fiber state and running sum carry over to the
+    next block, so memory does not grow with n.
+    """
+    m = len(xs)
+    family = sp.family
+    sub = max(1, SUM_BLOCK_POINTS // m)
+    width = sub
+    sums = np.zeros(m)
+    sigma = []
+    k0 = 0
+    while k0 < n:
+        steps = min(width, n - k0)
+        orbit = sp.base.orbit(xs, steps)
+        xs = orbit[steps].copy()   # starts the next block
+        orbit = orbit[:steps]
+        fired = np.empty((steps, m), dtype=bool)
+        for s0 in range(0, steps, sub):
+            quiet = family.quiet(orbit[s0:s0 + sub])
+            if quiet is None:
+                return None
+            np.logical_not(quiet, out=fired[s0:s0 + sub])
+        if fired.any():
+            width = max(1, SCAN_BLOCK_POINTS // m)
+        timeline, state = _event_timeline(family, orbit, fired, ys)
+        for s0 in range(0, steps, sub):   # state: each IC's slot entering s0
+            f = fired[s0:s0 + sub]
+            at = np.cumsum(f, axis=0)   # events up to and including each step
+            at -= f
+            at += state
+            vals = fn(orbit[s0:s0 + sub], timeline[at])
+            state = at[-1] + f[-1]
+            vals[0] += sums
+            np.cumsum(vals, axis=0, out=vals)
+            lo = k0 + s0
+            sigma += [float(np.std(vals[cpn - 1 - lo] / cpn)) for cpn in checkpoints
+                      if lo < cpn <= lo + len(vals)]
+            sums = vals[-1].copy()
+        ys = timeline[state]
+        del orbit   # before the next block's orbit is made
+        k0 += steps
+    return sigma, sums / n
 
 
 def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
@@ -132,10 +171,8 @@ def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
     xs = rng.random((m_ics, 2))
     ys = rng.random((m_ics, 2))
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    if sp.family.quiet(xs) is not None:
-        sigma, finals = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
-    else:
-        sigma, finals = _scan_generic(sp, fn, xs, ys, n, checkpoints)
+    scan = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
+    sigma, finals = scan if scan is not None else _scan_generic(sp, fn, xs, ys, n, checkpoints)
     s0, s_end = sigma[0], sigma[-1]
     verdict = "ERGODIC-LIKE" if s_end < s0 / ERGODIC_DECAY_FACTOR else "NON-ERGODIC-LIKE"
     return ErgodicReport(observable=obs_name, n_iterations=n,

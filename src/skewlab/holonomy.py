@@ -19,7 +19,6 @@ shadowing) are stated against this evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +40,9 @@ class HolonomyMap:
 
     The two base points are anchor + s_from * e and anchor + s_to * e on a
     common leaf; from_pts/to_pts hold their anchored orbits in visiting order,
-    so composition k steps over index k for either kind.  Step k is loud
-    where from_pts[k] or to_pts[k] is not quiet for the family.
+    so composition k steps over index k for either kind.  loud marks the
+    steps where from_pts[k] or to_pts[k] is not quiet for the family
+    (_loud_steps); with None every step is composed.
     """
 
     sp: SkewProduct
@@ -56,20 +56,12 @@ class HolonomyMap:
     increments: tuple[float, ...] = field(repr=False, default=())
     from_pts: np.ndarray | None = field(repr=False, compare=False, default=None)
     to_pts: np.ndarray | None = field(repr=False, compare=False, default=None)
+    loud: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     def push_pull(self):
         """Fiber steps: push along the from-orbit, pull back over the to-orbit."""
         fam = self.sp.family
         return (fam.apply, fam.inverse) if self.kind == "stable" else (fam.inverse, fam.apply)
-
-    @cached_property
-    def _loud(self):
-        """Bool mask of the loud steps, or None when the family cannot say."""
-        fam = self.sp.family
-        quiet_from = fam.quiet(self.from_pts)
-        if quiet_from is None:
-            return None
-        return ~(quiet_from & fam.quiet(self.to_pts))
 
     def _translation_steps(self, n: int):
         """The n per-composition translations of a translation family, or None.
@@ -99,7 +91,7 @@ class HolonomyMap:
         if steps is not None:
             return mod1(v + steps.sum(axis=0))
         push, pull = self.push_pull()
-        loud = range(n) if self._loud is None else np.flatnonzero(self._loud[:n])
+        loud = range(n) if self.loud is None else np.flatnonzero(self.loud[:n])
         for k in loud:
             v = push(self.from_pts[k], v)
         for k in reversed(loud):
@@ -111,10 +103,8 @@ class HolonomyMap:
 
         The loud mask is symmetric in the two orbits, so it carries over.
         """
-        inv = replace(self, s_from=self.s_to, s_to=self.s_from,
-                      from_pts=self.to_pts, to_pts=self.from_pts)
-        inv.__dict__["_loud"] = self._loud
-        return inv
+        return replace(self, s_from=self.s_to, s_to=self.s_from,
+                       from_pts=self.to_pts, to_pts=self.from_pts)
 
     def measured_decay_ratio(self) -> float:
         """Geometric-mean per-step ratio of the Cauchy increments above _DECAY_FLOOR.
@@ -152,6 +142,15 @@ def _min_horizon(sp: SkewProduct, kind: str, s_from: float, s_to: float,
     return min(max(n, 0), n_max - _LOOKAHEAD)
 
 
+def _loud_steps(family, from_pts, to_pts):
+    """Bool mask of the steps where from_pts[k] or to_pts[k] is not quiet for
+    the family, or None when the family cannot say."""
+    quiet_from = family.quiet(from_pts)
+    if quiet_from is None:
+        return None
+    return ~(quiet_from & family.quiet(to_pts))
+
+
 def _increments(h: HolonomyMap, n_max: int):
     """Yield the Cauchy increment sup_y d(H_n(y), H_{n-1}(y)) for n = 1..n_max.
 
@@ -170,7 +169,7 @@ def _increments(h: HolonomyMap, n_max: int):
     grid = cell_grid(CERT_GRID_N)
     ups = grid.copy()
     h_prev = grid.copy()
-    loud = h._loud
+    loud = h.loud
     pulled: list[int] = []
     for k in range(n_max):
         if loud is not None and not loud[k]:
@@ -237,10 +236,12 @@ def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float
     anchors = a.orbit(np.asarray(anchor), n_max + start, forward=kind == "stable")[start:]
     scales = a.contraction_rate(kind) ** np.arange(start, n_max + 1 + start)
     e = a.eigen_direction(kind)
+    from_pts = mod1(anchors + np.multiply.outer(s_from * scales, e))
+    to_pts = mod1(anchors + np.multiply.outer(s_to * scales, e))
     h = HolonomyMap(sp=sp, kind=kind, anchor=anchor, s_from=s_from, s_to=s_to,
                     truncation_n=0, certified_tol=np.inf, tol=tol,
-                    from_pts=mod1(anchors + np.multiply.outer(s_from * scales, e)),
-                    to_pts=mod1(anchors + np.multiply.outer(s_to * scales, e)))
+                    from_pts=from_pts, to_pts=to_pts,
+                    loud=_loud_steps(sp.family, from_pts, to_pts))
     trunc, certified, increments = _certify(h, n_max)
     return replace(h, truncation_n=trunc, certified_tol=certified,
                    increments=increments)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,17 +139,21 @@ class TestErgodicScan:
             with pytest.raises(ValueError):
                 ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
 
-    def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp, seam_sp):
+    def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp, seam_sp,
+                                        monkeypatch):
         # the bump map of a point does not depend on its batch, so the event
-        # path (one batch per bump visit rank) and the generic loop (one
-        # batch per time step) agree bitwise
+        # path (one batch per bump visit rank in a block) and the generic loop
+        # (one batch per time step) agree bitwise, whatever the blocks: short
+        # ones carry fiber states and sums across most events, and blocks of
+        # 250 and 100 steps end on checkpoints
         fn = observable("fiber_cos")
-        for sp, n, m in ((destroyed_sp, 400, 8), (destroyed_sp, 2000, 20),
-                         (three_bump_sp, 2000, 20), (seam_sp, 2000, 20)):
+        for sp, n, m, blocks in ((destroyed_sp, 400, 8, [None, (1, 1), (7, 3), (250, 100)]),
+                                 (destroyed_sp, 2000, 20, [None, (250, 100)]),
+                                 (three_bump_sp, 2000, 20, [None, (250, 100)]),
+                                 (seam_sp, 2000, 20, [None, (250, 100)])):
             rng = np.random.default_rng(1)
             xs, ys = rng.random((m, 2)), rng.random((m, 2))
             checkpoints = [n // 4, n // 2, n]
-            sigma_ev, avg_ev = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
             sigma_gen, avg_gen = _scan_generic(sp, fn, xs, ys, n, checkpoints)
             # every bump fires and some fibers moved: the orbits are not frozen
             orbit = [xs]
@@ -156,8 +161,14 @@ class TestErgodicScan:
                 orbit.append(sp.base.apply(orbit[-1]))
             assert all(np.any(b.base_value(np.array(orbit)) > 0) for b in sp.family.bumps)
             assert np.max(np.abs(avg_gen - fn(xs, ys))) > 1e-3
-            np.testing.assert_array_equal(sigma_ev, sigma_gen)
-            np.testing.assert_array_equal(avg_ev, avg_gen)
+            for block in blocks:
+                with monkeypatch.context() as mp:
+                    if block is not None:
+                        mp.setattr(ergodic, "SCAN_BLOCK_POINTS", block[0] * m)
+                        mp.setattr(ergodic, "SUM_BLOCK_POINTS", block[1] * m)
+                    sigma_ev, avg_ev = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
+                np.testing.assert_array_equal(sigma_ev, sigma_gen)
+                np.testing.assert_array_equal(avg_ev, avg_gen)
 
     def test_firing_prefilter_matches_base_value_at_the_support_edge(self, destroyed_sp,
                                                                      seam_bump):
@@ -181,6 +192,19 @@ class TestErgodicScan:
         want = (fam.bumps[0].base_value(orbit) > 0) | (fam.bumps[1].base_value(orbit) > 0)
         assert np.array_equal(~fam.quiet(orbit), want)
 
+    def test_scan_memory_does_not_grow_with_n(self, product_sp):
+        # one (n, m, 2) orbit of this scan takes 102 MB; a family that never
+        # fires keeps the event path at blocks of SUM_BLOCK_POINTS (1 MB of
+        # orbit), and one that fires at SCAN_BLOCK_POINTS (32 MB)
+        tracemalloc.start()
+        try:
+            rep = ergodic_scan(product_sp, "fiber_cos", 100_000, 64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.per_ic_averages) == 64
+        assert peak < 16 * 2**20
+
     def test_small_frozen_scan_takes_event_path(self, destroyed_sp, monkeypatch):
         def generic(*args):
             raise AssertionError("identity-fiber bump system took the generic path")
@@ -194,9 +218,12 @@ class TestErgodicScan:
             raise AssertionError("scan took the path its family's quiet hook rules out")
 
         with monkeypatch.context() as mp:   # a family that cannot say: generic loop
-            mp.setattr(PerturbedFamily, "quiet", lambda self, x: None)
-            mp.setattr(ergodic, "_scan_event_driven", fail)
+            asked, generic = [], ergodic._scan_generic
+            mp.setattr(PerturbedFamily, "quiet", lambda self, x: asked.append(x.shape))
+            mp.setattr(ergodic, "_scan_generic", lambda *a: asked.append("generic") or generic(*a))
             ergodic_scan(destroyed_sp, "fiber_cos", 400, 8, seed=1)
+            # asked once, for the first block of the orbit
+            assert asked == [(400, 8, 2), "generic"]
         # a mask takes the event path, even on a family that keeps the default;
         # the zero translation is the identity, so the mask is true
         zero = SkewProduct(base=cat, family=RotationFamily(VectorField((0.0, 0.0))))
