@@ -19,7 +19,7 @@ from .torus import torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
 _DIST_FLOOR = 1e-13
-SCAN_BLOCK_POINTS = 1 << 21   # base orbit points held by the event scan
+SCAN_BLOCK_POINTS = 1 << 22   # base orbit points held by the event scan
 SUM_BLOCK_POINTS = 1 << 16    # orbit points per observable sum of that scan
 OBSERVABLES = ("fiber_cos", "base_cos", "product_cos")
 
@@ -111,14 +111,15 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     runs the block's events through _event_timeline; the quiet mask and the
     observable sums over the gathered timeline go SUM_BLOCK_POINTS orbit
     points (steps times initial conditions) at a time.  A block is that long
-    until the family first fires and SCAN_BLOCK_POINTS long from then on,
-    since the longer the block, the fewer the event batches.  Each initial
+    until the family first fires and SCAN_BLOCK_POINTS long from that block
+    on, since the longer the block, the fewer the event batches.  Each initial
     condition's base point, fiber state and running sum carry over to the
     next block, so memory does not grow with n.
     """
     m = len(xs)
     family = sp.family
     sub = max(1, SUM_BLOCK_POINTS // m)
+    full = max(sub, SCAN_BLOCK_POINTS // m)
     width = sub
     sums = np.zeros(m)
     sigma = []
@@ -126,16 +127,17 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     while k0 < n:
         steps = min(width, n - k0)
         orbit = sp.base.orbit(xs, steps)
-        xs = orbit[steps].copy()   # starts the next block
-        orbit = orbit[:steps]
+        after, orbit = orbit[steps], orbit[:steps]   # after starts the next block
         fired = np.empty((steps, m), dtype=bool)
         for s0 in range(0, steps, sub):
             quiet = family.quiet(orbit[s0:s0 + sub])
             if quiet is None:
                 return None
             np.logical_not(quiet, out=fired[s0:s0 + sub])
-        if fired.any():
-            width = max(1, SCAN_BLOCK_POINTS // m)
+        if width < full and fired.any():
+            width = full   # the family fires: redo this block at full length
+            continue
+        xs = after.copy()
         timeline, state = _event_timeline(family, orbit, fired, ys)
         for s0 in range(0, steps, sub):   # state: each IC's slot entering s0
             f = fired[s0:s0 + sub]
@@ -151,7 +153,7 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
                       if lo < cpn <= lo + len(vals)]
             sums = vals[-1].copy()
         ys = timeline[state]
-        del orbit   # before the next block's orbit is made
+        del orbit, after   # before the next block's orbit is made
         k0 += steps
     return sigma, sums / n
 
