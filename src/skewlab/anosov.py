@@ -57,10 +57,10 @@ class LinearAnosov:
         """(n+1, ..., 2) array: points, f(points), ..., f^{±n}(points) for a
         batch of shape (..., 2).
 
-        Each step is apply's (or apply_inverse's) matmul, remainder and seam
-        fold, written into one preallocated array; a finite input stays finite
-        under an integer matrix mod 1, so the finite check runs on the input
-        and on the result only.
+        Each step is apply's (or apply_inverse's) matmul, x - floor(x) and
+        seam fold, written into one preallocated array; a finite input stays
+        finite under an integer matrix mod 1, so the finite check runs on the
+        input and on the result only.
         """
         pts = np.asarray(points, dtype=float)
         if not np.all(np.isfinite(pts)):
@@ -71,7 +71,7 @@ class LinearAnosov:
         for k in range(n):
             nxt = out[k + 1]
             np.matmul(out[k], mat, out=nxt)
-            np.remainder(nxt, 1.0, out=nxt)
+            np.subtract(nxt, np.floor(nxt), out=nxt)
             nxt[nxt >= 1.0] = 0.0
         if not np.all(np.isfinite(out)):
             raise ValueError("non-finite orbit")
@@ -186,18 +186,23 @@ def bracket(a: LinearAnosov, x, y) -> TorusPoint:
 
 
 def _exact_orbit(matrix: np.ndarray, p: tuple[Fraction, Fraction]):
-    """Exact rational orbit of p under the integer matrix mod 1, one full period."""
-    m = [[int(matrix[0, 0]), int(matrix[0, 1])], [int(matrix[1, 0]), int(matrix[1, 1])]]
+    """Exact rational orbit of p under the integer matrix mod 1, one full period.
+
+    Iterates the integer numerators of p over the common denominator q of its
+    coordinates: (a/q, b/q) maps to ((m00 a + m01 b) mod q / q, ...), exact
+    integer arithmetic equal to the Fraction form point by point.
+    """
+    (m00, m01), (m10, m11) = ([int(e) for e in row] for row in matrix)
+    q = math.lcm(p[0].denominator, p[1].denominator)
+    start = a, b = tuple(c.numerator * (q // c.denominator) for c in p)
     orbit = [p]
-    cur = p
     cap = p[0].denominator * p[1].denominator
     cap = max(cap, p[0].denominator) ** 2 + 2
     for _ in range(cap):
-        cur = ((m[0][0] * cur[0] + m[0][1] * cur[1]) % 1,
-               (m[1][0] * cur[0] + m[1][1] * cur[1]) % 1)
-        if cur == p:
+        a, b = (m00 * a + m01 * b) % q, (m10 * a + m11 * b) % q
+        if (a, b) == start:
             return orbit
-        orbit.append(cur)
+        orbit.append((Fraction(a, q), Fraction(b, q)))
     raise RuntimeError("rational point failed to return; invariant violated")
 
 
@@ -477,15 +482,12 @@ def _half_loop(a, x, rec) -> dict:
 def _quad_geometry(x, half1, half2) -> dict:
     """A pair of half-loops and the initial radii of the balls around w_1, w_2."""
     out = {1: half1, 2: half2}
-    special = [lift(x), lift(half1["p"]), lift(half2["p"]),
-               lift(half1["z"]), lift(half2["z"])]
-    radii = []
-    for i in (1, 2):
-        w = lift(out[i]["w"])
-        other = lift(out[3 - i]["w"])
-        nearest = min(float(torus_dist(w, pt)) for pt in special)
-        nearest = min(nearest, float(torus_dist(w, other)) / 2.0)
-        radii.append(0.45 * nearest)
+    ws = np.array([lift(half1["w"]), lift(half2["w"])])
+    targets = np.array([lift(x), lift(half1["p"]), lift(half2["p"]),
+                        lift(half1["z"]), lift(half2["z"]), ws[0], ws[1]])
+    # row i: w_{i+1} to the five special points, then to w_1 and to w_2
+    d = torus_dist(ws[:, None, :], targets[None, :, :])
+    radii = [0.45 * min(float(np.min(d[i, :5])), float(d[i, 6 - i]) / 2.0) for i in (0, 1)]
     return dict(points=out, radii=radii,
                 **{key: (half1[key], half2[key]) for key in ("s_w", "u_w", "u_z", "s_z")})
 

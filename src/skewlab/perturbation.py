@@ -29,7 +29,7 @@ from .torus import (BumpProfile, Region, TorusPoint, lift, mod1, smoothstep, tor
                     wrapped_diff)
 
 MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
-NEWTON_ITERS = 5        # fixed Newton iterations per step (no early stop)
+NEWTON_ITERS = 5        # most Newton iterations per step (stops at a bitwise fixed point)
 NEWTON_TOL = 1e-12      # largest midpoint residual accepted after them
 
 # destroy_trivial_class: fixed bump geometry and search budgets
@@ -78,17 +78,21 @@ class BumpTranslation:
         return self.base_bump.value(torus_dist(x, self.base_center))
 
 
-def _field(d0, d1, v0, v1, inner, band):
-    """Hamiltonian field (X0, X1) and its derivative (DX00, DX01, DX10, DX11) at
-    fiber offsets (d0, d1) from the center, component by component."""
+def _field(d0, d1, v0, v1, inner, band, want_dx: bool = True):
+    """Hamiltonian field (X0, X1) and, if ``want_dx``, its derivative (DX00,
+    DX01, DX10, DX11) at fiber offsets (d0, d1) from the center, component by
+    component.  X is computed the same way either way, so bitwise the same."""
     r = np.hypot(d0, d1)
-    psi, dpsi, d2psi = smoothstep(r, inner, band, 2)
+    psi, dpsi, *d2psi = smoothstep(r, inner, band, 2 if want_dx else 1)
     h0 = d1 * v0 - d0 * v1
     rsafe = np.where(r > 0, r, 1.0)
     dh = dpsi * h0
     w = dh / rsafe
     X0 = w * d1 + psi * v0
     X1 = -w * d0 + psi * v1
+    if not want_dx:
+        return X0, X1
+    d2psi, = d2psi
     rh0 = d0 / rsafe
     rh1 = d1 / rsafe
     # dw/dd_j = psi'' rhat_j H0/r + psi' gradH_j / r - psi' H0 d_j / r^3
@@ -112,12 +116,19 @@ def _flow(y0, y1, times, v0, v1, inner, band, want_jac: bool = False):
     """Implicit-midpoint flow of the bump field for per-point signed times, on
     1-D component arrays.
 
-    Each step of h = t / MIDPOINT_STEPS solves m = y + (h/2) X(m) by
-    NEWTON_ITERS Newton iterations, raises NoConvergence if the residual is
-    still above NEWTON_TOL, and sets y <- y + h X(m).  Its Jacobian factor is
-    (I - A)^{-1} (I + A) = 2 (I - A)^{-1} - I with A = (h/2) DX(m).  Every
-    2x2 solve is written out in closed form, so no point's result depends on
-    its batch.  Returns (y0, y1, jac) with jac = (J00, J01, J10, J11) or None.
+    Each step of h = t / MIDPOINT_STEPS solves m = y + (h/2) X(m) by at most
+    NEWTON_ITERS Newton iterations, raises NoConvergence unless the residual
+    is at most NEWTON_TOL (NaN fails), and sets y <- y + h X(m).  Its Jacobian
+    factor is (I - A)^{-1} (I + A) = 2 (I - A)^{-1} - I with A = (h/2) DX(m).
+
+    The Newton loop stops at the first iteration that leaves every point's
+    midpoint m bitwise unchanged.  An iteration is a deterministic map of m,
+    so the remaining ones would repeat it exactly: that iteration's X, DX and
+    residual are the ones the full count would end with, and are reused.  If
+    no iteration stops it, the residual evaluation computes X alone (and DX
+    only for the Jacobian).  Every 2x2 solve is written out in closed form,
+    so no point's result depends on its batch.  Returns (y0, y1, jac) with
+    jac = (J00, J01, J10, J11) or None.
     """
     h2 = (0.5 / MIDPOINT_STEPS) * np.asarray(times, dtype=float)
     h = 2.0 * h2
@@ -130,14 +141,21 @@ def _flow(y0, y1, times, v0, v1, inner, band, want_jac: bool = False):
             p, q, r, s, det = _unit_minus(h2, *dx)
             b0 = m0 - y0 - h2 * X0
             b1 = m1 - y1 - h2 * X1
-            m0, m1 = m0 - (s * b0 - q * b1) / det, m1 - (p * b1 - r * b0) / det
-        X0, X1, *dx = _field(m0, m1, v0, v1, inner, band)
-        resid = float(np.max(np.maximum(np.abs(m0 - y0 - h2 * X0),
-                                        np.abs(m1 - y1 - h2 * X1))))
-        if resid > NEWTON_TOL:
+            n0, n1 = m0 - (s * b0 - q * b1) / det, m1 - (p * b1 - r * b0) / det
+            # equal bytes: bitwise equal, signed zeros and NaN payloads included
+            if n0.tobytes() == m0.tobytes() and n1.tobytes() == m1.tobytes():
+                break
+            m0, m1 = n0, n1
+        else:   # no fixed point within NEWTON_ITERS: evaluate at the last m
+            X0, X1, *dx = _field(m0, m1, v0, v1, inner, band, want_dx=want_jac)
+            b0 = m0 - y0 - h2 * X0
+            b1 = m1 - y1 - h2 * X1
+            if want_jac:
+                p, q, r, s, det = _unit_minus(h2, *dx)
+        resid = float(np.max(np.maximum(np.abs(b0), np.abs(b1))))
+        if not resid <= NEWTON_TOL:
             raise NoConvergence(f"implicit-midpoint residual {resid:.3g} > {NEWTON_TOL:g}")
         if want_jac:
-            p, q, r, s, det = _unit_minus(h2, *dx)
             j00, j01, j10, j11 = (2.0 * ((s * j00 - q * j10) / det) - j00,
                                   2.0 * ((s * j01 - q * j11) / det) - j01,
                                   2.0 * ((p * j10 - r * j00) / det) - j10,

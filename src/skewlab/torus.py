@@ -5,6 +5,11 @@ Everything here is pure and operates on plain floats or numpy arrays of
 shape (..., 2).  The canonical representative of a torus point is [0, 1)^2;
 equality of points always means ``torus_dist < EQUALITY_TOL``, never
 coordinate equality.
+
+Every wrap is ``x - floor(x)`` followed by a fold of 1.0 to 0.0.  For finite
+x this is bitwise ``x % 1.0`` (both are one rounding of the real x - floor(x),
+and both give +0.0 at integers and at -0.0) at a fraction of numpy's
+remainder cost.
 """
 
 from __future__ import annotations
@@ -20,19 +25,23 @@ EQUALITY_TOL = 1e-12
 def mod1(values):
     """Componentwise reduction mod 1 into [0, 1), safe at the seam.
 
-    ``x % 1.0`` can round to exactly 1.0 for tiny negative inputs; those are
-    folded back to 0.0 so the half-open invariant holds bitwise.
+    Computed as ``x - floor(x)``, bitwise equal to ``x % 1.0`` for finite x.
+    Both round to exactly 1.0 for tiny negative inputs (-1e-20 + 1 rounds to
+    1.0); those are folded back to 0.0 so the half-open invariant holds
+    bitwise.  Non-finite input raises, since x - floor(x) would turn it into
+    nan.
     """
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite input to mod1/wrap")
-    out = arr % 1.0
+    out = arr - np.floor(arr)
     return np.where(out >= 1.0, 0.0, out)
 
 
 def wrapped_diff(a, b):
     """Shortest displacement vector from ``b`` to ``a``, components in [-1/2, 1/2)."""
-    d = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5) % 1.0
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5
+    d = d - np.floor(d)
     d = np.where(d >= 1.0, 0.0, d)
     return d - 0.5
 
@@ -135,7 +144,9 @@ def smoothstep(r, inner, band, n_derivs: int = 2):
     t = clip((r - inner) / band, 0, 1), and its first ``n_derivs`` derivatives
     in r.  ``inner`` and ``band`` are scalars or arrays broadcasting against r,
     which must be nonnegative (not checked here)."""
-    t = np.clip((r - inner) / band, 0.0, 1.0)
+    # min(max(.)) is np.clip without its Python-level argument handling;
+    # t is never -0.0 (r >= 0 and inner > 0), the one input where they differ
+    t = np.minimum(np.maximum((r - inner) / band, 0.0), 1.0)
     # s, s', s'' all reach their clip values exactly (s(1) = 1 in exact
     # float arithmetic), so no branch masks are needed.
     t2 = t * t

@@ -42,6 +42,47 @@ def make_bump(quad, i=1, v=(0.03, 0.012), fiber_center=(0.5, 0.5)):
                            fiber_bump=BumpProfile(0.34, 0.46), v=v)
 
 
+def fixed_count_flow(y0, y1, times, v0, v1, inner, band, want_jac=False):
+    """Oracle: the band kernel with exactly NEWTON_ITERS Newton iterations per
+    step and a full field evaluation for the residual, no early stop."""
+    field, unit_minus = perturbation._field, perturbation._unit_minus
+    h2 = (0.5 / perturbation.MIDPOINT_STEPS) * np.asarray(times, dtype=float)
+    h = 2.0 * h2
+    j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
+    for _ in range(perturbation.MIDPOINT_STEPS):
+        m0, m1 = y0, y1
+        for _ in range(perturbation.NEWTON_ITERS):
+            X0, X1, *dx = field(m0, m1, v0, v1, inner, band)
+            p, q, r, s, det = unit_minus(h2, *dx)
+            b0 = m0 - y0 - h2 * X0
+            b1 = m1 - y1 - h2 * X1
+            m0, m1 = m0 - (s * b0 - q * b1) / det, m1 - (p * b1 - r * b0) / det
+        X0, X1, *dx = field(m0, m1, v0, v1, inner, band)
+        resid = float(np.max(np.maximum(np.abs(m0 - y0 - h2 * X0),
+                                        np.abs(m1 - y1 - h2 * X1))))
+        assert resid <= perturbation.NEWTON_TOL
+        if want_jac:
+            p, q, r, s, det = unit_minus(h2, *dx)
+            j00, j01, j10, j11 = (2.0 * ((s * j00 - q * j10) / det) - j00,
+                                  2.0 * ((s * j01 - q * j11) / det) - j01,
+                                  2.0 * ((p * j10 - r * j00) / det) - j10,
+                                  2.0 * ((p * j11 - r * j01) / det) - j11)
+        y0, y1 = y0 + h * X0, y1 + h * X1
+    return y0, y1, ((j00, j01, j10, j11) if want_jac else None)
+
+
+def bits(x):
+    """int64 bit patterns of a float array, so that -0.0 != +0.0."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def band_batch(rng, n, centre=(0.5, 0.5), inner=0.34, outer=0.46):
+    """n fiber points on the band of a bump centred at ``centre``."""
+    th = rng.uniform(0, 2 * math.pi, n)
+    rr = rng.uniform(inner - 0.02, outer, n)
+    return (np.asarray(centre) + rr[:, None] * np.stack([np.cos(th), np.sin(th)], -1)) % 1.0
+
+
 @pytest.fixture(scope="module")
 def bump(quad):
     return make_bump(quad)
@@ -174,6 +215,67 @@ class TestBumpTranslation:
         monkeypatch.setattr(perturbation, "NEWTON_ITERS", 0)
         with pytest.raises(NoConvergence):
             apply_bump(bump, quad.w1, np.array([[0.5, 0.1]]))
+
+    def test_nan_midpoint_fails_the_residual_check(self, bump, quad, monkeypatch):
+        # NaN > tol is False: a NaN midpoint must raise NoConvergence, not
+        # slip through to the wrap
+        def nan_field(d0, d1, v0, v1, inner, band, want_dx=True):
+            nan = np.full(np.shape(d0), np.nan)
+            return (nan,) * (6 if want_dx else 2)
+
+        monkeypatch.setattr(perturbation, "_field", nan_field)
+        for want_jac in (False, True):
+            with pytest.raises(NoConvergence):
+                perturbation._bump_fiber_action(bump, 1.0, np.array([[0.5, 0.1]]),
+                                                want_jac=want_jac)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_exact_stop_matches_fixed_count_kernel_bitwise(self, quad, monkeypatch,
+                                                           inverse, per_point):
+        # band points at partial activation: the stop at a bitwise fixed
+        # point gives the same points and Jacobians as NEWTON_ITERS full
+        # iterations; ``inverse`` flips the sign of t
+        rng = np.random.default_rng(21)
+        b1 = make_bump(quad, 1, v=(0.03, 0.012))
+        b2 = make_bump(quad, 2, v=(-0.02, 0.035), fiber_center=(0.1, 0.85))
+        if per_point:
+            ys = np.concatenate([band_batch(rng, 60), band_batch(rng, 60, (0.1, 0.85))])
+            owner = np.repeat([0, 1], 60)
+            params = tuple(p[owner] for p in PerturbedFamily(
+                ConstantFamily(IdentityMap()), (b1, b2))._fiber_params)
+        else:
+            ys, params = band_batch(rng, 120), b1
+        t = rng.uniform(0.05, 0.95, len(ys))
+        got = perturbation._bump_fiber_action(params, t, ys, inverse=inverse, want_jac=True)
+        got_map = perturbation._bump_fiber_action(params, t, ys, inverse=inverse)
+        monkeypatch.setattr(perturbation, "_flow", fixed_count_flow)
+        want = perturbation._bump_fiber_action(params, t, ys, inverse=inverse, want_jac=True)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
+        assert np.array_equal(bits(got_map), bits(want[0]))
+        assert not np.array_equal(want[0], ys)
+
+    def test_exact_stop_fires(self, monkeypatch):
+        # fewer full field evaluations than NEWTON_ITERS + 1 per step on one
+        # band batch: the Newton loop stopped early in some step
+        calls = {True: 0, False: 0}
+        field = perturbation._field
+
+        def counting_field(*args, want_dx=True):
+            calls[want_dx] += 1
+            return field(*args, want_dx=want_dx)
+
+        monkeypatch.setattr(perturbation, "_field", counting_field)
+        d = band_batch(np.random.default_rng(22), 64) - 0.5
+        t = np.full(len(d), 0.7)
+        for want_jac in (False, True):
+            calls[True] = calls[False] = 0
+            perturbation._flow(d[:, 0], d[:, 1], t, 0.03, 0.012, 0.34, 0.12,
+                               want_jac=want_jac)
+            assert calls[True] < (perturbation.NEWTON_ITERS + 1) * perturbation.MIDPOINT_STEPS
+            if want_jac:
+                assert calls[False] == 0
 
     def test_inverse_roundtrip(self, bump, quad):
         rng = np.random.default_rng(5)

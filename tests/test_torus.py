@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab.anosov import make_anosov
 from skewlab.perturbation import BASE_INNER_FRAC, BASE_OUTER_FRAC, FIBER_INNER, FIBER_OUTER
-from skewlab.torus import (BumpProfile, Region, TorusPoint, cell_grid, smoothstep,
+from skewlab.torus import (BumpProfile, Region, TorusPoint, cell_grid, mod1, smoothstep,
                            torus_dist, wrap, wrapped_diff)
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
@@ -66,6 +67,101 @@ def test_wrapped_diff_is_shortest():
     d = wrapped_diff((0.05, 0.0), (0.95, 0.0))
     assert np.allclose(d, [0.1, 0.0])
     assert np.all(wrapped_diff(np.random.rand(50, 2), np.random.rand(50, 2)) < 0.5)
+
+
+# wrap edge cases: signed zeros, subnormals, the neighbours of 0 and 1, the
+# seam-rounding tiny negatives, half-integers at and beyond 2^52, and huge
+# magnitudes
+TINY = 5e-324
+EDGE = [0.0, TINY, 2.2250738585072014e-308, 1e-300, 1e-20, 2.0**-53, 0.25, 0.5,
+        1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.5, 2.0, 7.75, 1e6 + 0.1, 2.0**51 + 0.5,
+        2.0**52 - 0.5, 2.0**52 + 0.5, 2.0**53 + 2.0, 1e300, 1.7976931348623157e308]
+EDGE_VALUES = np.array(EDGE + [-x for x in EDGE])
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(x):
+    """The int64 bit patterns of a float array, so that -0.0 != +0.0."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def mod1_by_remainder(x):
+    """Oracle: the remainder form of mod1."""
+    out = np.asarray(x, dtype=float) % 1.0
+    return np.where(out >= 1.0, 0.0, out)
+
+
+def wrapped_diff_by_remainder(a, b):
+    """Oracle: the remainder form of wrapped_diff."""
+    d = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + 0.5) % 1.0
+    return np.where(d >= 1.0, 0.0, d) - 0.5
+
+
+def orbit_by_remainder(base, pts, n, forward=True):
+    """Oracle: LinearAnosov.orbit with np.remainder in place of x - floor(x)."""
+    mat = (base.matrix if forward else base.inverse).T
+    out = np.empty((n + 1,) + pts.shape)
+    out[0] = pts
+    for k in range(n):
+        nxt = out[k + 1]
+        np.matmul(out[k], mat, out=nxt)
+        np.remainder(nxt, 1.0, out=nxt)
+        nxt[nxt >= 1.0] = 0.0
+    return out
+
+
+class TestFloorWrap:
+    """The floor form x - floor(x) of every wrap is bitwise the remainder form."""
+
+    def test_mod1_edge_values_bitwise(self):
+        got = mod1(EDGE_VALUES)
+        assert np.array_equal(bits(got), bits(mod1_by_remainder(EDGE_VALUES)))
+        assert np.all((0.0 <= got) & (got < 1.0))
+        assert not np.any(np.signbit(got))   # +0.0 at integers and at -0.0
+        # the seam: 1e-20 - (-1) rounds to 1.0 and folds to 0.0
+        assert bits(mod1(-1e-20))[()] == bits(0.0)[()]
+        assert mod1(-TINY) == 0.0 and mod1(-(2.0**-53)) == 1.0 - 2.0**-53
+
+    @given(st.lists(any_finite, min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_mod1_property_bitwise(self, xs):
+        x = np.array(xs)
+        assert np.array_equal(bits(mod1(x)), bits(mod1_by_remainder(x)))
+
+    def test_mod1_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                mod1(np.array([0.25, bad]))
+
+    def test_wrapped_diff_edge_values_bitwise(self):
+        a = np.repeat(np.clip(EDGE_VALUES, -1e300, 1e300), len(EDGE_VALUES))
+        b = np.tile(np.clip(EDGE_VALUES, -1e300, 1e300), len(EDGE_VALUES))
+        assert np.array_equal(bits(wrapped_diff(a, b)), bits(wrapped_diff_by_remainder(a, b)))
+
+    @given(st.lists(st.tuples(st.floats(min_value=-1e300, max_value=1e300),
+                              st.floats(min_value=-1e300, max_value=1e300)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_wrapped_diff_property_bitwise(self, pairs):
+        a, b = np.array(pairs).T
+        assert np.array_equal(bits(wrapped_diff(a, b)), bits(wrapped_diff_by_remainder(a, b)))
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_orbit_bitwise(self, forward):
+        base = make_anosov([[2, 1], [1, 1]])
+        small = EDGE_VALUES[np.abs(EDGE_VALUES) <= 1e6]
+        pts = np.stack(np.meshgrid(small, small, indexing="ij"), axis=-1).reshape(-1, 2)
+        got = base.orbit(pts, 12, forward=forward)
+        assert np.array_equal(bits(got), bits(orbit_by_remainder(base, pts, 12, forward)))
+
+    @given(st.lists(st.tuples(finite_coord, finite_coord), min_size=1, max_size=20))
+    @settings(max_examples=100)
+    def test_orbit_property_bitwise(self, pairs):
+        base = make_anosov([[5, 3], [3, 2]])
+        pts = np.array(pairs)
+        for forward in (True, False):
+            assert np.array_equal(bits(base.orbit(pts, 8, forward=forward)),
+                                  bits(orbit_by_remainder(base, pts, 8, forward)))
 
 
 class TestBumpProfile:
@@ -142,6 +238,21 @@ class TestBumpProfile:
         bound = b.max_abs_derivative()
         assert peak <= bound * (1 + 4 * np.finfo(float).eps)
         assert peak >= bound * (1 - 4 * np.finfo(float).eps)
+
+    def test_smoothstep_is_the_clipped_quintic_bitwise(self):
+        # oracle: the quintic of np.clip's t, on the band, its ends and beyond
+        inner, band = FIBER_INNER, FIBER_OUTER - FIBER_INNER
+        rs = np.concatenate([[0.0, TINY, inner, FIBER_OUTER, 5.0],
+                             np.nextafter(inner, [0.0, 1.0]),
+                             np.nextafter(FIBER_OUTER, [0.0, 1.0]),
+                             np.linspace(0.0, 0.6, 1001)])
+        t = np.clip((rs - inner) / band, 0.0, 1.0)
+        t2 = t * t
+        want = (1.0 - t2 * t * (10.0 + t * (-15.0 + 6.0 * t)),
+                t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / band),
+                t * (60.0 + t * (-180.0 + 120.0 * t)) / -band**2)
+        for got, w in zip(smoothstep(rs, inner, band, 2), want):
+            assert np.array_equal(bits(got), bits(w))
 
     def test_smoothstep_per_point_parameters_bitwise(self):
         # one call with per-point (inner, band) gives each point the bits of
