@@ -258,24 +258,26 @@ class TestBumpTranslation:
 
     def test_exact_stop_fires(self, monkeypatch):
         # fewer full field evaluations than NEWTON_ITERS + 1 per step on one
-        # band batch: the Newton loop stopped early in some step
-        calls = {True: 0, False: 0}
+        # band batch: the Newton loop stopped early in some step; the steps
+        # that never stopped evaluate X alone, unless a Jacobian is wanted
         field = perturbation._field
+        counts = []
 
         def counting_field(*args, want_dx=True):
-            calls[want_dx] += 1
+            counts[-1][want_dx] += 1
             return field(*args, want_dx=want_dx)
 
         monkeypatch.setattr(perturbation, "_field", counting_field)
         d = band_batch(np.random.default_rng(22), 64) - 0.5
         t = np.full(len(d), 0.7)
         for want_jac in (False, True):
-            calls[True] = calls[False] = 0
+            counts.append({True: 0, False: 0})
             perturbation._flow(d[:, 0], d[:, 1], t, 0.03, 0.012, 0.34, 0.12,
                                want_jac=want_jac)
-            assert calls[True] < (perturbation.NEWTON_ITERS + 1) * perturbation.MIDPOINT_STEPS
-            if want_jac:
-                assert calls[False] == 0
+        plain, with_jac = counts
+        assert plain[True] < (perturbation.NEWTON_ITERS + 1) * perturbation.MIDPOINT_STEPS
+        assert plain[False] > 0
+        assert with_jac == {True: plain[True] + plain[False], False: 0}
 
     def test_inverse_roundtrip(self, bump, quad):
         rng = np.random.default_rng(5)

@@ -118,7 +118,7 @@ class TestFloorWrap:
         assert np.array_equal(bits(got), bits(mod1_by_remainder(EDGE_VALUES)))
         assert np.all((0.0 <= got) & (got < 1.0))
         assert not np.any(np.signbit(got))   # +0.0 at integers and at -0.0
-        # the seam: 1e-20 - (-1) rounds to 1.0 and folds to 0.0
+        # the seam: -1e-20 - floor(-1e-20) = 1 - 1e-20 rounds to 1.0, folded to 0.0
         assert bits(mod1(-1e-20))[()] == bits(0.0)[()]
         assert mod1(-TINY) == 0.0 and mod1(-(2.0**-53)) == 1.0 - 2.0**-53
 
