@@ -214,22 +214,27 @@ def exact_period(a: LinearAnosov, p: tuple[Fraction, Fraction]) -> int:
 def _rational_candidates(target, max_denominator: int, radius: float):
     """Rational points (i/q, j/q), q <= Q, within radius of target, best first."""
     t = lift(target)
-    found = []
-    seen = set()
+    keys = {}   # residues (i mod q, j mod q, q), in visiting order
     for q in range(1, max_denominator + 1):
         i_lo = math.floor((t[0] - radius) * q)
         i_hi = math.ceil((t[0] + radius) * q)
         j_lo = math.floor((t[1] - radius) * q)
         j_hi = math.ceil((t[1] + radius) * q)
         for i in range(i_lo, i_hi + 1):
+            a = i % q
+            a_reduces = math.gcd(a, q) > 1
             for j in range(j_lo, j_hi + 1):
-                fu, fv = Fraction(i, q) % 1, Fraction(j, q) % 1
-                if (fu.denominator != q and fv.denominator != q) or (fu, fv) in seen:
-                    continue  # belongs to a smaller denominator already visited
-                seen.add((fu, fv))
-                dist = float(torus_dist((float(fu), float(fv)), t))
-                if dist <= radius:
-                    found.append((dist, q, fu, fv))
+                b = j % q
+                if a_reduces and math.gcd(b, q) > 1:
+                    continue  # both reduce: a smaller denominator's point
+                keys[a, b, q] = None   # a repeat is a wrap-around duplicate
+    if not keys:
+        return []
+    res = np.array(list(keys), dtype=float)
+    # a / q is correctly rounded, as float(Fraction(a, q)) is
+    dists = torus_dist(res[:, :2] / res[:, 2:], t)
+    found = [(float(dist), q, Fraction(a, q), Fraction(b, q))
+             for (a, b, q), dist in zip(keys, dists) if dist <= radius]
     found.sort(key=lambda rec: (rec[0], rec[1], rec[2], rec[3]))
     return found
 

@@ -29,7 +29,8 @@ from .torus import (BumpProfile, Region, TorusPoint, lift, mod1, smoothstep, tor
                     wrapped_diff)
 
 MIDPOINT_STEPS = 20     # implicit-midpoint steps per band point
-NEWTON_ITERS = 5        # most Newton iterations per step (stops at a bitwise fixed point)
+NEWTON_ITERS = 3        # most Newton iterations per step (stops at a bitwise fixed point);
+                        # the fewest that leave the residual 100x below NEWTON_TOL
 NEWTON_TOL = 1e-12      # largest midpoint residual accepted after them
 
 # destroy_trivial_class: fixed bump geometry and search budgets
@@ -78,10 +79,11 @@ class BumpTranslation:
         return self.base_bump.value(torus_dist(x, self.base_center))
 
 
-def _field(d0, d1, v0, v1, inner, band, want_dx: bool = True):
+def _field(d0, d1, v0, v1, nv1, inner, band, want_dx: bool = True):
     """Hamiltonian field (X0, X1) and, if ``want_dx``, its derivative (DX00,
     DX01, DX10, DX11) at fiber offsets (d0, d1) from the center, component by
-    component.  X is computed the same way either way, so bitwise the same."""
+    component; ``nv1`` is -v1, negated once by the caller.  X is computed the
+    same way either way, so bitwise the same."""
     r = np.hypot(d0, d1)
     psi, dpsi, *d2psi = smoothstep(r, inner, band, 2 if want_dx else 1)
     h0 = d1 * v0 - d0 * v1
@@ -89,7 +91,7 @@ def _field(d0, d1, v0, v1, inner, band, want_dx: bool = True):
     dh = dpsi * h0
     w = dh / rsafe
     X0 = w * d1 + psi * v0
-    X1 = -w * d0 + psi * v1
+    X1 = psi * v1 - w * d0
     if not want_dx:
         return X0, X1
     d2psi, = d2psi
@@ -97,18 +99,18 @@ def _field(d0, d1, v0, v1, inner, band, want_dx: bool = True):
     rh1 = d1 / rsafe
     # dw/dd_j = psi'' rhat_j H0/r + psi' gradH_j / r - psi' H0 d_j / r^3
     r3 = rsafe**3
-    gw0 = d2psi * rh0 * h0 / rsafe + dpsi * (-v1) / rsafe - dh * d0 / r3
+    gw0 = d2psi * rh0 * h0 / rsafe + dpsi * nv1 / rsafe - dh * d0 / r3
     gw1 = d2psi * rh1 * h0 / rsafe + dpsi * v0 / rsafe - dh * d1 / r3
     p0 = dpsi * rh0
     p1 = dpsi * rh1
     return (X0, X1, gw0 * d1 + p0 * v0, gw1 * d1 + w + p1 * v0,
-            -gw0 * d0 - w + p0 * v1, -gw1 * d0 + p1 * v1)
+            p0 * v1 - (gw0 * d0 + w), p1 * v1 - gw1 * d0)
 
 
 def _unit_minus(h2, a00, a01, a10, a11):
-    """Entries p, q, r, s of I - h2 DX, row by row, and its determinant."""
-    p, q = 1.0 - h2 * a00, -(h2 * a01)
-    r, s = -(h2 * a10), 1.0 - h2 * a11
+    """I - h2 DX = [[p, -q], [-r, s]]: returns p, q, r, s and its determinant."""
+    p, q = 1.0 - h2 * a00, h2 * a01
+    r, s = h2 * a10, 1.0 - h2 * a11
     return p, q, r, s, p * s - q * r
 
 
@@ -132,34 +134,35 @@ def _flow(y0, y1, times, v0, v1, inner, band, want_jac: bool = False):
     """
     h2 = (0.5 / MIDPOINT_STEPS) * np.asarray(times, dtype=float)
     h = 2.0 * h2
+    nv1 = -v1
     j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
     for _ in range(MIDPOINT_STEPS):
         m0, m1 = y0, y1
         for _ in range(NEWTON_ITERS):
-            X0, X1, *dx = _field(m0, m1, v0, v1, inner, band)
+            X0, X1, *dx = _field(m0, m1, v0, v1, nv1, inner, band)
             # Newton update: solve (I - h2 DX) x = m - y - h2 X
             p, q, r, s, det = _unit_minus(h2, *dx)
             b0 = m0 - y0 - h2 * X0
             b1 = m1 - y1 - h2 * X1
-            n0, n1 = m0 - (s * b0 - q * b1) / det, m1 - (p * b1 - r * b0) / det
+            n0, n1 = m0 - (s * b0 + q * b1) / det, m1 - (p * b1 + r * b0) / det
             # equal bytes: bitwise equal, signed zeros and NaN payloads included
             if n0.tobytes() == m0.tobytes() and n1.tobytes() == m1.tobytes():
                 break
             m0, m1 = n0, n1
         else:   # no fixed point within NEWTON_ITERS: evaluate at the last m
-            X0, X1, *dx = _field(m0, m1, v0, v1, inner, band, want_dx=want_jac)
+            X0, X1, *dx = _field(m0, m1, v0, v1, nv1, inner, band, want_dx=want_jac)
             b0 = m0 - y0 - h2 * X0
             b1 = m1 - y1 - h2 * X1
             if want_jac:
                 p, q, r, s, det = _unit_minus(h2, *dx)
-        resid = float(np.max(np.maximum(np.abs(b0), np.abs(b1))))
+        resid = float(np.maximum(np.abs(b0), np.abs(b1)).max())
         if not resid <= NEWTON_TOL:
             raise NoConvergence(f"implicit-midpoint residual {resid:.3g} > {NEWTON_TOL:g}")
         if want_jac:
-            j00, j01, j10, j11 = (2.0 * ((s * j00 - q * j10) / det) - j00,
-                                  2.0 * ((s * j01 - q * j11) / det) - j01,
-                                  2.0 * ((p * j10 - r * j00) / det) - j10,
-                                  2.0 * ((p * j11 - r * j01) / det) - j11)
+            j00, j01, j10, j11 = (2.0 * ((s * j00 + q * j10) / det) - j00,
+                                  2.0 * ((s * j01 + q * j11) / det) - j01,
+                                  2.0 * ((p * j10 + r * j00) / det) - j10,
+                                  2.0 * ((p * j11 + r * j01) / det) - j11)
         y0, y1 = y0 + h * X0, y1 + h * X1
     return y0, y1, ((j00, j01, j10, j11) if want_jac else None)
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewlab.anosov import (bracket, build_quad, exact_period,
+from skewlab.anosov import (_rational_candidates, bracket, build_quad, exact_period,
                             find_periodic_near, leaf, leaf_coordinate, make_anosov,
                             validate_quad)
 from skewlab.config import MAX_BUDGETS
 from skewlab.errors import AmbiguousBranch, ConstructionFailed, NotAnosov, NotFound
-from skewlab.torus import torus_dist, wrap
+from skewlab.torus import lift, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
 
@@ -171,6 +171,44 @@ class TestPeriodicSearch:
     def test_not_found(self, cat):
         with pytest.raises(NotFound):
             find_periodic_near(cat, (0.123456, 0.654321), 3, 0.001)
+
+
+def reference_rational_candidates(target, max_denominator, radius):
+    """Oracle: the candidate search on Fractions, one scalar distance each."""
+    t = lift(target)
+    found = []
+    seen = set()
+    for q in range(1, max_denominator + 1):
+        i_lo = math.floor((t[0] - radius) * q)
+        i_hi = math.ceil((t[0] + radius) * q)
+        j_lo = math.floor((t[1] - radius) * q)
+        j_hi = math.ceil((t[1] + radius) * q)
+        for i in range(i_lo, i_hi + 1):
+            for j in range(j_lo, j_hi + 1):
+                fu, fv = Fraction(i, q) % 1, Fraction(j, q) % 1
+                if (fu.denominator != q and fv.denominator != q) or (fu, fv) in seen:
+                    continue
+                seen.add((fu, fv))
+                dist = float(torus_dist((float(fu), float(fv)), t))
+                if dist <= radius:
+                    found.append((dist, q, fu, fv))
+    found.sort(key=lambda rec: (rec[0], rec[1], rec[2], rec[3]))
+    return found
+
+
+class TestRationalCandidates:
+    @pytest.mark.parametrize("target", [(0.0, 0.0), (0.3, 0.4), (0.1234, 0.71),
+                                        (0.5, 0.5), (0.999, 0.001), (0.25, 0.75)])
+    def test_matches_reference_exactly(self, target):
+        # same records in the same order: distances bitwise, Fractions equal;
+        # Q <= 3 and radius 0.45 make the lattice wrap around (duplicates)
+        for q_max in (1, 2, 3, 5, 10, 17):
+            for radius in (0.01, 0.05, 0.2, 0.45):
+                got = _rational_candidates(target, q_max, radius)
+                want = reference_rational_candidates(target, q_max, radius)
+                assert [(d.hex(), q, fu, fv) for d, q, fu, fv in got] \
+                    == [(d.hex(), q, fu, fv) for d, q, fu, fv in want]
+                assert all(type(d) is float and type(fu) is Fraction for d, _, fu, _ in got)
 
 
 class TestBuildQuad:

@@ -42,33 +42,76 @@ def make_bump(quad, i=1, v=(0.03, 0.012), fiber_center=(0.5, 0.5)):
                            fiber_bump=BumpProfile(0.34, 0.46), v=v)
 
 
-def fixed_count_flow(y0, y1, times, v0, v1, inner, band, want_jac=False):
-    """Oracle: the band kernel with exactly NEWTON_ITERS Newton iterations per
-    step and a full field evaluation for the residual, no early stop."""
-    field, unit_minus = perturbation._field, perturbation._unit_minus
+def frozen_field(d0, d1, v0, v1, inner, band):
+    """Oracle field: the bump field (X0, X1) and its derivative (DX00, DX01,
+    DX10, DX11), in the arithmetic the kernel used when its iteration count
+    was chosen, frozen here so that the oracle shares no code with the kernel
+    it checks (np.clip is bitwise ``smoothstep``'s clip for r >= 0)."""
+    r = np.hypot(d0, d1)
+    t = np.clip((r - inner) / band, 0.0, 1.0)
+    t2 = t * t
+    psi = 1.0 - t2 * t * (10.0 + t * (-15.0 + 6.0 * t))
+    dpsi = t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / band)
+    d2psi = t * (60.0 + t * (-180.0 + 120.0 * t)) / -band**2
+    h0 = d1 * v0 - d0 * v1
+    rsafe = np.where(r > 0, r, 1.0)
+    dh = dpsi * h0
+    w = dh / rsafe
+    rh0 = d0 / rsafe
+    rh1 = d1 / rsafe
+    r3 = rsafe**3
+    gw0 = d2psi * rh0 * h0 / rsafe + dpsi * (-v1) / rsafe - dh * d0 / r3
+    gw1 = d2psi * rh1 * h0 / rsafe + dpsi * v0 / rsafe - dh * d1 / r3
+    p0 = dpsi * rh0
+    p1 = dpsi * rh1
+    return (w * d1 + psi * v0, -w * d0 + psi * v1,
+            gw0 * d1 + p0 * v0, gw1 * d1 + w + p1 * v0,
+            -gw0 * d0 - w + p0 * v1, -gw1 * d0 + p1 * v1)
+
+
+def frozen_unit_minus(h2, a00, a01, a10, a11):
+    """Oracle 2x2 entries p, q, r, s of I - h2 DX, row by row, and its determinant."""
+    p, q = 1.0 - h2 * a00, -(h2 * a01)
+    r, s = -(h2 * a10), 1.0 - h2 * a11
+    return p, q, r, s, p * s - q * r
+
+
+def oracle_flow(y0, y1, times, v0, v1, inner, band, want_jac=False, iters=None):
+    """Oracle: the band kernel with exactly ``iters`` (default NEWTON_ITERS)
+    Newton iterations per step and a full field evaluation for the residual,
+    no early stop and no residual check.  Returns (y0, y1, jac, the largest
+    midpoint residual over all steps and points)."""
+    iters = perturbation.NEWTON_ITERS if iters is None else iters
     h2 = (0.5 / perturbation.MIDPOINT_STEPS) * np.asarray(times, dtype=float)
     h = 2.0 * h2
     j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
+    worst = 0.0
     for _ in range(perturbation.MIDPOINT_STEPS):
         m0, m1 = y0, y1
-        for _ in range(perturbation.NEWTON_ITERS):
-            X0, X1, *dx = field(m0, m1, v0, v1, inner, band)
-            p, q, r, s, det = unit_minus(h2, *dx)
+        for _ in range(iters):
+            X0, X1, *dx = frozen_field(m0, m1, v0, v1, inner, band)
+            p, q, r, s, det = frozen_unit_minus(h2, *dx)
             b0 = m0 - y0 - h2 * X0
             b1 = m1 - y1 - h2 * X1
             m0, m1 = m0 - (s * b0 - q * b1) / det, m1 - (p * b1 - r * b0) / det
-        X0, X1, *dx = field(m0, m1, v0, v1, inner, band)
-        resid = float(np.max(np.maximum(np.abs(m0 - y0 - h2 * X0),
-                                        np.abs(m1 - y1 - h2 * X1))))
-        assert resid <= perturbation.NEWTON_TOL
+        X0, X1, *dx = frozen_field(m0, m1, v0, v1, inner, band)
+        worst = max(worst, float(np.max(np.maximum(np.abs(m0 - y0 - h2 * X0),
+                                                   np.abs(m1 - y1 - h2 * X1)))))
         if want_jac:
-            p, q, r, s, det = unit_minus(h2, *dx)
+            p, q, r, s, det = frozen_unit_minus(h2, *dx)
             j00, j01, j10, j11 = (2.0 * ((s * j00 - q * j10) / det) - j00,
                                   2.0 * ((s * j01 - q * j11) / det) - j01,
                                   2.0 * ((p * j10 - r * j00) / det) - j10,
                                   2.0 * ((p * j11 - r * j01) / det) - j11)
         y0, y1 = y0 + h * X0, y1 + h * X1
-    return y0, y1, ((j00, j01, j10, j11) if want_jac else None)
+    return y0, y1, ((j00, j01, j10, j11) if want_jac else None), worst
+
+
+def fixed_count_flow(y0, y1, times, v0, v1, inner, band, want_jac=False):
+    """``oracle_flow`` at NEWTON_ITERS, with the kernel's signature and check."""
+    y0, y1, jac, worst = oracle_flow(y0, y1, times, v0, v1, inner, band, want_jac)
+    assert worst <= perturbation.NEWTON_TOL
+    return y0, y1, jac
 
 
 def bits(x):
@@ -81,6 +124,27 @@ def band_batch(rng, n, centre=(0.5, 0.5), inner=0.34, outer=0.46):
     th = rng.uniform(0, 2 * math.pi, n)
     rr = rng.uniform(inner - 0.02, outer, n)
     return (np.asarray(centre) + rr[:, None] * np.stack([np.cos(th), np.sin(th)], -1)) % 1.0
+
+
+# v1 of the fine and strong destroyed systems (perfbench/README.md), and the
+# largest |v| a BumpTranslation on the destroy fiber profile admits
+FINE_V1 = (-0.009780243953765491, -0.011373074703211682)
+STRONG_V1 = (-0.03344843432187798, -0.03889591548498395)
+_VMAX = (perturbation.FIBER_OUTER - perturbation.FIBER_INNER) / 2.0
+LARGEST_V = (0.6 * _VMAX * (1 - 1e-9), -0.8 * _VMAX * (1 - 1e-9))
+
+
+def newton_margin_residual(v, iters):
+    """Largest oracle midpoint residual after ``iters`` Newton iterations over
+    band points of the destroy fiber profile, base activations in
+    [0.05, 0.999], both signs of t."""
+    rng = np.random.default_rng(24)
+    inner, outer = perturbation.FIBER_INNER, perturbation.FIBER_OUTER
+    d = band_batch(rng, 400, inner=inner - _VMAX, outer=outer) - 0.5
+    t = rng.uniform(0.05, 0.999, len(d))
+    return max(oracle_flow(d[:, 0], d[:, 1], sign * t, *v, inner, outer - inner,
+                           iters=iters)[3]
+               for sign in (1.0, -1.0))
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +283,7 @@ class TestBumpTranslation:
     def test_nan_midpoint_fails_the_residual_check(self, bump, quad, monkeypatch):
         # NaN > tol is False: a NaN midpoint must raise NoConvergence, not
         # slip through to the wrap
-        def nan_field(d0, d1, v0, v1, inner, band, want_dx=True):
+        def nan_field(d0, d1, v0, v1, nv1, inner, band, want_dx=True):
             nan = np.full(np.shape(d0), np.nan)
             return (nan,) * (6 if want_dx else 2)
 
@@ -278,6 +342,42 @@ class TestBumpTranslation:
         assert plain[True] < (perturbation.NEWTON_ITERS + 1) * perturbation.MIDPOINT_STEPS
         assert plain[False] > 0
         assert with_jac == {True: plain[True] + plain[False], False: 0}
+
+    def test_field_matches_frozen_field(self):
+        # X bitwise; DX by value: the rewritten DX10 may give an exact zero
+        # the other sign where psi is flat (plateau, outside), which the
+        # kernel only adds to a nonzero or +0 partner, so no result changes
+        rng = np.random.default_rng(23)
+        d = band_batch(rng, 200, inner=0.0, outer=0.5) - 0.5
+        d[:2] = 0.0                          # r = 0
+        for v0, v1, inner, band in ((0.03, 0.012, 0.34, 0.12),
+                                    (rng.uniform(-0.04, 0.04, 200), rng.uniform(-0.04, 0.04, 200),
+                                     rng.uniform(0.3, 0.35, 200), rng.uniform(0.1, 0.12, 200))):
+            got = perturbation._field(d[:, 0], d[:, 1], v0, v1, -v1, inner, band)
+            want = frozen_field(d[:, 0], d[:, 1], v0, v1, inner, band)
+            for g, w in zip(got[:2], want[:2]):
+                assert np.array_equal(bits(g), bits(w))
+            for g, w in zip(got[2:], want[2:]):
+                assert np.array_equal(g, w)
+            x_only = perturbation._field(d[:, 0], d[:, 1], v0, v1, -v1, inner, band,
+                                         want_dx=False)
+            for g, w in zip(x_only, want[:2]):
+                assert np.array_equal(bits(g), bits(w))
+
+    @pytest.mark.parametrize("v", [FINE_V1, STRONG_V1, LARGEST_V],
+                             ids=["fine", "strong", "largest"])
+    def test_newton_count_keeps_a_factor_100_margin(self, quad, v):
+        # after NEWTON_ITERS iterations the midpoint residual is at least 100
+        # times below NEWTON_TOL, on band points at partial activation, both
+        # signs of t, up to the largest translation a BumpTranslation admits
+        make_bump(quad, v=v)   # admitted on the destroy fiber profile
+        assert newton_margin_residual(v, perturbation.NEWTON_ITERS) \
+            <= perturbation.NEWTON_TOL / 100
+
+    def test_newton_margin_test_has_teeth(self):
+        # one iteration fewer misses the factor (and NEWTON_TOL itself)
+        for v in (STRONG_V1, LARGEST_V):
+            assert newton_margin_residual(v, 2) > perturbation.NEWTON_TOL
 
     def test_inverse_roundtrip(self, bump, quad):
         rng = np.random.default_rng(5)
