@@ -89,9 +89,6 @@ class FixedPointResult:
     identity_like: bool
     points: np.ndarray  # (m, 2), deterministic order
 
-    def __len__(self):
-        return len(self.points)
-
 
 def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     if len(points) == 0:

@@ -1,8 +1,8 @@
 """Linear Anosov base dynamics on the 2-torus.
 
-Eigenstructure of hyperbolic integer matrices, local stable/unstable leaf
-segments, the local product structure bracket, exact rational periodic-point
-search, and the heteroclinic quadrilateral (two periodic points joined to a
+Eigenstructure of hyperbolic integer matrices, leaf coordinates along the
+stable/unstable directions, the local product structure bracket, exact
+rational periodic-point search, and the heteroclinic quadrilateral (two periodic points joined to a
 base point by alternating stable/unstable legs, with certified separation of
 the neighborhoods used later for perturbation supports).
 """
@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AmbiguousBranch, ConstructionFailed, NotAnosov, NotFound
-from .torus import TorusPoint, lift, mod1, points_equal, torus_dist, wrap, wrapped_diff
+from .errors import AmbiguousBranch, ConstructionFailed, NotAnosov
+from .torus import TorusPoint, lift, mod1, torus_dist, wrap, wrapped_diff
 
 EIGEN_RESIDUAL_TOL = 1e-12
 LEAF_RESIDUAL_TOL = 1e-10
@@ -38,11 +38,6 @@ class LinearAnosov:
     lambda_s: float
     e_u: np.ndarray
     e_s: np.ndarray
-
-    @property
-    def det(self) -> int:
-        m = self.matrix
-        return int(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
     def apply(self, points):
         """Base map on wrapped points; broadcasts over (..., 2)."""
@@ -127,37 +122,6 @@ def make_anosov(matrix) -> LinearAnosov:
     return ano
 
 
-@dataclass(frozen=True)
-class LeafSegment:
-    """Segment of a stable or unstable leaf: t -> wrap(lift(base) + t*direction)."""
-
-    base: TorusPoint
-    kind: str  # "stable" | "unstable"
-    half_length: float
-    direction: np.ndarray
-
-    def point_at(self, t):
-        t = np.asarray(t, dtype=float)
-        return mod1(lift(self.base) + np.multiply.outer(t, self.direction))
-
-    def contains(self, point, tol: float = LEAF_RESIDUAL_TOL):
-        """(membership, leaf coordinate, transverse residual)."""
-        d = wrapped_diff(point, self.base)
-        t = float(d @ self.direction)
-        resid = float(np.linalg.norm(d - t * self.direction))
-        return (resid < tol and abs(t) <= self.half_length + tol), t, resid
-
-
-def leaf(a: LinearAnosov, x, kind: str, half_length: float) -> LeafSegment:
-    """Local leaf segment through x in the stable or unstable eigendirection."""
-    if kind not in ("stable", "unstable"):
-        raise ValueError("kind must be 'stable' or 'unstable'")
-    if not (0 < half_length < 0.5):
-        raise ValueError("half_length must lie in (0, 1/2) for a local leaf")
-    return LeafSegment(base=wrap(x), kind=kind, half_length=half_length,
-                       direction=a.eigen_direction(kind))
-
-
 def leaf_coordinate(a: LinearAnosov, kind: str, from_point, to_point):
     """Leaf coordinate of to_point relative to from_point and transverse residual."""
     e = a.eigen_direction(kind)
@@ -206,11 +170,6 @@ def _exact_orbit(matrix: np.ndarray, p: tuple[Fraction, Fraction]):
     raise RuntimeError("rational point failed to return; invariant violated")
 
 
-def exact_period(a: LinearAnosov, p: tuple[Fraction, Fraction]) -> int:
-    """Minimal period of an exact rational point under the base matrix mod 1."""
-    return len(_exact_orbit(a.matrix, p))
-
-
 def _rational_candidates(target, max_denominator: int, radius: float):
     """Rational points (i/q, j/q), q <= Q, within radius of target, best first."""
     t = lift(target)
@@ -237,21 +196,6 @@ def _rational_candidates(target, max_denominator: int, radius: float):
              for (a, b, q), dist in zip(keys, dists) if dist <= radius]
     found.sort(key=lambda rec: (rec[0], rec[1], rec[2], rec[3]))
     return found
-
-
-def find_periodic_near(a: LinearAnosov, target, max_denominator: int, radius: float):
-    """Nearest rational periodic point within radius and its exact minimal period."""
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    cands = _rational_candidates(target, max_denominator, radius)
-    if not cands:
-        raise NotFound(
-            f"no rational point with denominator <= {max_denominator} within {radius}")
-    _, _, fu, fv = cands[0]
-    period = exact_period(a, (fu, fv))
-    return wrap((float(fu), float(fv))), period
 
 
 def _segment_point_dist(points, centers, direction, half_lengths):
@@ -351,7 +295,7 @@ def validate_quad(a: LinearAnosov, quad: HeteroclinicQuad):
                 problems.append(f"leg {kind} {frm}->{to} residual {resid:.2e}")
             if s != stored:
                 problems.append(f"leg {kind} {frm}->{to} stores {stored!r}, not {s!r}")
-    if points_equal(quad.p1, quad.p2, tol=1e-9):
+    if torus_dist(quad.p1, quad.p2) < 1e-9:
         problems.append("p1 and p2 coincide")
     r1, r2 = quad.U1_radius, quad.U2_radius
     if torus_dist(quad.w1, quad.w2) <= r1 + r2:
@@ -415,7 +359,7 @@ def _detect_exact_period(a: LinearAnosov, x, max_denominator: int):
     fu = Fraction(xf[0]).limit_denominator(max_denominator)
     fv = Fraction(xf[1]).limit_denominator(max_denominator)
     if abs(float(fu) - xf[0]) < 1e-13 and abs(float(fv) - xf[1]) < 1e-13:
-        return exact_period(a, (fu, fv))
+        return len(_exact_orbit(a.matrix, (fu, fv)))
     return None
 
 

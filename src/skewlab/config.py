@@ -279,7 +279,8 @@ class HolonomyConfig:
     def __post_init__(self):
         if self.kind not in ("stable", "unstable"):
             raise ValueError("holonomy kind must be 'stable' or 'unstable'")
-        # the bound anosov.leaf puts on a local leaf
+        # a leaf offset of 1/2 or more is not on the local leaf: the leg would
+        # leave the chart in which leaf_coordinate measures it
         if not abs(self.leaf_offset) < 0.5:
             raise ValueError("holonomy leaf_offset must satisfy |leaf_offset| < 1/2")
 
@@ -333,9 +334,19 @@ def build_family(cfg: FamilyConfig):
 
 
 def build_base(cfg: BaseConfig) -> LinearAnosov:
-    """The base map: the configured matrix raised to the configured power."""
-    matrix = np.asarray(cfg.matrix, dtype=np.int64)
-    return make_anosov(np.linalg.matrix_power(matrix, int(cfg.power)))
+    """The base map: the configured matrix raised to the configured power.
+
+    Entries must be ints: a bool or a float, even an integral one, is
+    rejected.  The power is taken in exact integers, and an entry beyond the
+    int64 range is a ValueError, not a silent wrap."""
+    if not all(type(e) is int for row in cfg.matrix for e in row):
+        raise ValueError("base matrix entries must be integers")
+    matrix = np.linalg.matrix_power(np.array(cfg.matrix, dtype=object), int(cfg.power))
+    try:
+        matrix = matrix.astype(np.int64)
+    except OverflowError:
+        raise ValueError("base matrix power has an entry beyond the int64 range") from None
+    return make_anosov(matrix)
 
 
 def build_skew_product(config: ExperimentConfig) -> SkewProduct:

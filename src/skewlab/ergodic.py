@@ -36,20 +36,6 @@ def observable(name: str):
     raise ValueError(f"unknown observable {name!r}; choose one of {OBSERVABLES}")
 
 
-def birkhoff(sp: SkewProduct, obs, init, n: int) -> float:
-    """Time average (1/n) sum_{k<n} obs(F^k(init)) along the exact float orbit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fn = observable(obs) if isinstance(obs, str) else obs
-    x = np.asarray(init[0], float).reshape(2)
-    y = np.asarray(init[1], float).reshape(2)
-    total = 0.0
-    for _ in range(n):
-        total += float(fn(x, y))
-        x, y = sp.step(x, y)
-    return total / n
-
-
 @dataclass(frozen=True)
 class ErgodicReport:
     observable: str

@@ -13,10 +13,6 @@ class AmbiguousBranch(SkewLabError):
     """Points too far apart to select a unique local leaf intersection."""
 
 
-class NotFound(SkewLabError):
-    """Search target does not exist within the given budget."""
-
-
 class ConstructionFailed(SkewLabError):
     """A geometric construction could not satisfy its certificates."""
 

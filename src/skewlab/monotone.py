@@ -497,52 +497,6 @@ def pbb_search(l1: MonotoneStepFunction, l2: MonotoneStepFunction,
 
 
 # ---------------------------------------------------------------------------
-# level-preimage intersection finiteness report
-
-@dataclass(frozen=True)
-class PreimageIntersectionReport:
-    s1: Fraction
-    s2: Fraction
-    intersection: ClosedSet
-    witnessed: bool
-    unwitnessed_points: tuple[Fraction, ...]
-
-
-def level_preimage_report(l1: MonotoneStepFunction, phi: MonotoneStepFunction,
-                          s1, s2) -> PreimageIntersectionReport:
-    """Intersection of the closed phi-preimages of two level sets of l1(x) - x,
-    with jump witnesses for every intersection point.
-
-    Each shared point must carry either a phi-jump of size >= s2 - s1 or an
-    l1-jump of size >= (s2 - s1)/2 inside [phi_-, phi_+].
-    """
-    s1, s2 = _as_frac(s1), _as_frac(s2)
-    if s1 >= s2:
-        raise ValueError("need s1 < s2")
-    A = level_set(l1, s1).preimage_under(phi)
-    B = level_set(l1, s2).preimage_under(phi)
-    inter = A.intersect(B)
-    gap = s2 - s1
-    bad = []
-    if inter.is_finite():
-        l1_jumps = l1.jumps()
-        for y in inter.points():
-            phi_lo, phi_hi = phi.left_value(y), phi.right_value(y)
-            if phi_hi - phi_lo >= gap:
-                continue
-            ok = any(phi_lo <= z <= phi_hi and size >= gap / 2
-                     for z, size in l1_jumps)
-            if not ok:
-                bad.append(y)
-        witnessed = not bad
-    else:
-        witnessed = False
-    return PreimageIntersectionReport(s1=s1, s2=s2, intersection=inter,
-                                      witnessed=witnessed,
-                                      unwitnessed_points=tuple(bad))
-
-
-# ---------------------------------------------------------------------------
 # deterministic random instances (tests, acceptance battery, CLI)
 
 def random_monotone_step(rng, a, b, max_jumps: int = 20,

@@ -212,23 +212,6 @@ def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False)
     return (result, jac) if want_jac else result
 
 
-def apply_bump(bt: BumpTranslation, x, y):
-    """h_x(y): identity bitwise off-support, y + t v on the certified plateau."""
-    t = float(bt.base_value(np.asarray(x, float).reshape(2)))
-    return _bump_fiber_action(bt, t, y, inverse=False)
-
-
-def apply_bump_inverse(bt: BumpTranslation, x, y):
-    t = float(bt.base_value(np.asarray(x, float).reshape(2)))
-    return _bump_fiber_action(bt, t, y, inverse=True)
-
-
-def bump_jacobian(bt: BumpTranslation, x, y, inverse: bool = False):
-    t = float(bt.base_value(np.asarray(x, float).reshape(2)))
-    _, jac = _bump_fiber_action(bt, t, y, inverse=inverse, want_jac=True)
-    return jac
-
-
 @dataclass(frozen=True)
 class PerturbedFamily(FiberFamily):
     """inner family post-composed fiberwise with the inverse combined bump map:
@@ -358,8 +341,9 @@ class DestroyParams:
     scan_tol: float = 1e-6
     scan_grid_n: int = 32
     # anchor of the second bump's fiber support; None reuses FIBER_ANCHOR.
-    # The antipode (offset (1/2, 1/2)) makes the two supports cover the whole
-    # fiber torus, leaving no frozen region.
+    # The antipode (offset (1/2, 1/2)) does not make the two supports cover
+    # the fiber torus: over the identity family the points at offset (1/2, 0)
+    # and (0, 1/2) from one anchor lie 1/2 from both centres, beyond FIBER_OUTER.
     fiber_anchor2: tuple[float, float] | None = None
     v_frac: float = 0.5
     rng_seed: int = 0

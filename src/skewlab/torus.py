@@ -2,9 +2,9 @@
 rectangular chart regions, and compactly supported smooth bump profiles.
 
 Everything here is pure and operates on plain floats or numpy arrays of
-shape (..., 2).  The canonical representative of a torus point is [0, 1)^2;
-equality of points always means ``torus_dist < EQUALITY_TOL``, never
-coordinate equality.
+shape (..., 2).  The canonical representative of a torus point is [0, 1)^2.
+Two points are close when ``torus_dist(a, b)`` is below a tolerance that
+the caller names; their coordinates can differ by nearly 1 across the seam.
 
 Every wrap is ``x - floor(x)`` followed by a fold of 1.0 to 0.0.  For finite
 x this is bitwise ``x % 1.0`` (both are one rounding of the real x - floor(x),
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EQUALITY_TOL = 1e-12
 
 
 def mod1(values):
@@ -69,9 +67,6 @@ class TorusPoint:
         if not (0.0 <= self.u < 1.0 and 0.0 <= self.v < 1.0):
             raise ValueError(f"coordinates {(self.u, self.v)} not in [0,1)^2; use wrap()")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=float)
-
     def __iter__(self):
         yield self.u
         yield self.v
@@ -89,10 +84,6 @@ def wrap(point) -> TorusPoint:
 def lift(point) -> np.ndarray:
     """Canonical lift of a point to the fundamental domain [0,1)^2."""
     return np.asarray(point, dtype=float).reshape(2).copy()
-
-
-def points_equal(a, b, tol: float = EQUALITY_TOL) -> bool:
-    return bool(torus_dist(a, b) < tol)
 
 
 def cell_grid(n: int) -> np.ndarray:

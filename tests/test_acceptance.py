@@ -65,8 +65,10 @@ def horiz_sp(cat, quad):
 
 @pytest.fixture(scope="module")
 def destroyed_strong(id_sp, quad):
-    """Destruction with |v| ~ 0.05 and antipodal fiber supports: the two bump
-    supports cover the whole fiber torus, so no initial condition is frozen."""
+    """Destruction with |v| ~ 0.05 and antipodal fiber supports: discs of
+    radius 0.46 about (1/2, 1/2) and (0, 0).  They do not cover the fiber
+    torus: (1/2, 0) and (0, 1/2) lie 1/2 from both centres, and a fiber point
+    outside both supports is fixed by every g_x."""
     params = sl.DestroyParams(v_frac=0.9, fiber_anchor2=(0.0, 0.0))
     return sl.destroy_trivial_class(id_sp, quad, 0.12, params)
 

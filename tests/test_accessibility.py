@@ -139,12 +139,12 @@ class TestFindFixedPoints:
     def test_translation_fixed_point_free(self):
         res = find_fixed_points(lambda p: (p + np.array([0.1, 0.0])) % 1.0,
                                 self.REGION, tol=1e-8)
-        assert not res.identity_like and len(res) == 0
+        assert not res.identity_like and len(res.points) == 0
 
     def test_lewowicz_contains_origin(self):
         region = Region(center=(0.0, 0.0), half=(0.2, 0.2))
         res = find_fixed_points(lambda p: lewowicz_raw(2.0, p), region, tol=1e-8)
-        assert len(res) >= 1
+        assert len(res.points) >= 1
         assert np.min(torus_dist(res.points, (0.0, 0.0))) < 1e-8
 
     def test_planted_affine_fixed_point(self):
@@ -155,7 +155,7 @@ class TestFindFixedPoints:
             return (target + 0.5 * d) % 1.0
 
         res = find_fixed_points(contraction, self.REGION, tol=1e-10)
-        assert len(res) == 1
+        assert len(res.points) == 1
         assert torus_dist(res.points[0], target) < 1e-10
 
     def test_residuals_below_tol(self):
@@ -166,7 +166,7 @@ class TestFindFixedPoints:
             return (0.5 + 0.9 * rot) % 1.0
 
         res = find_fixed_points(twist, self.REGION, tol=1e-9)
-        assert len(res) == 1
+        assert len(res.points) == 1
         q = res.points[0]
         assert torus_dist(twist(q[None, :]), q)[0] < 1e-9
 

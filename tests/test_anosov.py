@@ -5,12 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewlab.anosov import (_rational_candidates, bracket, build_quad, exact_period,
-                            find_periodic_near, leaf, leaf_coordinate, make_anosov,
-                            validate_quad)
-from skewlab.config import MAX_BUDGETS
-from skewlab.errors import AmbiguousBranch, ConstructionFailed, NotAnosov, NotFound
-from skewlab.torus import lift, torus_dist, wrap
+from skewlab.anosov import (_exact_orbit, _rational_candidates, bracket, build_quad,
+                            leaf_coordinate, make_anosov, validate_quad)
+from skewlab.config import MAX_BUDGETS, HolonomyConfig
+from skewlab.errors import AmbiguousBranch, ConstructionFailed, NotAnosov
+from skewlab.torus import lift, torus_dist
 
 CAT = [[2, 1], [1, 1]]
 
@@ -32,7 +31,7 @@ class TestMakeAnosov:
         lam_s = (3 - math.sqrt(5)) / 2
         assert cat.lambda_u == pytest.approx(lam_u, abs=1e-14)
         assert cat.lambda_s == pytest.approx(lam_s, abs=1e-14)
-        assert cat.lambda_u * cat.lambda_s == pytest.approx(cat.det, abs=1e-12)
+        assert cat.lambda_u * cat.lambda_s == pytest.approx(np.linalg.det(cat.matrix), abs=1e-12)
 
     def test_eigen_residuals(self, cat):
         m = cat.matrix.astype(float)
@@ -76,20 +75,20 @@ class TestMakeAnosov:
 
 class TestLeaf:
     def test_direction_through_fixed_point(self, cat):
-        seg = leaf(cat, (0, 0), "stable", 0.3)
-        assert np.allclose(seg.direction, cat.e_s)
-        ok, t, resid = seg.contains(seg.point_at(0.21))
-        assert ok and t == pytest.approx(0.21, abs=1e-12) and resid < 1e-12
+        assert np.allclose(cat.eigen_direction("stable"), cat.e_s)
+        p = (0.21 * cat.e_s) % 1.0
+        s, resid = leaf_coordinate(cat, "stable", (0, 0), p)
+        assert s == pytest.approx(0.21, abs=1e-12) and resid < 1e-12
 
     def test_image_is_contracted_leaf(self, cat):
-        seg = leaf(cat, (0.3, 0.7), "stable", 0.2)
+        # the image of the stable leaf through x is the stable leaf through
+        # f(x), with leaf coordinates scaled by lambda_s
+        x = np.array([0.3, 0.7])
         ts = np.linspace(-0.2, 0.2, 9)
-        img = cat.apply(seg.point_at(ts))
-        img_seg = leaf(cat, cat.apply(np.array([0.3, 0.7])), "stable",
-                       0.2 * abs(cat.lambda_s) + 1e-12)
-        for p in img:
-            ok, _, resid = img_seg.contains(p)
-            assert ok and resid < 1e-10
+        img = cat.apply((x + np.multiply.outer(ts, cat.e_s)) % 1.0)
+        for t, p in zip(ts, img):
+            s, resid = leaf_coordinate(cat, "stable", cat.apply(x), p)
+            assert s == pytest.approx(t * cat.lambda_s, abs=1e-12) and resid < 1e-10
 
     def test_stable_pairs_contract_at_lambda_s(self, cat):
         x = np.array([0.3, 0.7])
@@ -99,9 +98,12 @@ class TestLeaf:
             x, y = cat.apply(x), cat.apply(y)
             assert torus_dist(x, y) == pytest.approx(d0 * cat.lambda_s**k, rel=1e-6)
 
-    def test_half_length_bound(self, cat):
-        with pytest.raises(ValueError):
-            leaf(cat, (0, 0), "stable", 0.6)
+    def test_half_length_bound(self):
+        # a holonomy leg's leaf offset must stay on the local leaf, |s| < 1/2
+        HolonomyConfig(leaf_offset=-0.49)
+        for offset in (0.5, -0.6):
+            with pytest.raises(ValueError):
+                HolonomyConfig(leaf_offset=offset)
 
 
 class TestBracket:
@@ -141,36 +143,53 @@ class TestBracket:
             bracket(cat, (0.0, 0.0), (0.5, 0.4))
 
 
+def nearest_periodic(cat, target, max_denominator, radius):
+    """The best rational candidate near target and its exact orbit, as
+    build_quad finds a periodic point: _rational_candidates, then _exact_orbit."""
+    _, _, fu, fv = _rational_candidates(target, max_denominator, radius)[0]
+    return (fu, fv), _exact_orbit(cat.matrix, (fu, fv))
+
+
+def rational_step(m, pt):
+    """Oracle: one step of the integer matrix on an exact rational point mod 1."""
+    return ((m[0, 0] * pt[0] + m[0, 1] * pt[1]) % 1,
+            (m[1, 0] * pt[0] + m[1, 1] * pt[1]) % 1)
+
+
 class TestPeriodicSearch:
     def test_origin_is_fixed(self, cat):
-        p, period = find_periodic_near(cat, (0, 0), 5, 0.01)
-        assert p == wrap((0, 0)) and period == 1
+        p, orbit = nearest_periodic(cat, (0, 0), 5, 0.01)
+        assert p == (0, 0) and orbit == [p]
 
     def test_half_half_has_period_three(self, cat):
-        p, period = find_periodic_near(cat, (0.5, 0.5), 2, 0.1)
-        assert (p.u, p.v) == (0.5, 0.5) and period == 3
+        p, orbit = nearest_periodic(cat, (0.5, 0.5), 2, 0.1)
+        assert p == (Fraction(1, 2), Fraction(1, 2)) and len(orbit) == 3
 
     def test_thirds_period(self, cat):
-        p, period = find_periodic_near(cat, (0.33, 0.33), 3, 0.02)
-        assert (p.u, p.v) == (pytest.approx(1 / 3), pytest.approx(1 / 3))
-        # oracle: exact rational iteration
-        assert period == exact_period(cat, (Fraction(1, 3), Fraction(1, 3)))
+        p, orbit = nearest_periodic(cat, (0.33, 0.33), 3, 0.02)
+        assert p == (Fraction(1, 3), Fraction(1, 3))
+        # oracle: exact rational iteration to the first return
+        pt, period = rational_step(cat.matrix, p), 1
+        while pt != p:
+            pt, period = rational_step(cat.matrix, pt), period + 1
+        assert len(orbit) == period
 
     def test_exact_periodicity_in_rational_arithmetic(self, cat):
         for target in [(0.5, 0.5), (0.2, 0.4), (0.125, 0.625)]:
-            p, period = find_periodic_near(cat, target, 8, 0.08)
-            fu = Fraction(p.u).limit_denominator(8)
-            fv = Fraction(p.v).limit_denominator(8)
-            pt = (fu, fv)
-            m = cat.matrix
-            for _ in range(period):
-                pt = ((m[0, 0] * pt[0] + m[0, 1] * pt[1]) % 1,
-                      (m[1, 0] * pt[0] + m[1, 1] * pt[1]) % 1)
-            assert pt == (fu, fv)
+            p, orbit = nearest_periodic(cat, target, 8, 0.08)
+            pt = p
+            for k in range(len(orbit)):
+                assert pt == orbit[k]
+                pt = rational_step(cat.matrix, pt)
+            assert pt == p
 
     def test_not_found(self, cat):
-        with pytest.raises(NotFound):
-            find_periodic_near(cat, (0.123456, 0.654321), 3, 0.001)
+        # no rational point of denominator <= 3 this close: build_quad finds
+        # no periodic candidate and refuses
+        x = (0.123456, 0.654321)
+        assert _rational_candidates(x, 3, 0.001) == []
+        with pytest.raises(ConstructionFailed, match="two periodic candidates"):
+            build_quad(cat, x, 0.001, 3)
 
 
 def reference_rational_candidates(target, max_denominator, radius):

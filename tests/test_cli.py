@@ -145,6 +145,10 @@ class TestScenarios:
         ("ergodic", {"ergodic": {"n": 2.5}}),
         ("classify", {"quad": {"max_denominator": 0}}),
         ("certify", {"base": {"matrix": [[1, 1], [0, 1]]}}),
+        ("certify", {"base": {"matrix": [[2, 1], [1, 1.5]]}}),
+        ("certify", {"base": {"matrix": [[2, 1], [1, True]]}}),
+        ("certify", {"base": {"matrix": [[2, 1], [1, 1e30]]}}),
+        ("certify", {"base": {"matrix": [[2, 1], [1, 10**30]]}}),
         ("certify", {"family": {"kind": "translation", "vector": [0.1]}}),
         ("holonomy", {"tolerances": {"holonomy_tol": math.inf}}),
         ("certify", {"family": {"kind": "lewowicz_constant", "c": math.nan}}),
@@ -168,7 +172,9 @@ class TestScenarios:
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
-            "max-denominator", "base-not-hyperbolic", "family-vector", "holonomy-tol-inf",
+            "max-denominator", "base-not-hyperbolic", "base-matrix-fraction",
+            "base-matrix-bool", "base-matrix-overflow", "base-matrix-int64",
+            "family-vector", "holonomy-tol-inf",
             "family-c-nan", "leaf-offset-str", "leaf-offset-inf", "leaf-offset-off-leaf",
             "base-value-short", "base-value-long", "base-value-scalar-pair",
             "max-denominator-large", "n-check-large", "m-ics-large", "pbb-max-jumps",

@@ -6,7 +6,7 @@ import pytest
 
 from skewlab import ergodic
 from skewlab.anosov import build_quad, make_anosov
-from skewlab.ergodic import _scan_event_driven, _scan_generic, birkhoff, ergodic_scan, observable
+from skewlab.ergodic import _scan_event_driven, _scan_generic, ergodic_scan, observable
 from skewlab.fiber import (ConstantFamily, IdentityMap, RotationFamily, SkewProduct,
                            VectorField)
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
@@ -35,7 +35,7 @@ def irrational_sp(cat):
 @pytest.fixture(scope="module")
 def destroyed_sp(cat, product_sp):
     """Shaped like the strong destroyed system: bumps at the quad's w_1, w_2
-    whose fiber supports, centred at (1/2, 1/2) and (0, 0), cover the fiber."""
+    whose fiber supports are centred at (1/2, 1/2) and (0, 0)."""
     quad = build_quad(cat, (0, 0), 0.2, 10, 50)
     bumps = []
     for i, v, centre in ((1, (-0.0334, -0.0389), (0.5, 0.5)),
@@ -70,40 +70,45 @@ def seam_sp(destroyed_sp, seam_bump):
 
 
 class TestBirkhoff:
+    # Birkhoff averages (1/n) sum_{k<n} obs(F^k(x, y)) along exact float
+    # orbits, one per initial condition: the generic scan's final averages
+    XS = np.array([[0.1, 0.2], [0.15, 0.25], [0.7, 0.05]])
+    YS = np.array([[0.3, 0.4], [0.35, 0.45], [0.9, 0.6]])
+
     def test_constant_observable(self, product_sp):
-        avg = birkhoff(product_sp, lambda xs, ys: np.ones(()), ((0.1, 0.2), (0.3, 0.4)), 50)
-        assert avg == 1.0
+        n = 50
+        sigma, avgs = _scan_generic(product_sp, lambda xs, ys: np.ones(len(xs)),
+                                    self.XS, self.YS, n, [n])
+        assert np.all(avgs == 1.0) and sigma == [0.0]
 
     def test_frozen_fiber_observable(self, product_sp):
-        init = ((0.1, 0.2), (0.3, 0.4))
-        expected = math.cos(2 * math.pi * 0.3)
+        expected = np.cos(2 * math.pi * self.YS[:, 0])
         for n in (1, 10, 200):
-            assert birkhoff(product_sp, "fiber_cos", init, n) == pytest.approx(
-                expected, abs=1e-12)
+            _, avgs = _scan_generic(product_sp, observable("fiber_cos"), self.XS, self.YS,
+                                    n, [n])
+            np.testing.assert_allclose(avgs, expected, rtol=0, atol=1e-12)
 
     def test_invariance_up_to_boundary_terms(self, irrational_sp):
-        # birkhoff(obs o F) - birkhoff(obs) == (obs(F^n) - obs(init)) / n exactly
+        # avg(obs o F) - avg(obs) == (obs(F^n) - obs(init)) / n exactly
         sp = irrational_sp
         fn = observable("fiber_cos")
-        init = ((0.15, 0.25), (0.35, 0.45))
         n = 64
 
         def obs_after_f(xs, ys):
-            xs2, ys2 = sp.step(np.asarray(xs, float), np.asarray(ys, float))
-            return fn(xs2, ys2)
+            return fn(*sp.step(xs, ys))
 
-        a1 = birkhoff(sp, obs_after_f, init, n)
-        a0 = birkhoff(sp, "fiber_cos", init, n)
-        x, y = np.asarray(init[0], float), np.asarray(init[1], float)
-        x_end, y_end = x.copy(), y.copy()
+        _, a1 = _scan_generic(sp, obs_after_f, self.XS, self.YS, n, [n])
+        _, a0 = _scan_generic(sp, fn, self.XS, self.YS, n, [n])
+        x_end, y_end = self.XS, self.YS
         for _ in range(n):
             x_end, y_end = sp.step(x_end, y_end)
-        boundary = (float(fn(x_end, y_end)) - float(fn(x, y))) / n
-        assert a1 - a0 == pytest.approx(boundary, abs=1e-14)
+        boundary = (fn(x_end, y_end) - fn(self.XS, self.YS)) / n
+        np.testing.assert_allclose(a1 - a0, boundary, rtol=0, atol=1e-14)
 
     def test_n_validation(self, product_sp):
-        with pytest.raises(ValueError):
-            birkhoff(product_sp, "fiber_cos", ((0, 0), (0, 0)), 0)
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):
@@ -135,9 +140,6 @@ class TestErgodicScan:
     def test_mic_validation(self, product_sp):
         with pytest.raises(ValueError):
             ergodic_scan(product_sp, "fiber_cos", 100, 1, seed=0)
-        for n in (0, -3):
-            with pytest.raises(ValueError):
-                ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
 
     def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp, seam_sp,
                                         monkeypatch):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from skewlab.monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
-                              _pbb_oracle, find_jumps, fixed_point_set,
-                              level_preimage_report, level_set, pbb_search,
-                              random_monotone_step, random_phi, total_variation,
-                              variation_cover_bound, variation_subadditivity_check)
+                              _pbb_oracle, find_jumps, fixed_point_set, level_set,
+                              pbb_search, random_monotone_step, random_phi,
+                              total_variation, variation_cover_bound,
+                              variation_subadditivity_check)
 
 MSF = MonotoneStepFunction
 
@@ -263,33 +263,6 @@ class TestPbbSearch:
         phi_bad = MSF.constant(F(2), F(-1), F(1))
         with pytest.raises(ValueError):
             pbb_search(ident, ident, phi_bad, F(1, 10))
-
-
-class TestLevelPreimageFiniteness:
-    def test_random_instances_witnessed(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        for _ in range(40):
-            l1 = random_monotone_step(rng, F(-1), F(1), max_jumps=10)
-            phi = random_phi(rng, F(1), F(1), max_jumps=10)
-            s_vals = sorted(set(F(int(k), 32) for k in rng.integers(-8, 9, size=2)))
-            if len(s_vals) < 2:
-                continue
-            rep = level_preimage_report(l1, phi, s_vals[0], s_vals[1])
-            assert rep.intersection.is_finite()
-            assert rep.witnessed, rep
-            checked += 1
-        assert checked >= 25
-
-    def test_known_jump_witness(self):
-        # phi with a jump of 1/2 at 0 sends the two sides onto distinct levels
-        l1 = MSF.identity(F(-1), F(1))
-        phi = MSF((F(-1), F(0), F(1)),
-                  (F(-1, 2), F(0)), (F(-1, 2), F(1, 2)))
-        # g1 = l1 - id = -(shift): level sets of l1(x) - x = s: whole domain iff s=0
-        rep = level_preimage_report(l1, phi, F(-1, 64), F(1, 64))
-        assert rep.intersection.is_finite()
-        assert rep.witnessed
 
 
 def test_variation_counting_bound():

@@ -11,7 +11,6 @@ from skewlab.fiber import (ConstantFamily, IdentityMap, SkewProduct,
                            certify_partial_hyperbolicity)
 from skewlab.holonomy import make_holonomy
 from skewlab.perturbation import (BumpTranslation, DestroyParams, PerturbedFamily,
-                                  apply_bump, apply_bump_inverse, bump_jacobian,
                                   destroy_trivial_class, perturb_skew)
 from skewlab.torus import BumpProfile, lift, torus_dist, wrap, wrapped_diff
 
@@ -153,6 +152,13 @@ def bump(quad):
 
 
 @pytest.fixture(scope="module")
+def fam(bump):
+    """The bump over the identity family: ``fam.inverse(x, y)`` is h_x(y),
+    ``fam.apply(x, y)`` is h_x^{-1}(y) and ``fam.jacobian`` is D(h_x^{-1})."""
+    return PerturbedFamily(ConstantFamily(IdentityMap()), (bump,))
+
+
+@pytest.fixture(scope="module")
 def destroyed(id_sp, quad):
     return destroy_trivial_class(id_sp, quad, 0.05)
 
@@ -171,79 +177,85 @@ class TestBumpTranslation:
                             fiber_center=wrap((0.5, 0.5)),
                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
 
-    def test_identity_off_base_support_bitwise(self, bump):
+    def test_identity_off_base_support_bitwise(self, fam):
         ys = np.random.default_rng(0).random((100, 2))
-        out = apply_bump(bump, (0.7, 0.2), ys)
-        assert np.array_equal(out, ys)
+        for h in (fam.inverse, fam.apply):
+            assert np.array_equal(h((0.7, 0.2), ys), ys)
 
-    def test_identity_off_fiber_support_bitwise(self, bump, quad):
+    def test_identity_off_fiber_support_bitwise(self, fam, quad):
         rng = np.random.default_rng(1)
         th = rng.uniform(0, 2 * math.pi, 100)
         ys = (0.5 + 0.48 * np.stack([np.cos(th), np.sin(th)], axis=-1)) % 1.0
-        out = apply_bump(bump, quad.w1, ys)
-        assert np.array_equal(out, ys)
+        for h in (fam.inverse, fam.apply):
+            assert np.array_equal(h(quad.w1, ys), ys)
 
-    def test_plateau_exact_translation(self, bump, quad):
+    def test_plateau_exact_translation(self, bump, fam, quad):
         # full base bump at w1, points deep in the plateau
         rng = np.random.default_rng(2)
         th = rng.uniform(0, 2 * math.pi, 200)
         rr = rng.uniform(0, bump.certified_inner_radius, 200)
         ys = (0.5 + rr[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)) % 1.0
-        out = apply_bump(bump, quad.w1, ys)
+        out = fam.inverse(quad.w1, ys)
         expected = (ys + np.asarray(bump.v)) % 1.0
         assert np.max(torus_dist(out, expected)) < 1e-8
 
-    def test_center_maps_to_center_plus_v(self, bump, quad):
-        out = apply_bump(bump, quad.w1, np.array([0.5, 0.5]))
+    def test_center_maps_to_center_plus_v(self, bump, fam, quad):
+        out = fam.inverse(quad.w1, np.array([0.5, 0.5]))
         assert torus_dist(out, np.array([0.5, 0.5]) + bump.v) < 1e-8
 
-    def test_partial_base_value_scales_translation(self, bump, quad):
+    def test_partial_base_value_scales_translation(self, bump, fam, quad):
         xs = lift(quad.w1) + np.array([0.6 * bump.base_bump.outer_radius, 0.0])
         t = float(bump.base_value(xs))
         assert 0.0 < t < 1.0
-        out = apply_bump(bump, xs, np.array([0.5, 0.5]))
+        out = fam.inverse(xs, np.array([0.5, 0.5]))
         expected = (np.array([0.5, 0.5]) + t * np.asarray(bump.v)) % 1.0
         assert torus_dist(out, expected) < 1e-8
 
     def test_jacobian_determinant_everywhere(self, bump, quad):
+        # Dh at full activation (the base value is 1 at w1), from the kernel
         rng = np.random.default_rng(3)
         ys = rng.random((1000, 2))
-        jac = bump_jacobian(bump, quad.w1, ys)
+        _, jac = perturbation._bump_fiber_action(bump, bump.base_value(quad.w1), ys,
+                                                 want_jac=True)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         assert np.max(np.abs(det - 1.0)) < 1e-8
 
-    def test_jacobian_matches_finite_differences(self, bump, quad):
+    def test_jacobian_matches_finite_differences(self, bump, fam, quad):
         rng = np.random.default_rng(4)
         th = rng.uniform(0, 2 * math.pi, 50)
         ys = (0.5 + 0.40 * np.stack([np.cos(th), np.sin(th)], axis=-1)) % 1.0
-        jac = bump_jacobian(bump, quad.w1, ys)
+        _, jac = perturbation._bump_fiber_action(bump, bump.base_value(quad.w1), ys,
+                                                 want_jac=True)
         h = 1e-7
         for axis in (0, 1):
             e = np.zeros(2)
             e[axis] = h
-            fd = ((apply_bump(bump, quad.w1, ys + e)
-                   - apply_bump(bump, quad.w1, ys - e) + 0.5) % 1 - 0.5) / (2 * h)
+            fd = ((fam.inverse(quad.w1, ys + e)
+                   - fam.inverse(quad.w1, ys - e) + 0.5) % 1 - 0.5) / (2 * h)
             assert np.max(np.abs(fd - jac[:, :, axis])) < 1e-6
 
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_jacobian_matches_finite_differences_partial_activation(self, bump, quad,
+    def test_jacobian_matches_finite_differences_partial_activation(self, bump, fam, quad,
                                                                     inverse):
-        # the Cayley-product Jacobian is the derivative of the map itself,
-        # on band points with base activation 0 < t < 1, both directions
+        # the kernel's Cayley-product Jacobian is the derivative of the
+        # family's map, on band points with base activation 0 < t < 1, both
+        # directions
         rng = np.random.default_rng(11)
-        fmap = apply_bump_inverse if inverse else apply_bump
+        fmap = fam.apply if inverse else fam.inverse
         for frac in (0.55, 0.7, 0.8):
             xs = lift(quad.w1) + np.array([0.0, frac * bump.base_bump.outer_radius])
-            assert 0.0 < float(bump.base_value(xs)) < 1.0
+            t = bump.base_value(xs)
+            assert 0.0 < t < 1.0
             th = rng.uniform(0, 2 * math.pi, 40)
             rr = rng.uniform(0.30, 0.45, 40)
             ys = (0.5 + rr[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)) % 1.0
-            jac = bump_jacobian(bump, xs, ys, inverse=inverse)
+            _, jac = perturbation._bump_fiber_action(bump, t, ys, inverse=inverse,
+                                                     want_jac=True)
             h = 1e-6
             for axis in (0, 1):
                 e = np.zeros(2)
                 e[axis] = h
-                fd = ((fmap(bump, xs, ys + e) - fmap(bump, xs, ys - e) + 0.5) % 1
+                fd = ((fmap(xs, ys + e) - fmap(xs, ys - e) + 0.5) % 1
                       - 0.5) / (2 * h)
                 assert np.max(np.abs(fd - jac[:, :, axis])) < 1e-7
 
@@ -275,10 +287,10 @@ class TestBumpTranslation:
             for method in (fam.apply, fam.inverse, fam.jacobian):
                 assert np.array_equal(method(x, ys), method(xs, ys))
 
-    def test_newton_residual_check_is_live(self, bump, quad, monkeypatch):
+    def test_newton_residual_check_is_live(self, fam, quad, monkeypatch):
         monkeypatch.setattr(perturbation, "NEWTON_ITERS", 0)
         with pytest.raises(NoConvergence):
-            apply_bump(bump, quad.w1, np.array([[0.5, 0.1]]))
+            fam.inverse(quad.w1, np.array([[0.5, 0.1]]))
 
     def test_nan_midpoint_fails_the_residual_check(self, bump, quad, monkeypatch):
         # NaN > tol is False: a NaN midpoint must raise NoConvergence, not
@@ -379,11 +391,11 @@ class TestBumpTranslation:
         for v in (STRONG_V1, LARGEST_V):
             assert newton_margin_residual(v, 2) > perturbation.NEWTON_TOL
 
-    def test_inverse_roundtrip(self, bump, quad):
+    def test_inverse_roundtrip(self, fam, quad):
         rng = np.random.default_rng(5)
         ys = rng.random((500, 2))
-        fwd = apply_bump(bump, quad.w1, ys)
-        assert np.max(torus_dist(apply_bump_inverse(bump, quad.w1, fwd), ys)) < 1e-12
+        fwd = fam.inverse(quad.w1, ys)
+        assert np.max(torus_dist(fam.apply(quad.w1, fwd), ys)) < 1e-12
 
     def test_area_preservation_mixed_batch(self, bump, quad):
         # 10^4 random (x, y) pairs through the perturbed family variant
@@ -432,11 +444,13 @@ class TestBumpTranslation:
         t = np.array([float(bt.base_value(x)) for bt, x in zip(owner, xs)])
         assert np.any(t == 1.0) and np.any((t > 0) & (t < 1.0)) and np.any(t == 0.0)
         fwd, back, jac = fam.apply(xs, ys), fam.inverse(xs, ys), fam.jacobian(xs, ys)
+        # a one-bump family at one base point runs the kernel on scalar parameters
+        alone = {bt: PerturbedFamily(ConstantFamily(IdentityMap()), (bt,)) for bt in (b1, b2)}
         for k, bt in enumerate(owner):
-            assert np.array_equal(fwd[k], apply_bump_inverse(bt, xs[k], ys[k:k + 1])[0])
-            assert np.array_equal(back[k], apply_bump(bt, xs[k], ys[k:k + 1])[0])
-            assert np.array_equal(jac[k], bump_jacobian(bt, xs[k], ys[k:k + 1],
-                                                        inverse=True)[0])
+            one = alone[bt]
+            assert np.array_equal(fwd[k], one.apply(xs[k], ys[k:k + 1])[0])
+            assert np.array_equal(back[k], one.inverse(xs[k], ys[k:k + 1])[0])
+            assert np.array_equal(jac[k], one.jacobian(xs[k], ys[k:k + 1])[0])
         moved = ~np.all(fwd == ys, axis=-1)
         assert np.any(moved) and not np.all(moved)
 
@@ -539,7 +553,7 @@ class TestPerturbSkew:
         # composed: Pi_g^s(w1 -> x) = Pi_f^s(w1 -> x) o h^{-1}
         h_f = make_holonomy(id_sp, "stable", x, quad.s_w[0], 0.0)
         h_g = make_holonomy(sp_g, "stable", x, quad.s_w[0], 0.0)
-        expected = h_f(apply_bump_inverse(bump, quad.w1, grid))
+        expected = h_f(sp_g.family.apply(quad.w1, grid))
         assert np.max(torus_dist(h_g(grid), expected)) < 10 * tol
 
     def test_still_dominated_for_small_v(self, id_sp, quad):

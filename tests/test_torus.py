@@ -44,7 +44,7 @@ def test_wrap_seam_rounding():
 
 def test_lift_roundtrip():
     p = wrap((0.37, 0.93))
-    assert wrap(p.as_array()) == p
+    assert wrap(np.asarray(p)) == p
 
 
 def test_torus_dist_examples():
