@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,22 +45,87 @@ class LoopMap:
 
     Around a quad's loop every image point lies in the center accessibility
     class of its argument by construction, so fixed points witness trivial
-    classes.
+    classes.  Both directions are evaluated by loop_actions.
     """
 
     maps: tuple[HolonomyMap, ...]
 
     def __call__(self, ys):
-        v = mod1(np.asarray(ys, dtype=float))
-        for h in self.maps:
-            v = h(v)
-        return v
+        return loop_actions([(self, False)], ys)[0]
 
     def inverse(self, ys):
-        v = mod1(np.asarray(ys, dtype=float))
-        for h in reversed(self.maps):
-            v = h.inverse_map()(v)
-        return v
+        return loop_actions([(self, True)], ys)[0]
+
+    @cached_property
+    def _plans(self):
+        """How loop_actions evaluates the map (index 0) and its inverse (index
+        1), built once; the inverse takes the legs in reverse, each inverted."""
+        return _plan(self.maps), _plan(tuple(h.inverse_map() for h in reversed(self.maps)))
+
+
+def _plan(legs):
+    """One loop action, the composition of legs in acting order, as
+    loop_actions evaluates it.
+
+    - ("shift", T) for a translation family: one closed-form translation per
+      leg, as HolonomyMap.evaluate_at adds it;
+    - ("steps", (family, points, inverse)) for a family with a quiet mask:
+      the loud steps of every leg (HolonomyMap.steps), with each step whose
+      own base point is quiet dropped.  That is exact: a quiet g_x returns
+      every point of [0, 1)^2 bitwise, and every point it would get is
+      wrapped;
+    - ("legs", legs) for any other family, or legs of different families:
+      leg by leg, with evaluate_at.
+    """
+    family = legs[0].sp.family if legs else None
+    if not legs or any(h.sp.family is not family for h in legs):
+        return "legs", legs
+    shifts = [h._translation_steps(h.truncation_n) for h in legs]
+    if all(s is not None for s in shifts):
+        return "shift", [s.sum(axis=0) for s, h in zip(shifts, legs) if h.truncation_n]
+    if any(h.loud is None for h in legs):
+        return "legs", legs
+    points, inverse = (np.concatenate(col) for col in zip(*(h.steps() for h in legs)))
+    loud = ~family.quiet(points)
+    return "steps", (family, points[loud], inverse[loud])
+
+
+def loop_actions(actions, ys) -> np.ndarray:
+    """Images of one fiber batch under many loop actions, in lockstep.
+
+    An action is a pair (loop, inverse): the LoopMap, or its inverse where
+    ``inverse`` is True.  Returns an array of shape (len(actions),) plus the
+    shape of ys whose row a is bitwise the image of ys under action a alone.
+
+    For a family with a quiet mask each action is a list of family steps,
+    and at each composition depth one FiberFamily.act call moves every row
+    whose action has a step there, with that step's base point and
+    direction: a bump kernel's fixed cost is paid once per depth, not once
+    per action and step.  A translation family's legs are closed-form
+    translations; any other family is evaluated leg by leg.
+    """
+    ys = np.asarray(ys, dtype=float)
+    flat = mod1(ys.reshape(-1, 2))
+    out = np.broadcast_to(flat, (len(actions),) + flat.shape).copy()
+    lockstep = {}
+    for a, (loop, inverse) in enumerate(actions):
+        kind, plan = loop._plans[bool(inverse)]
+        if kind == "shift":
+            for shift in plan:
+                out[a] = mod1(out[a] + shift)
+        elif kind == "legs":
+            for h in plan:
+                out[a] = h(out[a])
+        else:
+            family, points, inverse = plan
+            lockstep.setdefault(id(family), (family, []))[1].append((a, points, inverse))
+    for family, members in lockstep.values():
+        for d in range(max(len(m[1]) for m in members)):
+            rows, x, inv = (np.array(col) for col in zip(
+                *((a, points[d], inverse[d]) for a, points, inverse in members
+                  if len(points) > d)))
+            out[rows] = family.act(x[:, None], out[rows], inv[:, None])
+    return out.reshape((len(actions),) + ys.shape)
 
 
 def loop_map(sp: SkewProduct, quad: HeteroclinicQuad, i: int,
@@ -254,8 +320,7 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
     for _ in range(word_length):
         if len(frontier_pts) == 0 or np.all(counts >= K):
             break
-        pts = mod1(np.concatenate([gen.inverse(frontier_pts) if inv else gen(frontier_pts)
-                                   for gen, inv in actions]))
+        pts = mod1(loop_actions(actions, frontier_pts).reshape(-1, 2))
         sids = np.tile(frontier_sid, len(actions))
         keys = keys_of(pts, sids)
         # first occurrence of each key in this level, if no earlier level took it
@@ -452,8 +517,8 @@ def trivial_set_scan(sp: SkewProduct, quads, fiber_grid_n: int, tol: float,
     grid = cell_grid(fiber_grid_n) if region is None else region.grid(fiber_grid_n)
     fixed = np.ones(len(grid), dtype=bool)
     max_disp = np.zeros(len(grid))
-    for gen in gens:
-        d = torus_dist(gen(grid), grid)
+    for image in loop_actions([(gen, False) for gen in gens], grid):
+        d = torus_dist(image, grid)
         fixed &= d < tol
         max_disp = np.maximum(max_disp, d)
     return TrivialScanResult(points=grid[fixed], grid=grid, fixed_mask=fixed,

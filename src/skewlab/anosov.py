@@ -391,7 +391,7 @@ def build_quad(a: LinearAnosov, x, search_radius: float, max_denominator: int,
             halves.append(_half_loop(a, x, rec))
         except AmbiguousBranch as exc:
             failures.append(str(exc)[:160])
-    geometries = [_quad_geometry(x, h1, h2) for h1, h2 in itertools.combinations(halves, 2)]
+    geometries = _quad_geometries(x, halves)
     geometries.sort(key=lambda g: -min(g["radii"]))
     best = None
     for geo in geometries:
@@ -428,17 +428,22 @@ def _half_loop(a, x, rec) -> dict:
                 s_z=leaf_coordinate(a, "stable", p, z)[0])
 
 
-def _quad_geometry(x, half1, half2) -> dict:
-    """A pair of half-loops and the initial radii of the balls around w_1, w_2."""
-    out = {1: half1, 2: half2}
-    ws = np.array([lift(half1["w"]), lift(half2["w"])])
-    targets = np.array([lift(x), lift(half1["p"]), lift(half2["p"]),
-                        lift(half1["z"]), lift(half2["z"]), ws[0], ws[1]])
-    # row i: w_{i+1} to the five special points, then to w_1 and to w_2
-    d = torus_dist(ws[:, None, :], targets[None, :, :])
-    radii = [0.45 * min(float(np.min(d[i, :5])), float(d[i, 6 - i]) / 2.0) for i in (0, 1)]
-    return dict(points=out, radii=radii,
-                **{key: (half1[key], half2[key]) for key in ("s_w", "u_w", "u_z", "s_z")})
+def _quad_geometries(x, halves) -> list[dict]:
+    """Every pair of half-loops, in itertools.combinations order, with the
+    initial radii of the balls around w_1, w_2: all pairs' distances in one
+    torus_dist call."""
+    i, j = np.array(list(itertools.combinations(range(len(halves)), 2)),
+                    dtype=int).reshape(-1, 2).T
+    w, p, z = (np.array([tuple(h[key]) for h in halves]).reshape(-1, 2) for key in "wpz")
+    # per pair, row k: w_k to x, p_1, p_2, z_1, z_2, then to the other w
+    five = np.stack([np.broadcast_to(lift(x), w[i].shape), p[i], p[j], z[i], z[j]], axis=1)
+    targets = np.concatenate([np.broadcast_to(five[:, None], (len(i), 2, 5, 2)),
+                              np.stack([w[j], w[i]], axis=1)[:, :, None]], axis=2)
+    d = torus_dist(np.stack([w[i], w[j]], axis=1)[:, :, None], targets)
+    radii = 0.45 * np.minimum(d[..., :5].min(axis=-1), d[..., 5] / 2.0)
+    return [dict(points={1: halves[a], 2: halves[b]}, radii=r,
+                 **{key: (halves[a][key], halves[b][key]) for key in ("s_w", "u_w", "u_z", "s_z")})
+            for a, b, r in zip(i.tolist(), j.tolist(), radii.tolist())]
 
 
 def _validated_quad(a, x, geo, n_check, x_period) -> HeteroclinicQuad:

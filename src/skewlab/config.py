@@ -78,21 +78,31 @@ def _check_pair(value, name: str):
         raise ValueError(f"{name} must be two finite numbers")
 
 
-def _check_finite(value, where: str):
-    """Reject NaN and infinities (which JSON admits) anywhere inside value."""
+def _check_numbers(value, where: str):
+    """Reject, anywhere inside value, a boolean (JSON's true and false are
+    not numbers here), NaN and infinities (which JSON admits), and an
+    integer too large for a float (JSON integers have no size limit)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"boolean in {where}, where a number is expected")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"non-finite number in {where}")
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"integer in {where} overflows a float") from None
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
         for item in value:
-            _check_finite(item, where)
+            _check_numbers(item, where)
 
 
 def _from_dict(cls, d: dict, where: str):
     """Build cls from d: a field whose default is a dataclass is a sub-config,
     one whose default is an int takes only ints, one whose default is a float
-    takes only numbers, and no value holds a non-finite number."""
+    takes only numbers, and no other value holds a boolean, a non-finite
+    number or an integer that a float cannot hold (_check_numbers)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object")
     fields = dataclasses.fields(cls)
@@ -104,13 +114,14 @@ def _from_dict(cls, d: dict, where: str):
         val = d[f.name]
         if dataclasses.is_dataclass(f.default):
             val = _from_dict(type(f.default), val, f"{where}.{f.name}")
-        elif type(f.default) is int and (not isinstance(val, int) or isinstance(val, bool)):
-            raise ConfigError(f"{where}.{f.name} must be an integer")
+        elif type(f.default) is int:
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ConfigError(f"{where}.{f.name} must be an integer")
         elif type(f.default) is float and (not isinstance(val, (int, float))
                                            or isinstance(val, bool)):
             raise ConfigError(f"{where}.{f.name} must be a number")
         else:
-            _check_finite(val, f"{where}.{f.name}")
+            _check_numbers(val, f"{where}.{f.name}")
         kwargs[f.name] = val
     try:
         return cls(**kwargs)

@@ -170,6 +170,21 @@ class FiberFamily:
     def jacobian(self, x, y):
         raise NotImplementedError
 
+    def act(self, x, y, inverse):
+        """g_x(y) where ``inverse`` is False and g_x^{-1}(y) where it is True,
+        per point: x and y broadcast as in apply, and inverse against their
+        shape without the last axis.  One apply call on the forward points
+        and one inverse call on the others."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        inverse = np.broadcast_to(inverse, shape[:-1])
+        x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+        out = np.empty(shape)
+        for where, fn in ((~inverse, self.apply), (inverse, self.inverse)):
+            if np.any(where):
+                out[where] = fn(x[where], y[where])
+        return out
+
     def base_lipschitz(self) -> float:
         """Bound on the C^0 variation of g_x in the base point."""
         raise NotImplementedError

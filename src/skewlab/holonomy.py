@@ -63,6 +63,16 @@ class HolonomyMap:
         fam = self.sp.family
         return (fam.apply, fam.inverse) if self.kind == "stable" else (fam.inverse, fam.apply)
 
+    def steps(self):
+        """The loud fiber steps of H_{truncation_n} in the order evaluate_at
+        takes them: base points (S, 2) and, per step, True where it is
+        family.inverse.  The pushes along from_pts come first, then the pulls
+        back over to_pts.  Needs the loud mask."""
+        loud = np.flatnonzero(self.loud[:self.truncation_n])
+        push_inverse = self.kind == "unstable"
+        return (np.concatenate([self.from_pts[loud], self.to_pts[loud[::-1]]]),
+                np.repeat([push_inverse, not push_inverse], len(loud)))
+
     def _translation_steps(self, n: int):
         """The n per-composition translations of a translation family, or None.
 

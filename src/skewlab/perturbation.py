@@ -170,6 +170,9 @@ def _flow(y0, y1, times, v0, v1, inner, band, want_jac: bool = False):
 def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False):
     """Apply h (or h^{-1}) with per-point base activation t to fiber points ys.
 
+    A negative t flows backwards: the flow by -t is the inverse of the flow
+    by t, so points can go either way in one call.
+
     ``bt`` is one BumpTranslation, or per-point fiber parameters
     (centre, v, inner, outer) of shapes (..., 2), (..., 2), (...) and (...),
     the shapes of ys and t, so that points of several bumps flow in one
@@ -187,7 +190,7 @@ def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False)
     sign = -1.0 if inverse else 1.0
     d = wrapped_diff(ys, c)
     r = np.hypot(d[..., 0], d[..., 1])
-    active = (t > 0) & (r < outer)
+    active = (t != 0) & (r < outer)
     shifted = d + sign * t[..., None] * v
     r_shift = np.hypot(shifted[..., 0], shifted[..., 1])
     plateau = active & (r <= inner) & (r_shift <= inner)
@@ -241,9 +244,11 @@ class PerturbedFamily(FiberFamily):
                 np.array([b.fiber_bump.inner_radius for b in self.bumps]),
                 np.array([b.fiber_bump.outer_radius for b in self.bumps]))
 
-    def _h_action(self, x, y, inverse: bool, want_jac: bool = False):
-        """Combined bump map h_x^{±1} on broadcast (x, y) batches, in one
-        kernel call whatever the number of bumps."""
+    def _h_action(self, x, y, inverse, want_jac: bool = False):
+        """Combined bump map h_x^{-1} where ``inverse`` is True and h_x where
+        it is False, on broadcast (x, y) batches, in one kernel call whatever
+        the number of bumps.  ``inverse`` is one bool, or one per point that
+        reaches the kernel as the sign of the point's time."""
         xb = np.asarray(x, dtype=float)
         yb = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(xb.shape, yb.shape)
@@ -266,11 +271,15 @@ class PerturbedFamily(FiberFamily):
             else:
                 which = np.broadcast_to(which, shape[:-1])[mask]
                 params = tuple(p[which] for p in self._fiber_params)
+            t = t[mask]
+            if np.ndim(inverse):
+                t = np.where(np.broadcast_to(inverse, mask.shape)[mask], -t, t)
+                inverse = False
             if want_jac:
-                out[mask], jac[mask] = _bump_fiber_action(params, t[mask], out[mask],
+                out[mask], jac[mask] = _bump_fiber_action(params, t, out[mask],
                                                           inverse=inverse, want_jac=True)
             else:
-                out[mask] = _bump_fiber_action(params, t[mask], out[mask], inverse=inverse)
+                out[mask] = _bump_fiber_action(params, t, out[mask], inverse=inverse)
         return (out, jac) if want_jac else out
 
     def apply(self, x, y):
@@ -282,6 +291,15 @@ class PerturbedFamily(FiberFamily):
     def jacobian(self, x, y):
         hy, hjac = self._h_action(x, y, inverse=True, want_jac=True)
         return self.inner.jacobian(x, hy) @ hjac
+
+    def act(self, x, y, inverse):
+        """Where the inner family is quiet at every x, g_x is h_x^{-1} on
+        [0, 1)^2, bitwise: one _h_action call flows each point by -t forward
+        and by +t backward.  Otherwise the default's two calls."""
+        quiet = self.inner.quiet(x)
+        if quiet is None or not np.all(quiet):
+            return super().act(x, y, inverse)
+        return self._h_action(x, y, inverse=~np.asarray(inverse))
 
     def base_lipschitz(self) -> float:
         extra = sum(b.base_bump.max_abs_derivative() * b.v_norm for b in self.bumps)

@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample,
+from skewlab import perturbation
+from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample, LoopMap,
                                    _refine_by_scan, box_counts, classify_class,
-                                   explore_classes, find_fixed_points,
+                                   explore_classes, find_fixed_points, loop_actions,
                                    loop_map, sample_diameter, standard_generators,
                                    trivial_set_scan)
 from skewlab.anosov import build_quad, make_anosov
-from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap,
-                           RotationFamily, SkewProduct, VectorField, lewowicz_raw)
-from skewlab.perturbation import BumpTranslation, _bump_fiber_action
-from skewlab.torus import BumpProfile, Region, torus_dist, wrap, wrapped_diff
+from skewlab.holonomy import leaf_holonomy
+from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
+                           RotationFamily, ScalarField, SkewProduct, VectorField,
+                           lewowicz_raw)
+from skewlab.perturbation import (BumpTranslation, PerturbedFamily, _bump_fiber_action,
+                                  perturb_skew)
+from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
 
 CAT = [[2, 1], [1, 1]]
 
@@ -127,6 +131,144 @@ class TestLoopMap:
         lhs = L_pushed(horiz_sp.family.apply(x, pts))
         rhs = horiz_sp.family.apply(x, L(pts))
         assert np.max(torus_dist(lhs, rhs)) < 1e-9
+
+
+# the benchmark's fine and strong destroyed systems: per loop, the bump's
+# translation and fiber centre
+DESTROYED = {
+    "fine": (((-0.009780243953765491, -0.011373074703211682), (0.5, 0.5)),
+             ((0.009389670321860106, -0.011697610493035726), (0.5, 0.5))),
+    "strong": (((-0.03344843432187798, -0.03889591548498395), (0.5, 0.5)),
+               ((0.03211267250076156, -0.040005827886182184), (0.0, 0.0))),
+}
+
+
+@pytest.fixture(scope="module")
+def destroyed(id_sp, quad):
+    systems = {}
+    for name, spec in DESTROYED.items():
+        bumps = []
+        for i, (v, centre) in enumerate(spec, start=1):
+            r = quad.ball_radius(i)
+            bumps.append(BumpTranslation(
+                base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
+                fiber_center=wrap(centre), fiber_bump=BumpProfile(0.34, 0.46), v=v))
+        systems[name] = perturb_skew(id_sp, bumps)
+    return systems
+
+
+def lewowicz_loops(destroyed, quad):
+    """The fine system's loops with a Lewowicz map under its bumps: no quiet
+    mask, so evaluated leg by leg.  No Lewowicz holonomy certifies (its pushes
+    and pulls amplify rounding), so the fine system's certified legs carry it."""
+    fine = destroyed["fine"]
+    lew = SkewProduct(base=fine.base, family=PerturbedFamily(LewowiczFamily(ScalarField(0.5)),
+                                                             fine.family.bumps))
+    return [LoopMap(tuple(dataclasses.replace(h, sp=lew, loud=None) for h in g.maps))
+            for g in standard_generators(fine, [quad])]
+
+
+def one_leg_at_a_time(loop, inverse, ys):
+    """Reference: the loop's legs composed one HolonomyMap call at a time."""
+    legs = [h.inverse_map() for h in reversed(loop.maps)] if inverse else loop.maps
+    v = mod1(np.asarray(ys, dtype=float))
+    for h in legs:
+        v = h(v)
+    return v
+
+
+# fiber points over both fiber supports: plateau, band and outside points
+FIBERS = np.concatenate([np.random.default_rng(11).random((400, 2)),
+                         [[0.5, 0.5], [0.5, 0.1], [0.9, 0.5], [0.0, 0.0], [0.16, 0.5]]])
+
+
+def assert_lockstep_bitwise(loops, ys=FIBERS):
+    """Every loop's map and inverse, evaluated together, bitwise as each alone."""
+    actions = [(loop, inverse) for loop in loops for inverse in (False, True)]
+    images = loop_actions(actions, ys)
+    assert images.shape == (len(actions),) + np.shape(ys)
+    for image, (loop, inverse) in zip(images, actions):
+        assert image.tobytes() == one_leg_at_a_time(loop, inverse, ys).tobytes()
+
+
+class TestLoopActions:
+    @pytest.mark.parametrize("name", sorted(DESTROYED))
+    def test_destroyed_system_bitwise(self, destroyed, quad, name):
+        gens = standard_generators(destroyed[name], [quad])
+        # destroy's loops, rotated to start at w_i
+        rotated = [LoopMap(g.maps[-1:] + g.maps[:-1]) for g in gens]
+        # loop 1's legs that miss both base supports: an action with no step
+        quiet = LoopMap(tuple(h for h in gens[0].maps if not h.loud.any()))
+        assert len(quiet.maps) == 3
+        for loop, steps in [(g, 1) for g in gens + rotated] + [(quiet, 0)]:
+            for inverse in (False, True):
+                kind, (_, points, _) = loop._plans[inverse]
+                assert kind == "steps" and len(points) == steps
+        assert_lockstep_bitwise(gens + rotated + [quiet])
+
+    def test_interleaved_steps_bitwise(self, id_sp, cat):
+        # a base support that each leg's orbits visit three times, so every
+        # action has several steps, in an order that matters, and the
+        # actions have step lists of different lengths
+        bump = BumpTranslation(base_center=wrap((0.5, 0.5)), base_bump=BumpProfile(0.05, 0.15),
+                               fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.2, 0.4),
+                               v=(0.02, 0.01))
+        sp = perturb_skew(id_sp, [bump])
+        x = np.array([0.45, 0.52])
+        legs = [leaf_holonomy(sp, kind, x, (x + 0.12 * e) % 1.0)
+                for kind, e in (("stable", cat.e_s), ("unstable", cat.e_u))]
+        loops = [LoopMap(tuple(legs)), LoopMap(legs[:1]), LoopMap(legs[::-1])]
+        lengths = {len(loop._plans[inverse][1][1]) for loop in loops for inverse in (0, 1)}
+        assert len(lengths) > 1 and min(lengths) > 1
+        assert_lockstep_bitwise(loops)
+
+    def test_translation_and_fallback_families_bitwise(self, horiz_sp, destroyed, quad):
+        rotation = standard_generators(horiz_sp, [quad])
+        lewowicz = lewowicz_loops(destroyed, quad)
+        assert {g._plans[0][0] for g in rotation} == {"shift"}
+        assert {g._plans[0][0] for g in lewowicz} == {"legs"}
+        assert_lockstep_bitwise(rotation)
+        assert_lockstep_bitwise(lewowicz, FIBERS[::8])
+
+    def test_families_mixed_in_one_call(self, horiz_sp, destroyed, quad):
+        loops = [g for sp in (destroyed["fine"], horiz_sp, destroyed["strong"])
+                 for g in standard_generators(sp, [quad])]
+        assert_lockstep_bitwise(loops + lewowicz_loops(destroyed, quad)[:1], FIBERS[::4])
+
+    def test_loop_map_keeps_the_shape_of_its_argument(self, destroyed, quad):
+        loop = standard_generators(destroyed["strong"], [quad])[1]
+        for ys in ([0.9, 0.5], FIBERS.reshape(-1, 3, 2)[:5]):
+            for got, inverse in ((loop(ys), False), (loop.inverse(ys), True)):
+                assert got.shape == np.shape(ys)
+                assert got.tobytes() == one_leg_at_a_time(loop, inverse, ys).tobytes()
+
+    def test_act_matches_apply_and_inverse(self, destroyed, quad, horiz_sp):
+        rng = np.random.default_rng(5)
+        fine = destroyed["fine"].family
+        ws = np.array([tuple(quad.loop_points(i)[1]) for i in (1, 2)])
+        near = ws[rng.integers(2, size=120)] + rng.normal(scale=0.3 * quad.ball_radius(1),
+                                                          size=(120, 2))
+        x = mod1(np.concatenate([near, rng.random((20, 2))]))
+        y = np.concatenate([FIBERS[:100], rng.random((40, 2))])
+        inverse = rng.random(len(x)) < 0.5
+        for fam in (fine, PerturbedFamily(LewowiczFamily(ScalarField(0.5)), fine.bumps),
+                    horiz_sp.family):
+            want = np.array([fam.inverse(xi, yi) if inv else fam.apply(xi, yi)
+                             for xi, yi, inv in zip(x, y, inverse)])
+            assert fam.act(x, y, inverse).tobytes() == want.tobytes()
+
+    def test_explore_makes_one_kernel_call_per_level(self, destroyed, quad, monkeypatch):
+        fine = destroyed["fine"]
+        gens = standard_generators(fine, [quad])   # certifying the legs flows too
+        calls = []
+        flow = perturbation._flow
+        monkeypatch.setattr(perturbation, "_flow",
+                            lambda *args, **kw: calls.append(1) or flow(*args, **kw))
+        levels = 6
+        # seeds on both loops' fiber band, so every level has band points
+        explore_classes(fine, [quad], [[0.5, 0.1], [0.9, 0.5]], K=10**5,
+                        word_length=levels, generators=gens)
+        assert 0 < len(calls) <= levels
 
 
 class TestFindFixedPoints:

@@ -169,6 +169,16 @@ class TestScenarios:
         ("certify", {"pbb": {"max_jumps": 1001}}),
         ("certify", {"pbb": {"denominator": 1_000_001}}),
         ("sweep", {"sweep": {"c_values": ["1/2", "1e400"]}}),
+        ("holonomy", {"tolerances": {"holonomy_tol": 10**400}}),
+        ("certify", {"family": {"kind": "translation", "vector": [10**400, 0.1]}}),
+        ("holonomy", {"family": {"kind": "translation", "vector": [True, 0.1]}}),
+        ("certify", {"family": {"kind": "rotation_field", "base_value": [0.1, False]}}),
+        ("holonomy", {"quad": {"x": [True, 0.0]}}),
+        ("certify", {"classify": {"seed_region_center": [True, 0.5]}}),
+        ("certify", {"family": {"kind": "rotation_field",
+                                "bumps": [{"center": [True, 0.5], "amplitude": [0.1, 0.0]}]}}),
+        ("certify", {"family": {"kind": "rotation_field",
+                                "bumps": [{"center": [0.5, 0.5], "amplitude": [True, 0.0]}]}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
@@ -179,7 +189,10 @@ class TestScenarios:
             "base-value-short", "base-value-long", "base-value-scalar-pair",
             "max-denominator-large", "n-check-large", "m-ics-large", "pbb-max-jumps",
             "pbb-denominator", "pbb-epsilon", "pbb-max-jumps-large",
-            "pbb-denominator-large", "c-values-overflow"])
+            "pbb-denominator-large", "c-values-overflow", "holonomy-tol-int-overflow",
+            "family-vector-int-overflow", "family-vector-bool", "base-value-bool",
+            "quad-x-bool", "seed-region-center-bool",
+            "bump-center-bool", "bump-amplitude-bool"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN
