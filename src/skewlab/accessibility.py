@@ -45,10 +45,15 @@ class LoopMap:
 
     Around a quad's loop every image point lies in the center accessibility
     class of its argument by construction, so fixed points witness trivial
-    classes.  Both directions are evaluated by loop_actions.
+    classes.  Both directions are evaluated by loop_actions.  The legs share
+    one fiber family; with no legs the map is the identity.
     """
 
     maps: tuple[HolonomyMap, ...]
+
+    def __post_init__(self):
+        if any(h.sp.family != self.maps[0].sp.family for h in self.maps[1:]):
+            raise ValueError("the legs of a loop map must share one fiber family")
 
     def __call__(self, ys):
         return loop_actions([(self, False)], ys)[0]
@@ -67,27 +72,23 @@ def _plan(legs):
     """One loop action, the composition of legs in acting order, as
     loop_actions evaluates it.
 
-    - ("shift", T) for a translation family: one closed-form translation per
-      leg, as HolonomyMap.evaluate_at adds it;
-    - ("steps", (family, points, inverse)) for a family with a quiet mask:
-      the loud steps of every leg (HolonomyMap.steps), with each step whose
-      own base point is quiet dropped.  That is exact: a quiet g_x returns
-      every point of [0, 1)^2 bitwise, and every point it would get is
-      wrapped;
-    - ("legs", legs) for any other family, or legs of different families:
-      leg by leg, with evaluate_at.
+    - ("shift", T) for a translation family, and for no legs: one
+      closed-form translation per leg, as HolonomyMap.evaluate_at adds it;
+    - ("steps", (family, points, inverse)) for any other family: the steps
+      of every leg (HolonomyMap.steps), legs in order.  Where the family has
+      a quiet mask, each step whose own base point is quiet is dropped.
+      That is exact: a quiet g_x returns every point of [0, 1)^2 bitwise,
+      and every point it would get is wrapped.
     """
-    family = legs[0].sp.family if legs else None
-    if not legs or any(h.sp.family is not family for h in legs):
-        return "legs", legs
     shifts = [h._translation_steps(h.truncation_n) for h in legs]
     if all(s is not None for s in shifts):
         return "shift", [s.sum(axis=0) for s, h in zip(shifts, legs) if h.truncation_n]
-    if any(h.loud is None for h in legs):
-        return "legs", legs
+    family = legs[0].sp.family
     points, inverse = (np.concatenate(col) for col in zip(*(h.steps() for h in legs)))
-    loud = ~family.quiet(points)
-    return "steps", (family, points[loud], inverse[loud])
+    quiet = family.quiet(points)
+    if quiet is not None:
+        points, inverse = points[~quiet], inverse[~quiet]
+    return "steps", (family, points, inverse)
 
 
 def loop_actions(actions, ys) -> np.ndarray:
@@ -97,12 +98,11 @@ def loop_actions(actions, ys) -> np.ndarray:
     ``inverse`` is True.  Returns an array of shape (len(actions),) plus the
     shape of ys whose row a is bitwise the image of ys under action a alone.
 
-    For a family with a quiet mask each action is a list of family steps,
-    and at each composition depth one FiberFamily.act call moves every row
-    whose action has a step there, with that step's base point and
-    direction: a bump kernel's fixed cost is paid once per depth, not once
-    per action and step.  A translation family's legs are closed-form
-    translations; any other family is evaluated leg by leg.
+    A translation family's legs are closed-form translations.  Any other
+    action is a list of family steps, and at each composition depth one
+    FiberFamily.act call per family moves every row whose action has a step
+    there, with that step's base point and direction: a bump kernel's fixed
+    cost is paid once per depth, not once per action and step.
     """
     ys = np.asarray(ys, dtype=float)
     flat = mod1(ys.reshape(-1, 2))
@@ -113,9 +113,6 @@ def loop_actions(actions, ys) -> np.ndarray:
         if kind == "shift":
             for shift in plan:
                 out[a] = mod1(out[a] + shift)
-        elif kind == "legs":
-            for h in plan:
-                out[a] = h(out[a])
         else:
             family, points, inverse = plan
             lockstep.setdefault(id(family), (family, []))[1].append((a, points, inverse))
@@ -287,8 +284,7 @@ class Classification:
 
 
 def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
-                    word_length: int = 12, tol: float = DEFAULT_TOL,
-                    generators=None) -> list[ClassSample]:
+                    word_length: int = 12, generators=None) -> list[ClassSample]:
     """Lockstep breadth-first orbits of many seeds under all loop maps and
     their inverses.
 
@@ -297,7 +293,7 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
     by per-call overhead.
     """
     seeds = mod1(np.asarray(seeds, dtype=float).reshape(-1, 2))
-    gens = standard_generators(sp, quads, tol=tol) if generators is None else list(generators)
+    gens = standard_generators(sp, quads) if generators is None else list(generators)
     if not gens:
         raise ValueError("at least one generator loop map is required")
     actions = [(g, False) for g in gens] + [(g, True) for g in gens]

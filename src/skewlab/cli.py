@@ -132,8 +132,10 @@ def _scenario_destroy(config, out):
             zip(scan.grid, scan.max_displacement, scan.fixed_mask)]
     _write_csv(out / "destroy_scan.csv",
                ["fiber_u", "fiber_v", "max_displacement", "fixed_by_all"], rows)
+    gens = standard_generators(sp, [quad], tol=params.holonomy_tol)
     control = trivial_set_scan(sp, [quad], config.destroy.scan_grid_n,
-                               config.tolerances.scan_tol, region=result.region)
+                               config.tolerances.scan_tol, region=result.region,
+                               generators=gens)
     return {"v1": list(result.v1), "v2": list(result.v2), "delta": result.delta,
             "draws_used": list(result.draws_used),
             "region_center": list(result.region.center),

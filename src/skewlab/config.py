@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,8 +300,15 @@ class HolonomyConfig:
 # ---------------------------------------------------------------------------
 # constructing dynamical objects from a config
 
+def _to_float(x, where):
+    """float(x) for a number; ConfigError for a string, which float() parses."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ConfigError(f"{where} must hold numbers, not {x!r}")
+    return float(x)
+
+
 def _tuplify(seq, n, where):
-    vals = tuple(float(x) for x in seq)
+    vals = tuple(_to_float(x, where) for x in seq)
     if len(vals) != n:
         raise ConfigError(f"{where} must have {n} entries")
     return vals
@@ -310,7 +318,7 @@ def build_field_bumps(specs, vector: bool):
     out = []
     for i, s in enumerate(specs):
         spec = _from_dict(BumpSpec, s, f"bump[{i}]") if isinstance(s, dict) else s
-        amp = tuple(float(a) for a in spec.amplitude)
+        amp = tuple(_to_float(a, f"bump[{i}] amplitude") for a in spec.amplitude)
         if vector and len(amp) != 2:
             raise ConfigError(f"bump[{i}] amplitude must be a 2-vector")
         if not vector and len(amp) != 1:

@@ -63,15 +63,16 @@ class HolonomyMap:
         fam = self.sp.family
         return (fam.apply, fam.inverse) if self.kind == "stable" else (fam.inverse, fam.apply)
 
-    def steps(self):
-        """The loud fiber steps of H_{truncation_n} in the order evaluate_at
-        takes them: base points (S, 2) and, per step, True where it is
-        family.inverse.  The pushes along from_pts come first, then the pulls
-        back over to_pts.  Needs the loud mask."""
-        loud = np.flatnonzero(self.loud[:self.truncation_n])
+    def steps(self, n: int | None = None):
+        """The steps of H_n (n = truncation_n by default) in acting order:
+        base points (S, 2) and, per step, True where it is family.inverse.
+        The pushes along from_pts come first, then the pulls back over
+        to_pts; only the loud ones unless the loud mask is None."""
+        n = self.truncation_n if n is None else n
+        ks = np.arange(n) if self.loud is None else np.flatnonzero(self.loud[:n])
         push_inverse = self.kind == "unstable"
-        return (np.concatenate([self.from_pts[loud], self.to_pts[loud[::-1]]]),
-                np.repeat([push_inverse, not push_inverse], len(loud)))
+        return (np.concatenate([self.from_pts[ks], self.to_pts[ks[::-1]]]),
+                np.repeat([push_inverse, not push_inverse], len(ks)))
 
     def _translation_steps(self, n: int):
         """The n per-composition translations of a translation family, or None.
@@ -100,12 +101,9 @@ class HolonomyMap:
         steps = self._translation_steps(n)
         if steps is not None:
             return mod1(v + steps.sum(axis=0))
-        push, pull = self.push_pull()
-        loud = range(n) if self.loud is None else np.flatnonzero(self.loud[:n])
-        for k in loud:
-            v = push(self.from_pts[k], v)
-        for k in reversed(loud):
-            v = pull(self.to_pts[k], v)
+        fam = self.sp.family
+        for x, inverse in zip(*self.steps(n)):
+            v = fam.inverse(x, v) if inverse else fam.apply(x, v)
         return v
 
     def inverse_map(self) -> "HolonomyMap":

@@ -167,11 +167,11 @@ def _flow(y0, y1, times, v0, v1, inner, band, want_jac: bool = False):
     return y0, y1, ((j00, j01, j10, j11) if want_jac else None)
 
 
-def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False):
-    """Apply h (or h^{-1}) with per-point base activation t to fiber points ys.
+def _bump_fiber_action(bt, t, ys, want_jac: bool = False):
+    """Flow fiber points ys by the bump field for per-point signed times t.
 
-    A negative t flows backwards: the flow by -t is the inverse of the flow
-    by t, so points can go either way in one call.
+    The flow by t = base activation is h; the flow by -t is its inverse, so
+    points can go either way in one call.
 
     ``bt`` is one BumpTranslation, or per-point fiber parameters
     (centre, v, inner, outer) of shapes (..., 2), (..., 2), (...) and (...),
@@ -187,11 +187,10 @@ def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False)
     else:   # one bump: its parameters stay scalars
         c, v = lift(bt.fiber_center), np.asarray(bt.v, float)
         inner, outer = bt.fiber_bump.inner_radius, bt.fiber_bump.outer_radius
-    sign = -1.0 if inverse else 1.0
     d = wrapped_diff(ys, c)
     r = np.hypot(d[..., 0], d[..., 1])
     active = (t != 0) & (r < outer)
-    shifted = d + sign * t[..., None] * v
+    shifted = d + t[..., None] * v
     r_shift = np.hypot(shifted[..., 0], shifted[..., 1])
     plateau = active & (r <= inner) & (r_shift <= inner)
     band = active & ~plateau
@@ -204,7 +203,7 @@ def _bump_fiber_action(bt, t, ys, inverse: bool = False, want_jac: bool = False)
         if per_point:
             v, inner, outer = v[band], inner[band], outer[band]
         db = d[band]
-        y0, y1, jb = _flow(db[:, 0], db[:, 1], sign * t[band], v[..., 0], v[..., 1],
+        y0, y1, jb = _flow(db[:, 0], db[:, 1], t[band], v[..., 0], v[..., 1],
                            inner, outer - inner, want_jac=want_jac)
         out[band] = np.stack((y0, y1), axis=-1)
         if want_jac:
@@ -247,7 +246,7 @@ class PerturbedFamily(FiberFamily):
     def _h_action(self, x, y, inverse, want_jac: bool = False):
         """Combined bump map h_x^{-1} where ``inverse`` is True and h_x where
         it is False, on broadcast (x, y) batches, in one kernel call whatever
-        the number of bumps.  ``inverse`` is one bool, or one per point that
+        the number of bumps.  ``inverse`` is one bool or one per point; it
         reaches the kernel as the sign of the point's time."""
         xb = np.asarray(x, dtype=float)
         yb = np.asarray(y, dtype=float)
@@ -271,15 +270,11 @@ class PerturbedFamily(FiberFamily):
             else:
                 which = np.broadcast_to(which, shape[:-1])[mask]
                 params = tuple(p[which] for p in self._fiber_params)
-            t = t[mask]
-            if np.ndim(inverse):
-                t = np.where(np.broadcast_to(inverse, mask.shape)[mask], -t, t)
-                inverse = False
+            t = np.where(inverse, -t, t)[mask]
             if want_jac:
-                out[mask], jac[mask] = _bump_fiber_action(params, t, out[mask],
-                                                          inverse=inverse, want_jac=True)
+                out[mask], jac[mask] = _bump_fiber_action(params, t, out[mask], want_jac=True)
             else:
-                out[mask] = _bump_fiber_action(params, t, out[mask], inverse=inverse)
+                out[mask] = _bump_fiber_action(params, t, out[mask])
         return (out, jac) if want_jac else out
 
     def apply(self, x, y):
@@ -476,7 +471,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     bt1 = make_bump(1, v1)
 
     def m1(pts):
-        return _bump_fiber_action(bt1, 1.0, l_paths[1](pts), inverse=True)
+        return _bump_fiber_action(bt1, -1.0, l_paths[1](pts))
 
     fp1 = find_fixed_points(m1, reg1, tol=tol, seed_grid_n=SEED_GRID_N)
     if fp1.identity_like:
@@ -499,7 +494,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
         bt2_cand = make_bump(2, cand)
 
         def m2(pts):
-            return _bump_fiber_action(bt2_cand, 1.0, l_paths[2](pts), inverse=True)
+            return _bump_fiber_action(bt2_cand, -1.0, l_paths[2](pts))
 
         if len(projected):
             moved = torus_dist(m2(projected), projected)
@@ -519,7 +514,7 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     radius_eff = (FIBER_INNER - v_norm) * 0.9
     vx = _plateau_region(anchor_y, radius_eff)
 
-    gens = standard_generators(perturbed, [quad])
+    gens = standard_generators(perturbed, [quad], tol=params.holonomy_tol)
     scan = trivial_set_scan(perturbed, [quad], params.scan_grid_n, params.scan_tol,
                             region=vx, generators=gens)
     if not scan.empty:

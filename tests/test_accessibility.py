@@ -159,8 +159,9 @@ def destroyed(id_sp, quad):
 
 def lewowicz_loops(destroyed, quad):
     """The fine system's loops with a Lewowicz map under its bumps: no quiet
-    mask, so evaluated leg by leg.  No Lewowicz holonomy certifies (its pushes
-    and pulls amplify rounding), so the fine system's certified legs carry it."""
+    mask, so every step of every leg is taken.  No Lewowicz holonomy
+    certifies (its pushes and pulls amplify rounding), so the fine system's
+    certified legs carry it."""
     fine = destroyed["fine"]
     lew = SkewProduct(base=fine.base, family=PerturbedFamily(LewowiczFamily(ScalarField(0.5)),
                                                              fine.family.bumps))
@@ -169,11 +170,25 @@ def lewowicz_loops(destroyed, quad):
 
 
 def one_leg_at_a_time(loop, inverse, ys):
-    """Reference: the loop's legs composed one HolonomyMap call at a time."""
+    """Reference: the loop's legs in turn, written out from the fiber maps.
+    A translation family's leg is its one closed-form translation; any other
+    leg is every push along its from-orbit, then every pull back over its
+    to-orbit, one fiber map at a time, quiet steps included."""
     legs = [h.inverse_map() for h in reversed(loop.maps)] if inverse else loop.maps
     v = mod1(np.asarray(ys, dtype=float))
     for h in legs:
-        v = h(v)
+        n = h.truncation_n
+        shifts = h._translation_steps(n)
+        if shifts is not None:
+            v = mod1(v + shifts.sum(axis=0))
+            continue
+        fam = h.sp.family
+        push, pull = ((fam.apply, fam.inverse) if h.kind == "stable"
+                      else (fam.inverse, fam.apply))
+        for k in range(n):
+            v = push(h.from_pts[k], v)
+        for k in reversed(range(n)):
+            v = pull(h.to_pts[k], v)
     return v
 
 
@@ -222,13 +237,31 @@ class TestLoopActions:
         assert len(lengths) > 1 and min(lengths) > 1
         assert_lockstep_bitwise(loops)
 
-    def test_translation_and_fallback_families_bitwise(self, horiz_sp, destroyed, quad):
+    def test_translation_and_lewowicz_families_bitwise(self, horiz_sp, destroyed, quad):
         rotation = standard_generators(horiz_sp, [quad])
         lewowicz = lewowicz_loops(destroyed, quad)
+        # with no quiet mask every step of every leg is kept; legs stretched
+        # to truncations 7, 12, 3 and 9 give long step lists, of different
+        # lengths per action, in an order that matters
+        lewowicz += [LoopMap(tuple(dataclasses.replace(h, truncation_n=n)
+                                   for h, n in zip(g.maps, (7, 12, 3, 9)))) for g in lewowicz]
         assert {g._plans[0][0] for g in rotation} == {"shift"}
-        assert {g._plans[0][0] for g in lewowicz} == {"legs"}
+        for loop in lewowicz:
+            for inverse in (0, 1):
+                kind, (_, points, _) = loop._plans[inverse]
+                assert kind == "steps"
+                assert len(points) == 2 * sum(h.truncation_n for h in loop.maps)
         assert_lockstep_bitwise(rotation)
         assert_lockstep_bitwise(lewowicz, FIBERS[::8])
+
+    def test_mixed_families_rejected(self, horiz_sp, destroyed, quad):
+        fine = standard_generators(destroyed["fine"], [quad])[0].maps
+        rotation = standard_generators(horiz_sp, [quad])[0].maps
+        with pytest.raises(ValueError, match="one fiber family"):
+            LoopMap(fine[:2] + rotation[2:])
+        # no legs: the identity, in both directions
+        for image in loop_actions([(LoopMap(()), False), (LoopMap(()), True)], FIBERS):
+            assert image.tobytes() == mod1(FIBERS).tobytes()
 
     def test_families_mixed_in_one_call(self, horiz_sp, destroyed, quad):
         loops = [g for sp in (destroyed["fine"], horiz_sp, destroyed["strong"])
@@ -319,7 +352,7 @@ class TestFindFixedPoints:
                              v=(0.03, 0.012))
 
         def bump_map(p):
-            return _bump_fiber_action(bt, 1.0, p, inverse=True)
+            return _bump_fiber_action(bt, -1.0, p)
 
         # seeds on the flowed band, where the map is not a translation
         rng = np.random.default_rng(2)

@@ -179,6 +179,14 @@ class TestScenarios:
                                 "bumps": [{"center": [True, 0.5], "amplitude": [0.1, 0.0]}]}}),
         ("certify", {"family": {"kind": "rotation_field",
                                 "bumps": [{"center": [0.5, 0.5], "amplitude": [True, 0.0]}]}}),
+        # strings where numbers are expected: rejected, not parsed by float()
+        ("holonomy", {"family": {"kind": "translation", "vector": ["nan", 0.1]}}),
+        ("certify", {"family": {"kind": "translation", "vector": ["0.1", 0.1]}}),
+        ("certify", {"family": {"kind": "rotation_field",
+                                "bumps": [{"center": ["0.5", 0.5], "amplitude": [0.1, 0.0]}]}}),
+        ("certify", {"family": {"kind": "rotation_field",
+                                "bumps": [{"center": [0.5, 0.5], "amplitude": ["0.1", 0.0]}]}}),
+        ("certify", {"family": {"kind": "lewowicz_field", "base_value": ["0.5"]}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
@@ -192,7 +200,8 @@ class TestScenarios:
             "pbb-denominator-large", "c-values-overflow", "holonomy-tol-int-overflow",
             "family-vector-int-overflow", "family-vector-bool", "base-value-bool",
             "quad-x-bool", "seed-region-center-bool",
-            "bump-center-bool", "bump-amplitude-bool"])
+            "bump-center-bool", "bump-amplitude-bool", "family-vector-nan-str",
+            "family-vector-str", "bump-center-str", "bump-amplitude-str", "base-value-str"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN

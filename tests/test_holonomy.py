@@ -440,6 +440,11 @@ class TestQuietSteps:
         got = h.evaluate_at(GRID, n)
         assert calls == ["apply"] * n + ["inverse"] * n
         assert np.array_equal(got, composed(h, GRID, n))
+        # every truncation up to two past the certified one, bitwise, and
+        # the same for the default truncation of __call__
+        for n in range(h.truncation_n + 3):
+            assert np.array_equal(h.evaluate_at(GRID, n), composed(h, GRID, n)), n
+        assert np.array_equal(h(GRID), composed(h, GRID, h.truncation_n))
 
     @pytest.mark.parametrize("name", sorted(DESTROYED))
     def test_legs_match_all_step_composition(self, quad, destroyed, name):
