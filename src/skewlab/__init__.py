@@ -8,7 +8,7 @@ quadrilaterals, classify center accessibility classes (point / curve / open),
 destroy trivial classes with compactly supported conservative bump
 translations, and probe the resulting dynamics with Birkhoff-average
 statistics.  An exact rational module handles the bounded-variation and
-monotone fixed-point analysis underpinning the translation-pair selection.
+monotone fixed-point analysis of the pbb scenario.
 """
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 of center accessibility classes, and the point/curve/open trichotomy classifier.
 
 A loop map is the fiber self-map over fiber(x) obtained by composing the four
-holonomies around one heteroclinic loop x -> z_i -> p_i -> w_i -> x.  Its fixed
-points are exactly the fiber points whose center accessibility class (under the
-available generators) is trivial.
+holonomies around one heteroclinic loop x -> z_i -> p_i -> w_i -> x.  A point
+whose center accessibility class (under the available generators) is trivial
+is fixed by every loop map; a fixed point of one loop map need not be, so
+``trivial_set_scan`` checks a point against every generator.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class LoopMap:
     """Ordered composition of leaf holonomies acting on one fiber, and its inverse.
 
     Around a quad's loop every image point lies in the center accessibility
-    class of its argument by construction, so fixed points witness trivial
-    classes.  Both directions are evaluated by loop_actions.  The legs share
-    one fiber family; with no legs the map is the identity.
+    class of its argument by construction: a point of a trivial class is a
+    fixed point, and a point is of a trivial class when every generator fixes
+    it (``trivial_set_scan``).  Both directions are evaluated by loop_actions.
+    The legs share one fiber family; with no legs the map is the identity.
     """
 
     maps: tuple[HolonomyMap, ...]
@@ -179,9 +181,10 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
     """All fixed points of a fiber self-map inside a chart rectangle.
 
     Grid seeding + damped Newton on the wrapped displacement with
-    finite-difference derivatives; seeds with a singular derivative fall back
-    to a bisection-refined local grid scan.  If more than half of the seed
-    grid is already fixed, the map is flagged identity-like instead.
+    finite-difference derivatives; seeds with a singular derivative fall back,
+    len(seeds) // 25 at a time, to a 5x5 grid about each that shrinks fivefold
+    per level for REFINE_LEVELS levels (``_refine_by_scan``).  If more than
+    half of the seed grid is already fixed, the map is flagged identity-like instead.
     """
     center = np.asarray(region.center, float)
     seeds = region.grid(seed_grid_n)

@@ -321,7 +321,10 @@ class PHEstimates:
 
 
 def _singular_values(jac):
-    """Extreme singular values of a batch of 2x2 matrices, closed form."""
+    """Extreme singular values of a batch of 2x2 matrices, closed form, each
+    scaled by a power of two (exact) so that no finite entry overflows."""
+    e = np.frexp(np.max(np.abs(jac), axis=(-2, -1)))[1]
+    jac = np.ldexp(jac, -e[..., None, None])
     a, b = jac[..., 0, 0], jac[..., 0, 1]
     c, d = jac[..., 1, 0], jac[..., 1, 1]
     t = a * a + b * b + c * c + d * d
@@ -330,7 +333,7 @@ def _singular_values(jac):
     smax = np.sqrt((t + disc) / 2.0)
     # smin * smax = |det|; sqrt((t - disc)/2) would cancel to 0 once smax >> 1
     smin = np.divide(np.abs(det), smax, out=np.zeros_like(smax), where=smax > 0)
-    return smax, smin
+    return np.ldexp(smax, e), np.ldexp(smin, e)
 
 
 def certify_partial_hyperbolicity(sp: SkewProduct, grid_n: int = 16) -> PHEstimates:
@@ -346,7 +349,8 @@ def certify_partial_hyperbolicity(sp: SkewProduct, grid_n: int = 16) -> PHEstima
     L_minus = float(np.min(smin))
     lam_s = abs(sp.base.lambda_s)
     lam_u = abs(sp.base.lambda_u)
+    # L_minus is 0.0 where a sampled determinant rounds to 0: not bunched
     dominated = lam_s < L_minus and L_plus < lam_u
-    bunched = (lam_s * L_plus / L_minus < 1.0) and ((L_plus / L_minus) / lam_u < 1.0)
+    bunched = L_minus > 0 and lam_s * L_plus / L_minus < 1.0 and L_plus / L_minus / lam_u < 1.0
     return PHEstimates(lambda_s=lam_s, lambda_u=lam_u, L_plus=L_plus, L_minus=L_minus,
                        dominated=dominated, bunched=bunched, grid_n=grid_n)

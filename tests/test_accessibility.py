@@ -18,8 +18,7 @@ from skewlab.holonomy import leaf_holonomy
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField,
                            lewowicz_raw)
-from skewlab.perturbation import (BumpTranslation, PerturbedFamily, _bump_fiber_action,
-                                  perturb_skew)
+from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
 
 CAT = [[2, 1], [1, 1]]
@@ -350,9 +349,10 @@ class TestFindFixedPoints:
         bt = BumpTranslation(base_center=wrap((0.0, 0.0)), base_bump=BumpProfile(0.05, 0.1),
                              fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.34, 0.46),
                              v=(0.03, 0.012))
+        fam = PerturbedFamily(ConstantFamily(IdentityMap()), (bt,))
 
-        def bump_map(p):
-            return _bump_fiber_action(bt, -1.0, p)
+        def bump_map(p):   # h^{-1}: the bump is fully active at its base centre
+            return fam.apply(bt.base_center, p)
 
         # seeds on the flowed band, where the map is not a translation
         rng = np.random.default_rng(2)

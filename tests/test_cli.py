@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -89,6 +90,20 @@ class TestScenarios:
         assert run_cli(tmp_path, "sweep") == 0
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert summary["result"]["elliptic_window"] == ["3/2", "3", "49/10"]
+
+    @pytest.mark.parametrize("c", ["1e17", "1e200"])
+    @pytest.mark.parametrize("scenario", ["certify", "sweep"])
+    def test_huge_lewowicz_constant(self, tmp_path, scenario, c):
+        # every sampled determinant rounds to 0, so L_minus is 0.0; at 1e200
+        # the squared Jacobian entries would overflow unscaled
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": {"kind": "lewowicz_constant", "c": float(c)},
+                                   "sweep": {"c_values": [c]}}))
+        assert run_cli(tmp_path, "--config", str(cfg), scenario) == 0
+        with (tmp_path / f"{scenario}.csv").open() as fh:
+            row, = csv.DictReader(fh)
+        assert row["dominated"] == row["bunched"] == "false"
+        assert math.isfinite(float(row["L_plus"]))
 
     def test_pbb(self, tmp_path):
         cfg = tmp_path / "cfg.json"

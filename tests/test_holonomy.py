@@ -9,7 +9,7 @@ from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamil
                            RotationFamily, ScalarField, SkewProduct, VectorField)
 from skewlab.accessibility import LoopMap, standard_generators
 from skewlab.holonomy import N_MAX_COMPOSITIONS, _loud_steps, leaf_holonomy, make_holonomy
-from skewlab.perturbation import BumpTranslation, PerturbedFamily
+from skewlab.perturbation import BumpTranslation, PerturbedFamily, _bump_fiber_action
 from skewlab.torus import BumpProfile, lift, mod1, torus_dist, wrap
 
 CAT = [[2, 1], [1, 1]]
@@ -413,6 +413,20 @@ class TestQuietSteps:
             for x in xs[quiet]:
                 assert np.array_equal(fam.apply(x, self.FIBER), self.FIBER), (name, x)
                 assert np.array_equal(fam.inverse(x, self.FIBER), self.FIBER), (name, x)
+            if name == "identity":
+                continue
+            # at every edge point, quiet or not, the maps are the kernel's at
+            # the activation of the base values evaluated without a prefilter
+            values = np.array([b.base_value(xs) for b in fam.bumps])
+            n = len(self.FIBER)
+            t = np.repeat(values.max(axis=0), n)
+            params = tuple(np.repeat(p[values.argmax(axis=0)], n, axis=0)
+                           for p in fam._fiber_params)
+            ys = np.tile(self.FIBER, (len(xs), 1))
+            for sign, fn in ((-1.0, fam.apply), (1.0, fam.inverse)):
+                want = _bump_fiber_action(params, sign * t, ys).reshape(len(xs), n, 2)
+                for x, w in zip(xs, want):
+                    assert np.array_equal(fn(x, self.FIBER), w), (name, x)
 
     def test_families_that_cannot_say(self, rot_sp, destroyed):
         bumps = destroyed["fine"].family.bumps

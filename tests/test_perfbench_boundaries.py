@@ -5,6 +5,9 @@ reads its metrics as 0, so a rename in skewlab would silently zero a layer of
 the benchmark.  This resolves each boundary the way ``Tracer.install`` does,
 without installing any wrapper, and runs the set-up of every workload in
 ``perfbench/workloads.py``, which builds its inputs through the public API.
+It also runs the two destructions whose translations ``workloads.py`` pins,
+so that a change to ``destroy_trivial_class`` cannot leave the benchmark's
+destroyed systems behind unnoticed.
 """
 
 import importlib
@@ -13,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from skewlab.perturbation import DestroyParams, destroy_trivial_class
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,7 +33,8 @@ def _load(name):
 
 
 BOUNDARIES = _load("tracing").BOUNDARIES
-WORKLOADS = _load("workloads").WORKLOADS
+workloads = _load("workloads")
+WORKLOADS = workloads.WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARIES))
@@ -44,3 +50,20 @@ def test_boundary_resolves(name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_setup(name, tmp_path):
     assert WORKLOADS[name].setup(1, tmp_path) is not None
+
+
+@pytest.mark.parametrize("name, epsilon, params", [
+    ("FINE", 0.03, DestroyParams()),
+    ("STRONG", 0.12, DestroyParams(v_frac=0.9, fiber_anchor2=(0.0, 0.0))),
+])
+def test_destroyed_specs_match_destroy(name, epsilon, params):
+    _, id_sp, quad = workloads.base_objects()
+    res = destroy_trivial_class(id_sp, quad, epsilon, params)
+    spec = getattr(workloads, name)
+    assert res.draws_used == (1, 1)
+
+    def hexes(*values):
+        return [float(x).hex() for v in values for x in v]
+
+    assert hexes(res.v1, res.v2, *(b.fiber_center for b in res.bumps), res.region.half[:1]) \
+        == hexes(spec.v1, spec.v2, *spec.fiber_centers, (spec.region_half,))
