@@ -7,8 +7,9 @@ fiber holonomies, compose them into loop maps around heteroclinic
 quadrilaterals, classify center accessibility classes (point / curve / open),
 destroy trivial classes with compactly supported conservative bump
 translations, and probe the resulting dynamics with Birkhoff-average
-statistics.  An exact rational module handles the bounded-variation and
-monotone fixed-point analysis of the pbb scenario.
+statistics.  An exact rational module holds the pbb scenario's monotone
+translation-pair search, its brute-force oracle and random instances, and a
+bounded-variation toolkit that only the tests reach.
 """
 
 __version__ = "0.1.0"
@@ -19,14 +20,14 @@ from .accessibility import (ClassSample, Classification, LoopMap, classify_class
 from .anosov import (HeteroclinicQuad, LinearAnosov, bracket, build_quad,
                      make_anosov, validate_quad)
 from .config import ExperimentConfig, build_skew_product
-from .ergodic import ErgodicReport, ergodic_scan, shadow_check
+from .ergodic import ErgodicReport, ergodic_scan
 from .errors import (AmbiguousBranch, BrokenPath, BumpEscape, ConfigError,
                      ConstructionFailed, NoConvergence, NotAnosov, OverlapError,
                      PostconditionFailure, RegularValueFailure, SearchExhausted,
-                     ShadowFailure, SkewLabError)
+                     SkewLabError)
 from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, PHEstimates,
                     RotationFamily, ScalarField, SkewProduct, VectorField,
-                    certify_partial_hyperbolicity, cocycle, lewowicz_fixed_point_type)
+                    certify_partial_hyperbolicity, lewowicz_fixed_point_type)
 from .holonomy import HolonomyMap, leaf_holonomy
 from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
                        VariationReport, find_jumps, fixed_point_set, pbb_search,

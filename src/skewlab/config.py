@@ -157,9 +157,7 @@ class BumpSpec:
 
 @dataclass(frozen=True)
 class FamilyConfig:
-    kind: str = "identity"      # identity|translation|lewowicz_constant|rotation_field|lewowicz_field
-    vector: tuple = (0.0, 0.0)
-    c: float = 2.0
+    kind: str = "identity"      # identity|rotation_field|lewowicz_field
     base_value: tuple = (0.0,)
     bumps: tuple = ()
 
@@ -339,10 +337,6 @@ def _base_value(cfg: FamilyConfig, n: int):
 def build_family(cfg: FamilyConfig):
     if cfg.kind == "identity":
         return ConstantFamily(IdentityMap())
-    if cfg.kind == "translation":
-        return RotationFamily(VectorField(_tuplify(cfg.vector, 2, "family.vector")))
-    if cfg.kind == "lewowicz_constant":
-        return LewowiczFamily(ScalarField(float(cfg.c)))
     if cfg.kind == "rotation_field":
         return RotationFamily(VectorField(_base_value(cfg, 2),
                                           build_field_bumps(cfg.bumps, vector=True)))

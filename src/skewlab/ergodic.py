@@ -1,4 +1,4 @@
-"""Birkhoff-average diagnostics and su-leg shadowing checks.
+"""Birkhoff-average diagnostics.
 
 These probes never claim ergodicity; they report whether the cross-initial-
 condition spread of time averages collapses at the rate an ergodic system
@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShadowFailure
 from .fiber import SkewProduct
-from .holonomy import N_MAX_COMPOSITIONS, leaf_holonomy
-from .torus import torus_dist
 
 ERGODIC_DECAY_FACTOR = 1.5
-_DIST_FLOOR = 1e-13
 SCAN_BLOCK_POINTS = 1 << 22   # base orbit points held by the event scan
 SUM_BLOCK_POINTS = 1 << 16    # orbit points per observable sum of that scan
 OBSERVABLES = ("fiber_cos", "base_cos", "product_cos")
@@ -168,61 +164,3 @@ def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
                          checkpoints=tuple(checkpoints), sigma=tuple(sigma),
                          per_ic_averages=tuple(float(a) for a in finals),
                          verdict=verdict)
-
-
-@dataclass(frozen=True)
-class ShadowReport:
-    kind: str
-    distances: np.ndarray
-    ratio_estimate: float
-
-
-def shadow_check(sp: SkewProduct, leg, v, n_max: int = 50) -> ShadowReport:
-    """Contraction table for an su-leg pairing (x, v) with (y, H(v)).
-
-    The base pair is the holonomy's own anchored orbit pair, so its gap is
-    |s| * |rate|^k; the fiber pair evolves through the true fiber maps.
-    Distances must decay at ratio <= lambda + 0.1 beyond a burn-in, else
-    ShadowFailure.  Endpoints off a common leaf raise BrokenPath.
-    """
-    kind, x, y = leg
-    holonomy = leaf_holonomy(sp, kind, x, y, n_max=max(n_max, N_MAX_COMPOSITIONS))
-    s = holonomy.s_to
-    v = np.asarray(v, float).reshape(2)
-    push, _ = holonomy.push_pull()
-    rate = sp.base.contraction_rate(kind)
-
-    dist = np.empty(n_max + 1)
-    fib_x, fib_y = v.copy(), holonomy(v)
-    for k in range(n_max + 1):
-        dist[k] = math.hypot(abs(s) * abs(rate) ** k, float(torus_dist(fib_x, fib_y)))
-        if k < n_max:
-            fib_x = push(holonomy.from_pts[k], fib_x)
-            fib_y = push(holonomy.to_pts[k], fib_y)
-
-    lam = abs(rate)
-    burn_in = 3
-    window = 4
-    step_ratios = []
-    win_ratios = []
-    for k in range(burn_in, n_max):
-        if dist[k] < _DIST_FLOOR or dist[k + 1] < _DIST_FLOOR:
-            break
-        step_ratios.append(dist[k + 1] / dist[k])
-        if k + window <= n_max and dist[k + window] > _DIST_FLOOR:
-            win_ratios.append((dist[k + window] / dist[k]) ** (1.0 / window))
-    # per-step ratios may stall where the field gradient vanishes along the
-    # orbit; the contraction bound applies to windowed rates
-    if win_ratios and max(win_ratios) > lam + 0.1:
-        raise ShadowFailure(
-            f"windowed distance ratio {max(win_ratios):.4f} exceeds "
-            f"{lam + 0.1:.4f} (holonomy or domination bug)")
-    if len(dist) > burn_in + window and dist[burn_in] > _DIST_FLOOR:
-        tail = dist[burn_in:]
-        live = tail > _DIST_FLOOR
-        idx = np.flatnonzero(live)
-        for k in idx[:-window]:
-            if tail[k + window] >= tail[k] and tail[k + window] > _DIST_FLOOR:
-                raise ShadowFailure("distances not eventually decreasing")
-    est = float(np.exp(np.mean(np.log(step_ratios)))) if step_ratios else lam
-    return ShadowReport(kind=kind, distances=dist, ratio_estimate=est)

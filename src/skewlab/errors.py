@@ -49,9 +49,5 @@ class SearchExhausted(SkewLabError):
     """Exact search exhausted its refinement budget (bug signal)."""
 
 
-class ShadowFailure(SkewLabError):
-    """Shadowing distances failed to contract along an su-leg."""
-
-
 class ConfigError(SkewLabError):
     """Invalid experiment configuration."""

@@ -18,7 +18,6 @@ from .anosov import LinearAnosov
 from .torus import BumpProfile, TorusPoint, cell_grid, mod1, torus_dist
 
 TWO_PI = 2.0 * math.pi
-MAX_COCYCLE_STEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +276,6 @@ class SkewProduct:
     def step(self, xs, ys):
         """One skew-product step, vectorized over matching batches."""
         return self.base.apply(xs), self.family.apply(xs, ys)
-
-
-def cocycle(sp: SkewProduct, x, n: int, y):
-    """Fiber component of F^n(x, y); negative n uses inverse fiber maps."""
-    if abs(n) > MAX_COCYCLE_STEPS:
-        raise ValueError(f"cocycle iteration budget |n| <= {MAX_COCYCLE_STEPS} exceeded")
-    xs = np.asarray(x, dtype=float).reshape(2)
-    ys = np.asarray(y, dtype=float)
-    if n >= 0:
-        for _ in range(n):
-            ys = sp.family.apply(xs, ys)
-            xs = sp.base.apply(xs)
-    else:
-        for _ in range(-n):
-            xs = sp.base.apply_inverse(xs)
-            ys = sp.family.inverse(xs, ys)
-    return ys
 
 
 # ---------------------------------------------------------------------------

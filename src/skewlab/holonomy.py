@@ -31,7 +31,6 @@ DEFAULT_TOL = 1e-10
 N_MAX_COMPOSITIONS = 200
 CERT_GRID_N = 32
 _LOOKAHEAD = 6
-_DECAY_FLOOR = 1e-13    # increments at or below this are rounding, not decay
 
 
 @dataclass(frozen=True)
@@ -113,19 +112,6 @@ class HolonomyMap:
         """
         return replace(self, s_from=self.s_to, s_to=self.s_from,
                        from_pts=self.to_pts, to_pts=self.from_pts)
-
-    def measured_decay_ratio(self) -> float:
-        """Geometric-mean per-step ratio of the Cauchy increments above _DECAY_FLOOR.
-
-        Individual consecutive ratios fluctuate with the field gradient along
-        the orbit; the envelope rate (first to last significant increment) is
-        the meaningful contraction measurement.
-        """
-        sig = [(k, d) for k, d in enumerate(self.increments) if d > _DECAY_FLOOR]
-        if len(sig) < 2:
-            return 0.0
-        (k0, d0), (k1, d1) = sig[0], sig[-1]
-        return float((d1 / d0) ** (1.0 / (k1 - k0)))
 
 
 _TAIL_SAFETY = 100.0

@@ -15,9 +15,11 @@ import pytest
 import skewlab as sl
 from skewlab.accessibility import (classify_class, explore_classes,
                                    standard_generators, trivial_set_scan)
-from skewlab.ergodic import ergodic_scan, shadow_check
+from skewlab.ergodic import ergodic_scan
 from skewlab.fiber import FieldBump
 from skewlab.monotone import _pbb_oracle, random_monotone_step, random_phi
+
+from oracles import measured_decay_ratio, shadow_check
 
 CAT = [[2, 1], [1, 1]]
 
@@ -129,7 +131,7 @@ def test_c03_holonomy_convergence(rot_sp, cat):
     h = sl.leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
     lam = abs(cat.lambda_s)
     bound = lam * (1.0 + rot_sp.family.base_lipschitz()) + 0.1
-    ratio = h.measured_decay_ratio()
+    ratio = measured_decay_ratio(h)
     dt = time.perf_counter() - t0
     report(3, 0 < ratio <= bound and h.truncation_n <= 40 and dt < 10.0,
            f"decay ratio {ratio:.3f} <= {bound:.3f}, truncation "
@@ -310,11 +312,13 @@ def test_c09_ergodic_probes(cat, id_sp, destroyed_strong):
            f"seed-deterministic={deterministic}; {dt:.0f}s < 600s")
 
 
-def test_c10_shadowing_recovers_contraction(cat, id_sp):
+def test_c10_shadowing_recovers_contraction(cat, rot_sp):
+    # on the broad rotation family the fiber distance decays with the base
+    # gap, so the estimate is measured, not the given rate recomputed
     t0 = time.perf_counter()
     x = np.array([0.13, 0.41])
     y = (x + 0.12 * cat.e_s) % 1.0
-    rep = shadow_check(id_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=40)
+    rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=40)
     lam = abs(cat.lambda_s)
     rel_err = abs(rep.ratio_estimate - lam) / lam
     dt = time.perf_counter() - t0

@@ -8,7 +8,8 @@ from skewlab import cli
 from skewlab.cli import main
 from skewlab.config import ExperimentConfig, build_family, build_skew_product
 from skewlab.errors import ConfigError
-from skewlab.fiber import ConstantFamily, LewowiczFamily, RotationFamily
+from skewlab.fiber import (ConstantFamily, IdentityMap, LewowiczFamily, RotationFamily,
+                           ScalarField, VectorField)
 
 
 class TestConfig:
@@ -46,10 +47,13 @@ class TestConfig:
 
     def test_family_builders(self):
         # a constant map other than the identity is a field with no bumps
-        for kind, cls in (("identity", ConstantFamily), ("translation", RotationFamily),
-                          ("lewowicz_constant", LewowiczFamily)):
-            fam = build_family(ExperimentConfig.from_dict({"family": {"kind": kind}}).family)
-            assert isinstance(fam, cls)
+        for family, want in (({"kind": "identity"}, ConstantFamily(IdentityMap())),
+                             ({"kind": "rotation_field", "base_value": [0.1, 0.2]},
+                              RotationFamily(VectorField((0.1, 0.2)))),
+                             ({"kind": "lewowicz_field", "base_value": [1.5]},
+                              LewowiczFamily(ScalarField(1.5)))):
+            fam = build_family(ExperimentConfig.from_dict({"family": family}).family)
+            assert fam == want
             assert fam.base_lipschitz() == 0.0
         cfg = ExperimentConfig.from_dict({"family": {
             "kind": "rotation_field", "base_value": [0.0, 0.0],
@@ -97,7 +101,7 @@ class TestScenarios:
         # every sampled determinant rounds to 0, so L_minus is 0.0; at 1e200
         # the squared Jacobian entries would overflow unscaled
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"family": {"kind": "lewowicz_constant", "c": float(c)},
+        cfg.write_text(json.dumps({"family": {"kind": "lewowicz_field", "base_value": [float(c)]},
                                    "sweep": {"c_values": [c]}}))
         assert run_cli(tmp_path, "--config", str(cfg), scenario) == 0
         with (tmp_path / f"{scenario}.csv").open() as fh:
@@ -164,9 +168,10 @@ class TestScenarios:
         ("certify", {"base": {"matrix": [[2, 1], [1, True]]}}),
         ("certify", {"base": {"matrix": [[2, 1], [1, 1e30]]}}),
         ("certify", {"base": {"matrix": [[2, 1], [1, 10**30]]}}),
-        ("certify", {"family": {"kind": "translation", "vector": [0.1]}}),
         ("holonomy", {"tolerances": {"holonomy_tol": math.inf}}),
-        ("certify", {"family": {"kind": "lewowicz_constant", "c": math.nan}}),
+        # family-c-* and family-vector-*: the constant of a Lewowicz map or of a
+        # translation, given as its field's base_value
+        ("certify", {"family": {"kind": "lewowicz_field", "base_value": [math.nan]}}),
         ("holonomy", {"holonomy": {"leaf_offset": "abc"}}),
         ("holonomy", {"holonomy": {"leaf_offset": math.inf}}),
         ("holonomy", {"holonomy": {"leaf_offset": 0.7}}),
@@ -185,8 +190,7 @@ class TestScenarios:
         ("certify", {"pbb": {"denominator": 1_000_001}}),
         ("sweep", {"sweep": {"c_values": ["1/2", "1e400"]}}),
         ("holonomy", {"tolerances": {"holonomy_tol": 10**400}}),
-        ("certify", {"family": {"kind": "translation", "vector": [10**400, 0.1]}}),
-        ("holonomy", {"family": {"kind": "translation", "vector": [True, 0.1]}}),
+        ("certify", {"family": {"kind": "rotation_field", "base_value": [10**400, 0.1]}}),
         ("certify", {"family": {"kind": "rotation_field", "base_value": [0.1, False]}}),
         ("holonomy", {"quad": {"x": [True, 0.0]}}),
         ("certify", {"classify": {"seed_region_center": [True, 0.5]}}),
@@ -195,28 +199,35 @@ class TestScenarios:
         ("certify", {"family": {"kind": "rotation_field",
                                 "bumps": [{"center": [0.5, 0.5], "amplitude": [True, 0.0]}]}}),
         # strings where numbers are expected: rejected, not parsed by float()
-        ("holonomy", {"family": {"kind": "translation", "vector": ["nan", 0.1]}}),
-        ("certify", {"family": {"kind": "translation", "vector": ["0.1", 0.1]}}),
+        ("holonomy", {"family": {"kind": "rotation_field", "base_value": ["nan", 0.1]}}),
         ("certify", {"family": {"kind": "rotation_field",
                                 "bumps": [{"center": ["0.5", 0.5], "amplitude": [0.1, 0.0]}]}}),
         ("certify", {"family": {"kind": "rotation_field",
                                 "bumps": [{"center": [0.5, 0.5], "amplitude": ["0.1", 0.0]}]}}),
         ("certify", {"family": {"kind": "lewowicz_field", "base_value": ["0.5"]}}),
+        # retired: a translation by v is rotation_field with base_value
+        # [v1, v2], and the Lewowicz map f_c lewowicz_field with base_value [c]
+        ("certify", {"family": {"kind": "translation"}}),
+        ("certify", {"family": {"kind": "lewowicz_constant"}}),
+        ("certify", {"family": {"kind": "rotation_field", "vector": [0.1, 0.2]}}),
+        ("certify", {"family": {"kind": "lewowicz_field", "c": 1.5}}),
     ], ids=["holonomy-kind", "seed", "rng-seed", "observable", "epsilon",
             "sweep-grid-small", "sweep-grid-large", "sweep-grid-memory", "c-values",
             "search-radius", "n-check", "quad-x", "seed-region-half", "ergodic-n-float",
             "max-denominator", "base-not-hyperbolic", "base-matrix-fraction",
             "base-matrix-bool", "base-matrix-overflow", "base-matrix-int64",
-            "family-vector", "holonomy-tol-inf",
+            "holonomy-tol-inf",
             "family-c-nan", "leaf-offset-str", "leaf-offset-inf", "leaf-offset-off-leaf",
             "base-value-short", "base-value-long", "base-value-scalar-pair",
             "max-denominator-large", "n-check-large", "m-ics-large", "pbb-max-jumps",
             "pbb-denominator", "pbb-epsilon", "pbb-max-jumps-large",
             "pbb-denominator-large", "c-values-overflow", "holonomy-tol-int-overflow",
-            "family-vector-int-overflow", "family-vector-bool", "base-value-bool",
+            "family-vector-int-overflow", "base-value-bool",
             "quad-x-bool", "seed-region-center-bool",
             "bump-center-bool", "bump-amplitude-bool", "family-vector-nan-str",
-            "family-vector-str", "bump-center-str", "bump-amplitude-str", "base-value-str"])
+            "bump-center-str", "bump-amplitude-str", "base-value-str",
+            "retired-kind-translation", "retired-kind-lewowicz-constant",
+            "retired-key-vector", "retired-key-c"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, scenario, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))  # inf and nan become Infinity and NaN

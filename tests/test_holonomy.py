@@ -12,6 +12,8 @@ from skewlab.holonomy import N_MAX_COMPOSITIONS, _loud_steps, leaf_holonomy, mak
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, _bump_fiber_action
 from skewlab.torus import BumpProfile, lift, mod1, torus_dist, wrap
 
+from oracles import measured_decay_ratio, shadow_check
+
 CAT = [[2, 1], [1, 1]]
 
 
@@ -133,7 +135,7 @@ class TestRotationFamily:
         lam = abs(cat.lambda_s)
         bound = lam * (1.0 + broad_rot_sp.family.base_lipschitz()) + 0.1
         assert sum(1 for d in h.increments if d > 1e-12) >= 8
-        ratio = h.measured_decay_ratio()
+        ratio = measured_decay_ratio(h)
         assert 0.0 < ratio <= bound
 
 
@@ -296,8 +298,6 @@ class TestPathHolonomy:
 
 class TestShadowing:
     def test_stable_pair_contracts(self, rot_sp, cat):
-        from skewlab.ergodic import shadow_check
-
         x, y = stable_pair(cat)
         rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=50)
         d = rep.distances
@@ -305,30 +305,22 @@ class TestShadowing:
         assert rep.ratio_estimate <= abs(cat.lambda_s) + 0.1
 
     def test_same_point_all_zero(self, rot_sp, cat):
-        from skewlab.ergodic import shadow_check
-
         x, _ = stable_pair(cat)
         rep = shadow_check(rot_sp, ("stable", x, x), np.array([0.3, 0.8]), n_max=20)
         assert np.max(rep.distances) < 1e-12
 
     def test_constant_family_rate_exact(self, id_sp, cat):
-        from skewlab.ergodic import shadow_check
-
         x, y = stable_pair(cat)
         rep = shadow_check(id_sp, ("stable", x, y), np.array([0.1, 0.2]), n_max=40)
         assert rep.ratio_estimate == pytest.approx(abs(cat.lambda_s), rel=1e-6)
 
     def test_unstable_leg_backward(self, rot_sp, cat):
-        from skewlab.ergodic import shadow_check
-
         x, y = unstable_pair(cat)
         rep = shadow_check(rot_sp, ("unstable", x, y), np.array([0.3, 0.8]), n_max=40)
         assert rep.distances[0] > rep.distances[15]
         assert rep.ratio_estimate <= 1.0 / abs(cat.lambda_u) + 0.1
 
     def test_long_table_builds_long_enough_holonomy(self, rot_sp, cat):
-        from skewlab.ergodic import shadow_check
-
         x, y = stable_pair(cat)
         rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=230)
         assert len(rep.distances) == 231
