@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .anosov import HeteroclinicQuad
-from .fiber import SkewProduct
+from .fiber import SkewProduct, run_steps
 from .holonomy import DEFAULT_TOL, HolonomyMap, make_holonomy
 from .torus import Region, cell_grid, lift, mod1, torus_dist, wrapped_diff
 
@@ -101,10 +101,9 @@ def loop_actions(actions, ys) -> np.ndarray:
     shape of ys whose row a is bitwise the image of ys under action a alone.
 
     A translation family's legs are closed-form translations.  Any other
-    action is a list of family steps, and at each composition depth one
-    FiberFamily.act call per family moves every row whose action has a step
-    there, with that step's base point and direction: a bump kernel's fixed
-    cost is paid once per depth, not once per action and step.
+    action is a list of family steps, and an action with a step is one row
+    of a fiber.run_steps call per family: one FiberFamily.act call per
+    composition depth moves every such action, not one per action and step.
     """
     ys = np.asarray(ys, dtype=float)
     flat = mod1(ys.reshape(-1, 2))
@@ -115,15 +114,12 @@ def loop_actions(actions, ys) -> np.ndarray:
         if kind == "shift":
             for shift in plan:
                 out[a] = mod1(out[a] + shift)
-        else:
+        elif len(plan[1]):
             family, points, inverse = plan
-            lockstep.setdefault(id(family), (family, []))[1].append((a, points, inverse))
+            lockstep.setdefault(id(family), (family, []))[1].append(
+                (np.full(len(points), a), points, inverse))
     for family, members in lockstep.values():
-        for d in range(max(len(m[1]) for m in members)):
-            rows, x, inv = (np.array(col) for col in zip(
-                *((a, points[d], inverse[d]) for a, points, inverse in members
-                  if len(points) > d)))
-            out[rows] = family.act(x[:, None], out[rows], inv[:, None])
+        run_steps(family, *(np.concatenate(col) for col in zip(*members)), out)
     return out.reshape((len(actions),) + ys.shape)
 
 

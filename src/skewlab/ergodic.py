@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import SkewProduct
+from .fiber import SkewProduct, run_steps
 
 ERGODIC_DECAY_FACTOR = 1.5
 SCAN_BLOCK_POINTS = 1 << 22   # base orbit points held by the event scan
@@ -64,34 +64,13 @@ def _scan_generic(sp, fn, xs, ys, n, checkpoints):
     return sigma, finals
 
 
-def _event_timeline(family, orbit, fired, ys):
-    """Fiber states of one block of steps: (timeline, first).
-
-    Per-IC timelines lie end to end: at first[i] the state of IC i entering
-    the block, then one slot per event.  The j-th events of all ICs go
-    through the family in one batch.
-    """
-    m = len(ys)
-    ic, step = np.nonzero(fired.T)   # by IC, then by step
-    first = np.searchsorted(ic, np.arange(m)) + np.arange(m)
-    slot = np.arange(len(ic)) + ic + 1
-    timeline = np.empty((len(ic) + m, 2))
-    timeline[first] = ys
-    rank = np.arange(len(ic)) - np.searchsorted(ic, ic)
-    order = np.argsort(rank, kind="stable")   # by rank; ICs in order within a rank
-    for grp in np.split(order, np.cumsum(np.bincount(rank))[:-1]):
-        timeline[slot[grp]] = family.apply(orbit[step[grp], ic[grp]],
-                                           timeline[slot[grp] - 1])
-    return timeline, first
-
-
 def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
     """Path for families with a quiet mask; None when the family cannot say.
 
     The fiber state changes only where the base orbit is not quiet (an
     event).  The scan holds the base orbit one block of steps at a time and
-    runs the block's events through _event_timeline; the quiet mask and the
-    observable sums over the gathered timeline go SUM_BLOCK_POINTS orbit
+    runs the block's events through run_steps, one row per IC; the quiet
+    mask and the observable sums over the timeline go SUM_BLOCK_POINTS orbit
     points (steps times initial conditions) at a time.  A block is that long
     until the family first fires and SCAN_BLOCK_POINTS long from that block
     on, since the longer the block, the fewer the event batches.  Each initial
@@ -120,7 +99,14 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
             width = full   # the family fires: redo this block at full length
             continue
         xs = after.copy()
-        timeline, state = _event_timeline(family, orbit, fired, ys)
+        ic, step = np.nonzero(fired.T)   # by IC, then by step
+        record = np.empty((len(ic), 1, 2))
+        run_steps(family, ic, orbit[step, ic], np.zeros(len(ic), dtype=bool),
+                  ys[:, None].copy(), record)
+        first = np.searchsorted(ic, np.arange(m))   # each IC's first event
+        # per-IC timelines end to end: the state entering the block, then one per event
+        timeline = np.insert(record[:, 0], first, ys, axis=0)
+        state = first + np.arange(m)
         for s0 in range(0, steps, sub):   # state: each IC's slot entering s0
             f = fired[s0:s0 + sub]
             at = np.cumsum(f, axis=0)   # events up to and including each step

@@ -266,6 +266,23 @@ class LewowiczFamily(FiberFamily):
         return self.field.lipschitz() / TWO_PI
 
 
+def run_steps(family, rows, xs, inverse, states, record=None):
+    """Compose fiber steps on the rows of a (rows, points, 2) state batch, in place.
+
+    Step j moves states[rows[j]] by g_{xs[j]}, or by its inverse where
+    inverse[j] is set; rows is sorted, and a row's steps act in the order
+    given.  The d-th steps of all rows go through one family.act call, so a
+    bump kernel's fixed cost is paid once per depth.  record[j], if given,
+    receives the state step j leaves."""
+    depth = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    order = np.argsort(depth, kind="stable")   # by depth; rows in order within a depth
+    for grp in np.split(order, np.cumsum(np.bincount(depth)))[:-1]:
+        at = rows[grp]
+        states[at] = family.act(xs[grp, None], states[at], inverse[grp, None])
+        if record is not None:
+            record[grp] = states[at]
+
+
 @dataclass(frozen=True)
 class SkewProduct:
     """F(x, y) = (A x mod 1, g_x(y)) on T^2 x T^2."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .anosov import LEAF_RESIDUAL_TOL, leaf_coordinate
 from .errors import BrokenPath, NoConvergence
-from .fiber import SkewProduct
+from .fiber import SkewProduct, run_steps
 from .torus import cell_grid, lift, mod1, torus_dist
 
 DEFAULT_TOL = 1e-10
@@ -91,19 +91,18 @@ class HolonomyMap:
         return self.evaluate_at(ys, self.truncation_n)
 
     def evaluate_at(self, ys, n: int):
-        """H_n(ys) for 0 <= n <= len(from_pts); ValueError for any other n."""
+        """H_n(ys) for 0 <= n <= len(from_pts); ValueError for any other n.
+        Over any family but a translation family, steps(n) are one run_steps row."""
         if not 0 <= n <= len(self.from_pts):
             raise ValueError(f"truncation {n} outside 0..{len(self.from_pts)}")
         v = mod1(np.asarray(ys, dtype=float))
-        if n == 0:
-            return v
         steps = self._translation_steps(n)
         if steps is not None:
             return mod1(v + steps.sum(axis=0))
-        fam = self.sp.family
-        for x, inverse in zip(*self.steps(n)):
-            v = fam.inverse(x, v) if inverse else fam.apply(x, v)
-        return v
+        points, inverse = self.steps(n)
+        states = v.reshape(1, -1, 2)
+        run_steps(self.sp.family, np.zeros(len(points), dtype=int), points, inverse, states)
+        return states.reshape(v.shape)
 
     def inverse_map(self) -> "HolonomyMap":
         """The reverse holonomy (same anchor, endpoints and orbits swapped).

@@ -172,6 +172,22 @@ class TestErgodicScan:
                 np.testing.assert_array_equal(sigma_ev, sigma_gen)
                 np.testing.assert_array_equal(avg_ev, avg_gen)
 
+    def test_event_scan_makes_one_kernel_call_per_event_rank(self, destroyed_sp,
+                                                            monkeypatch):
+        # n = 400 and m = 8 make one block, whose j-th events of all initial
+        # conditions go through the bump kernel together: as many calls as
+        # the most events any initial condition has
+        xs = np.random.default_rng(1).random((8, 2))   # ergodic_scan's draw
+        fired = ~destroyed_sp.family.quiet(destroyed_sp.base.orbit(xs, 400)[:400])
+        events = fired.sum(axis=0)
+        calls = []
+        h_action = PerturbedFamily._h_action
+        monkeypatch.setattr(PerturbedFamily, "_h_action",
+                            lambda self, *a, **kw: calls.append(1) or h_action(self, *a, **kw))
+        ergodic_scan(destroyed_sp, "fiber_cos", 400, 8, seed=1)
+        assert 1 < events.max() < events.sum()
+        assert len(calls) == events.max()
+
     def test_firing_prefilter_matches_base_value_at_the_support_edge(self, destroyed_sp,
                                                                      seam_bump):
         # points at per-axis offsets of exactly outer, just inside it and just

@@ -1,13 +1,18 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewlab.anosov import make_anosov
+from skewlab import fiber
+from skewlab.anosov import build_quad, make_anosov
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField,
-                           certify_partial_hyperbolicity, lewowicz_fixed_point_type)
-from skewlab.torus import BumpProfile, torus_dist, wrap
+                           certify_partial_hyperbolicity, lewowicz_fixed_point_type,
+                           run_steps)
+from skewlab.perturbation import BumpTranslation, PerturbedFamily
+from skewlab.torus import BumpProfile, mod1, torus_dist, wrap
 
 from oracles import cocycle
 
@@ -267,3 +272,90 @@ class TestCertification:
         sp = SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
         with pytest.raises(ValueError):
             certify_partial_hyperbolicity(sp, 8)
+
+
+@pytest.fixture(scope="module")
+def fine(cat):
+    """The benchmark's fine destroyed family (bumps at the quad's w_1 and w_2)
+    and its quad."""
+    quad = build_quad(cat, (0, 0), 0.2, 10, 50)
+    bumps = []
+    for i, v in ((1, (-0.009780243953765491, -0.011373074703211682)),
+                 (2, (0.009389670321860106, -0.011697610493035726))):
+        r = quad.ball_radius(i)
+        bumps.append(BumpTranslation(
+            base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
+            fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.34, 0.46), v=v))
+    return PerturbedFamily(ConstantFamily(IdentityMap()), tuple(bumps)), quad
+
+
+class TestRunSteps:
+    LENGTHS = (3, 5, 0, 1, 5)   # steps per row; row 2 has none
+
+    def program(self, quad):
+        """rows, base points, directions and a (rows, points, 2) state batch;
+        most base points near w_1 or w_2, so bump steps and quiet steps mix
+        at every depth."""
+        rng = np.random.default_rng(12)
+        n = sum(self.LENGTHS)
+        ws = np.array([tuple(quad.loop_points(i)[1]) for i in (1, 2)])
+        near = ws[rng.integers(2, size=n)] + rng.normal(scale=0.3 * quad.ball_radius(1),
+                                                        size=(n, 2))
+        xs = mod1(np.where(rng.random((n, 1)) < 0.7, near, rng.random((n, 2))))
+        rows = np.repeat(np.arange(len(self.LENGTHS)), self.LENGTHS)
+        inverse = rng.random(n) < 0.5
+        ys = np.concatenate([rng.random((len(self.LENGTHS), 60, 2)),
+                             np.broadcast_to([[[0.5, 0.5], [0.5, 0.1], [0.0, 0.0]]],
+                                             (len(self.LENGTHS), 3, 2))], axis=1)
+        return rows, xs, inverse, ys
+
+    @pytest.mark.parametrize("inner", ["identity", "lewowicz"])
+    def test_matches_one_step_at_a_time(self, fine, inner, monkeypatch):
+        # over the identity act is one kernel call; over f_0.5, which has no
+        # quiet mask, it is the default's apply/inverse split
+        family, quad = fine
+        quiet = family.quiet
+        if inner == "lewowicz":
+            family = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), family.bumps)
+        rows, xs, inverse, ys = self.program(quad)
+        assert quiet(xs).any() and not quiet(xs).all()
+        calls = []
+        act = PerturbedFamily.act
+        monkeypatch.setattr(PerturbedFamily, "act",
+                            lambda self, *args: calls.append(1) or act(self, *args))
+        states = ys.copy()
+        record = np.empty((len(rows),) + ys.shape[1:])
+        run_steps(family, rows, xs, inverse, states, record)
+        assert len(calls) == max(self.LENGTHS)
+        for r, y in enumerate(ys):
+            for j in np.flatnonzero(rows == r):
+                y = family.inverse(xs[j], y) if inverse[j] else family.apply(xs[j], y)
+                assert record[j].tobytes() == y.tobytes()
+            assert states[r].tobytes() == y.tobytes()
+        assert not np.array_equal(states, ys)
+        # a program with no steps makes no call and leaves the states alone
+        before = states.copy()
+        run_steps(family, rows[:0], xs[:0], inverse[:0], states, record[:0])
+        assert len(calls) == max(self.LENGTHS)
+        assert states.tobytes() == before.tobytes()
+
+
+def test_only_the_executor_composes_fiber_steps():
+    # composing fiber steps means calling FiberFamily.act; run_steps does,
+    # and PerturbedFamily.act falls back to the default.  A new composition
+    # loop extends run_steps instead of calling act itself
+    callers = set()
+
+    def walk(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,), module)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "act"):
+                callers.add(".".join((module,) + scope))
+            walk(child, scope, module)
+
+    for path in sorted(Path(fiber.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), (), path.stem)
+    assert callers == {"fiber.run_steps", "perturbation.PerturbedFamily.act"}
