@@ -8,8 +8,7 @@ quadrilaterals, classify center accessibility classes (point / curve / open),
 destroy trivial classes with compactly supported conservative bump
 translations, and probe the resulting dynamics with Birkhoff-average
 statistics.  An exact rational module holds the pbb scenario's monotone
-translation-pair search, its brute-force oracle and random instances, and a
-bounded-variation toolkit that only the tests reach.
+translation-pair search, its brute-force oracle and random instances.
 """
 
 __version__ = "0.1.0"
@@ -29,10 +28,7 @@ from .fiber import (ConstantFamily, IdentityMap, LewowiczFamily, PHEstimates,
                     RotationFamily, ScalarField, SkewProduct, VectorField,
                     certify_partial_hyperbolicity, lewowicz_fixed_point_type)
 from .holonomy import HolonomyMap, leaf_holonomy
-from .monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
-                       VariationReport, find_jumps, fixed_point_set, pbb_search,
-                       total_variation, variation_cover_bound,
-                       variation_subadditivity_check)
+from .monotone import ClosedSet, MonotoneStepFunction, fixed_point_set, pbb_search
 from .perturbation import (BumpTranslation, DestroyParams, DestroyResult,
                            PerturbedFamily, destroy_trivial_class, perturb_skew)
 from .torus import BumpProfile, Region, TorusPoint, torus_dist, wrap

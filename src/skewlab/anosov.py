@@ -44,18 +44,14 @@ class LinearAnosov:
         pts = np.asarray(points, dtype=float)
         return mod1(pts @ self.matrix.T)
 
-    def apply_inverse(self, points):
-        pts = np.asarray(points, dtype=float)
-        return mod1(pts @ self.inverse.T)
-
     def orbit(self, points, n: int, forward: bool = True) -> np.ndarray:
         """(n+1, ..., 2) array: points, f(points), ..., f^{±n}(points) for a
         batch of shape (..., 2).
 
-        Each step is apply's (or apply_inverse's) matmul, x - floor(x) and
-        seam fold, written into one preallocated array; a finite input stays
-        finite under an integer matrix mod 1, so the finite check runs on the
-        input and on the result only.
+        Each step is apply's matmul (by the inverse matrix backward),
+        x - floor(x) and seam fold, written into one preallocated array; a
+        finite input stays finite under an integer matrix mod 1, so the finite
+        check runs on the input and on the result only.
         """
         pts = np.asarray(points, dtype=float)
         if not np.all(np.isfinite(pts)):

@@ -5,7 +5,8 @@ summary carrying every parameter (defaults echoed), verdicts, tolerances and
 wall time.  Identical config + seed produce byte-identical outputs except for
 the single volatile "wall_time_seconds" key.
 
-Exit codes: 0 success, 1 usage/config error, 2 scientific postcondition failure.
+Exit codes: 0 success, 1 usage, config or output error, 2 scientific postcondition
+failure.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.config is not None:
-            config = ExperimentConfig.from_json(Path(args.config).read_text())
+            config = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
         else:
             config = ExperimentConfig()
         overrides = {"scenario": args.scenario}
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             overrides["out_dir"] = args.out
         config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
     except (PostconditionFailure, SkewLabError) as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps({"scenario": config.scenario,
                       "out_dir": config.out_dir,
                       "result": summary["result"]},

@@ -99,6 +99,17 @@ def _check_numbers(value, where: str):
             _check_numbers(item, where)
 
 
+def _unique_keys(pairs) -> dict:
+    """json.loads' object hook: a key given twice in one object is an error,
+    not a silent override by the later value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated key {key!r} in a config object")
+        out[key] = value
+    return out
+
+
 def _from_dict(cls, d: dict, where: str):
     """Build cls from d: a field whose default is a dataclass is a sub-config,
     one whose default is an int takes only ints, one whose default is a float
@@ -406,13 +417,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return _from_dict(cls, d, "config")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc

@@ -1,5 +1,6 @@
-"""Bounded variation and fixed-point machinery for monotone interval maps,
-in exact rational arithmetic.
+"""Fixed-point machinery for monotone interval maps, in exact rational
+arithmetic: closed fixed-point sets of translated maps and the verified
+(s, t) translation-pair search of the pbb scenario.
 
 Functions are piecewise-affine nondecreasing with finitely many upward jumps,
 stored as nodes plus one-sided piece endpoint values.  Pointwise values use
@@ -66,16 +67,6 @@ class MonotoneStepFunction:
     def n_pieces(self) -> int:
         return len(self.starts)
 
-    @classmethod
-    def identity(cls, a, b) -> "MonotoneStepFunction":
-        a, b = _as_frac(a), _as_frac(b)
-        return cls((a, b), (a,), (b,))
-
-    @classmethod
-    def constant(cls, c, a, b) -> "MonotoneStepFunction":
-        c = _as_frac(c)
-        return cls((_as_frac(a), _as_frac(b)), (c,), (c,))
-
     def _piece_of(self, x: Fraction) -> int:
         """Index of the piece whose closed interval contains x (ties: right)."""
         i = bisect.bisect_right(self.xs, x) - 1
@@ -86,16 +77,6 @@ class MonotoneStepFunction:
 
     def _affine(self, i: int, x: Fraction) -> Fraction:
         return self.starts[i] + self.slope(i) * (x - self.xs[i])
-
-    def value(self, x) -> Fraction:
-        """Right-continuous value (left-continuous at the right endpoint)."""
-        x = _as_frac(x)
-        a, b = self.domain
-        if not (a <= x <= b):
-            raise ValueError("argument outside the domain")
-        if x == b:
-            return self.ends[-1]
-        return self._affine(self._piece_of(x), x)
 
     def left_value(self, x) -> Fraction:
         x = _as_frac(x)
@@ -117,112 +98,6 @@ class MonotoneStepFunction:
             return self.starts[idx]
         return self._affine(self._piece_of(x), x)
 
-    def jumps(self) -> list[tuple[Fraction, Fraction]]:
-        """Interior nodes with positive jump, as (node, size)."""
-        out = []
-        for i in range(1, self.n_pieces):
-            size = self.starts[i] - self.ends[i - 1]
-            if size > 0:
-                out.append((self.xs[i], size))
-        return out
-
-    def restrict(self, a1, b1) -> "MonotoneStepFunction":
-        a1, b1 = _as_frac(a1), _as_frac(b1)
-        a, b = self.domain
-        if not (a <= a1 < b1 <= b):
-            raise ValueError("restriction interval outside the domain")
-        xs = [a1] + [x for x in self.xs if a1 < x < b1] + [b1]
-        starts, ends = [], []
-        for i in range(len(xs) - 1):
-            starts.append(self.right_value(xs[i]))
-            ends.append(self.left_value(xs[i + 1]))
-        return MonotoneStepFunction(tuple(xs), tuple(starts), tuple(ends))
-
-
-@dataclass(frozen=True)
-class MonotoneDifference:
-    """f = plus - minus on the common domain: the bounded-variation class
-    all the counting arguments run in."""
-
-    plus: MonotoneStepFunction
-    minus: MonotoneStepFunction
-
-    def __post_init__(self):
-        if self.plus.domain != self.minus.domain:
-            raise ValueError("difference requires a common domain")
-
-    @property
-    def domain(self):
-        return self.plus.domain
-
-    def merged_nodes(self) -> list[Fraction]:
-        return sorted(set(self.plus.xs) | set(self.minus.xs))
-
-    def right_value(self, x) -> Fraction:
-        return self.plus.right_value(x) - self.minus.right_value(x)
-
-    def left_value(self, x) -> Fraction:
-        return self.plus.left_value(x) - self.minus.left_value(x)
-
-    def value(self, x) -> Fraction:
-        return self.plus.value(x) - self.minus.value(x)
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    interval: tuple[Fraction, Fraction]
-    value: Fraction
-    witness_partition: tuple[Fraction, ...]
-
-
-def _bv_data(f):
-    """(nodes, left_value, right_value, value) accessors for MSF or difference."""
-    if isinstance(f, MonotoneStepFunction):
-        return list(f.xs), f.left_value, f.right_value, f.value
-    if isinstance(f, MonotoneDifference):
-        return f.merged_nodes(), f.left_value, f.right_value, f.value
-    raise TypeError("expected a MonotoneStepFunction or MonotoneDifference")
-
-
-def total_variation(f, a1=None, b1=None) -> VariationReport:
-    """Exact total variation over [a1, b1] (default: the whole domain).
-
-    For the piecewise representation this is the sum of absolute piece rises
-    plus absolute jumps at nodes in (a1, b1]; for a monotone f it collapses to
-    f(b1) - f(a1).
-    """
-    nodes, left, right, _ = _bv_data(f)
-    a, b = nodes[0], nodes[-1]
-    a1 = a if a1 is None else _as_frac(a1)
-    b1 = b if b1 is None else _as_frac(b1)
-    if not (a <= a1 < b1 <= b):
-        raise ValueError("variation interval outside the domain")
-    cuts = [a1] + [x for x in nodes if a1 < x < b1] + [b1]
-    total = Frac(0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += abs(left(hi) - right(lo))   # affine rise on (lo, hi)
-    for z in cuts[1:]:
-        if z == b:
-            continue  # the domain's right endpoint carries no jump
-        # the jump at an interior cut z <= b1 belongs to [a1, b1] via f(z) = f(z^+)
-        total += abs(right(z) - left(z))
-    return VariationReport(interval=(a1, b1), value=total,
-                           witness_partition=tuple(cuts))
-
-
-def variation_subadditivity_check(f, intervals) -> bool:
-    """Sum of variations over disjoint subintervals never exceeds the total."""
-    ivals = sorted((_as_frac(lo), _as_frac(hi)) for lo, hi in intervals)
-    a, b = _bv_data(f)[0][0], _bv_data(f)[0][-1]
-    for (lo, hi) in ivals:
-        if not (a <= lo < hi <= b):
-            raise ValueError("interval outside the domain")
-    for (l1, h1), (l2, h2) in zip(ivals, ivals[1:]):
-        if l2 < h1:
-            raise ValueError("intervals overlap")
-    pieces = sum((total_variation(f, lo, hi).value for lo, hi in ivals), Frac(0))
-    return pieces <= total_variation(f).value
-
 
 def _image_intervals(f, lo: Fraction, hi: Fraction):
     """Closed-piece image components of f over [lo, hi].
@@ -230,13 +105,12 @@ def _image_intervals(f, lo: Fraction, hi: Fraction):
     Includes the right-continuous pointwise value at hi, which lies above the
     last piece's left limit when hi carries a jump.
     """
-    nodes, left, right, _ = _bv_data(f)
-    cuts = [lo] + [x for x in nodes if lo < x < hi] + [hi]
+    cuts = [lo] + [x for x in f.xs if lo < x < hi] + [hi]
     out = []
     for c0, c1 in zip(cuts, cuts[1:]):
-        v0, v1 = right(c0), left(c1)
+        v0, v1 = f.right_value(c0), f.left_value(c1)
         out.append((min(v0, v1), max(v0, v1)))
-    v_hi = right(hi)
+    v_hi = f.right_value(hi)
     out.append((v_hi, v_hi))
     return out
 
@@ -249,45 +123,6 @@ def _merge_intervals(parts):
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
-    return out
-
-
-def variation_cover_bound(f, intervals, c, d) -> bool:
-    """Covering lower bound: images covering [c, d] force sum V >= d - c.
-
-    Raises ValueError when the cover precondition cannot be verified.
-    """
-    c, d = _as_frac(c), _as_frac(d)
-    if d < c:
-        raise ValueError("degenerate target requires c <= d")
-    images = []
-    for lo, hi in intervals:
-        images.extend(_image_intervals(f, _as_frac(lo), _as_frac(hi)))
-    merged = _merge_intervals(images)
-    covered = [(max(lo, c), min(hi, d)) for lo, hi in merged if hi >= c and lo <= d]
-    pos = c
-    for lo, hi in covered:
-        if lo > pos:
-            raise ValueError(f"images do not cover [{c}, {d}]: gap at {pos}")
-        pos = max(pos, hi)
-    if pos < d:
-        raise ValueError(f"images do not cover [{c}, {d}]: gap at {pos}")
-    total = sum((total_variation(f, _as_frac(lo), _as_frac(hi)).value
-                 for lo, hi in intervals), Frac(0))
-    return total >= d - c
-
-
-def find_jumps(f, epsilon) -> list[tuple[Fraction, Fraction]]:
-    """Interior nodes carrying a jump of size at least epsilon (> 0)."""
-    epsilon = _as_frac(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    nodes, left, right, _ = _bv_data(f)
-    out = []
-    for z in nodes[1:-1]:
-        size = right(z) - left(z)
-        if abs(size) >= epsilon:
-            out.append((z, abs(size)))
     return out
 
 
@@ -305,20 +140,8 @@ class ClosedSet:
         cleaned = [(lo, hi) for lo, hi in parts if lo <= hi]
         return cls(parts=tuple(_merge_intervals(cleaned)))
 
-    @classmethod
-    def empty(cls) -> "ClosedSet":
-        return cls(parts=())
-
     def is_empty(self) -> bool:
         return not self.parts
-
-    def is_finite(self) -> bool:
-        return all(lo == hi for lo, hi in self.parts)
-
-    def points(self) -> list[Fraction]:
-        if not self.is_finite():
-            raise ValueError("set has nondegenerate components")
-        return [lo for lo, _ in self.parts]
 
     def intersect(self, other: "ClosedSet") -> "ClosedSet":
         out = []
@@ -329,36 +152,12 @@ class ClosedSet:
                     out.append((lo, hi))
         return ClosedSet.from_parts(out)
 
-    def union(self, other: "ClosedSet") -> "ClosedSet":
-        return ClosedSet.from_parts(list(self.parts) + list(other.parts))
-
-    def contains(self, x) -> bool:
-        x = _as_frac(x)
-        return any(lo <= x <= hi for lo, hi in self.parts)
-
     def image_under(self, phi: MonotoneStepFunction) -> "ClosedSet":
         out = []
         for lo, hi in self.parts:
             out.extend(_image_intervals(phi, lo, hi) if lo < hi
                        else [(phi.left_value(lo), phi.left_value(lo)),
                              (phi.right_value(lo), phi.right_value(lo))])
-        return ClosedSet.from_parts(out)
-
-    def preimage_under(self, phi: MonotoneStepFunction) -> "ClosedSet":
-        """Closed-piece preimage under a monotone step function."""
-        out = []
-        for i in range(phi.n_pieces):
-            x0, x1 = phi.xs[i], phi.xs[i + 1]
-            y0, y1 = phi.starts[i], phi.ends[i]
-            sl = phi.slope(i)
-            for lo, hi in self.parts:
-                lo_c, hi_c = max(lo, y0), min(hi, y1)
-                if lo_c > hi_c:
-                    continue
-                if sl == 0:
-                    out.append((x0, x1))
-                else:
-                    out.append((x0 + (lo_c - y0) / sl, x0 + (hi_c - y0) / sl))
         return ClosedSet.from_parts(out)
 
 
@@ -382,11 +181,6 @@ def fixed_point_set(l: MonotoneStepFunction, t) -> ClosedSet:
             if x0 <= x_star <= x1:
                 parts.append((x_star, x_star))
     return ClosedSet.from_parts(parts)
-
-
-def level_set(l: MonotoneStepFunction, s) -> ClosedSet:
-    """{x : l(x) - x = s}: the level sets whose translates the search separates."""
-    return fixed_point_set(l, -_as_frac(s))
 
 
 # ---------------------------------------------------------------------------

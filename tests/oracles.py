@@ -24,7 +24,7 @@ def cocycle(sp, x, n: int, y):
             xs = sp.base.apply(xs)
     else:
         for _ in range(-n):
-            xs = sp.base.apply_inverse(xs)
+            xs = sp.base.orbit(xs, 1, forward=False)[1]
             ys = sp.family.inverse(xs, ys)
     return ys
 

@@ -17,8 +17,11 @@ from skewlab.accessibility import (classify_class, explore_classes,
                                    standard_generators, trivial_set_scan)
 from skewlab.ergodic import ergodic_scan
 from skewlab.fiber import FieldBump
-from skewlab.monotone import _pbb_oracle, random_monotone_step, random_phi
+from skewlab.monotone import (_image_intervals, _merge_intervals, _pbb_oracle,
+                              random_monotone_step, random_phi)
 
+from bounded_variation import (MonotoneDifference, total_variation, variation_cover_bound,
+                               variation_subadditivity_check)
 from oracles import measured_decay_ratio, shadow_check
 
 CAT = [[2, 1], [1, 1]]
@@ -248,11 +251,6 @@ def test_c07_pbb_battery():
 
 def test_c08_bounded_variation_battery():
     rng = np.random.default_rng(88)
-    from skewlab.monotone import (MonotoneDifference, _image_intervals,
-                                  _merge_intervals, total_variation,
-                                  variation_cover_bound,
-                                  variation_subadditivity_check)
-
     violations = 0
     cover_checked = 0
     for _ in range(200):

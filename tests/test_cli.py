@@ -17,7 +17,7 @@ class TestConfig:
         cfg = ExperimentConfig()
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -44,6 +44,15 @@ class TestConfig:
     def test_bad_json_diagnostic(self):
         with pytest.raises(ConfigError, match="line"):
             ExperimentConfig.from_json("{not json")
+
+    @pytest.mark.parametrize("text", ['{"seed": 1, "seed": 2}',
+                                      '{"quad": {"n_check": 50, "n_check": 60}}',
+                                      '{"family": {"bumps": [{"inner": 0.1, "inner": 0.2}]}}'],
+                             ids=["top", "nested", "in-list"])
+    def test_repeated_key_rejected(self, text):
+        # a dict cannot hold a repeated key, so only raw text can express it
+        with pytest.raises(ConfigError, match="repeated key"):
+            ExperimentConfig.from_json(text)
 
     def test_family_builders(self):
         # a constant map other than the identity is a field with no bumps
@@ -317,6 +326,23 @@ class TestCommandLine:
         assert list(cwd.iterdir()) == []
         assert sorted(p.name for p in out.iterdir()) == ["certify.csv",
                                                          "certify_summary.json"]
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "certify"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:")
+        assert not out.exists()
+
+    def test_unusable_out_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "a-file"
+        out.write_text("kept\n")
+        assert main(["--out", str(out), "certify"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("output error:")
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("argv", [[], ["certify", "--bogus"], ["classify", "--threads", "2"]],
                              ids=["no-scenario", "bad-option", "removed-threads-option"])

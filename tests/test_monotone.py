@@ -1,4 +1,5 @@
-"""Exactness tests for the bounded-variation / monotone fixed-point module.
+"""Exactness tests for the monotone fixed-point module and the test-side
+bounded-variation toolkit.
 
 Everything here runs in rational arithmetic; any float appearing in an
 assertion is a bug.
@@ -9,11 +10,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from skewlab.monotone import (ClosedSet, MonotoneDifference, MonotoneStepFunction,
-                              _pbb_oracle, find_jumps, fixed_point_set, level_set,
-                              pbb_search, random_monotone_step, random_phi,
-                              total_variation, variation_cover_bound,
-                              variation_subadditivity_check)
+from skewlab.monotone import (ClosedSet, MonotoneStepFunction, _image_intervals,
+                              _merge_intervals, _pbb_oracle, fixed_point_set, pbb_search,
+                              random_monotone_step, random_phi)
+
+from bounded_variation import (MonotoneDifference, constant, contains, find_jumps, identity,
+                               is_finite, level_set, points, preimage_under, restrict,
+                               total_variation, value, variation_cover_bound,
+                               variation_subadditivity_check)
 
 MSF = MonotoneStepFunction
 
@@ -34,18 +38,18 @@ class TestRepresentation:
         f = step_with_jump(F(1, 2))
         assert f.left_value(F(0)) == 0
         assert f.right_value(F(0)) == F(1, 2)
-        assert f.value(F(0)) == F(1, 2)   # right-continuous convention
-        assert f.value(F(1)) == F(1, 2)
+        assert value(f, F(0)) == F(1, 2)   # right-continuous convention
+        assert value(f, F(1)) == F(1, 2)
 
     def test_restrict(self):
-        f = MSF.identity(F(-1), F(1)).restrict(F(-1, 2), F(1, 4))
+        f = restrict(identity(F(-1), F(1)), F(-1, 2), F(1, 4))
         assert f.domain == (F(-1, 2), F(1, 4))
-        assert f.value(F(0)) == 0
+        assert value(f, F(0)) == 0
 
 
 class TestVariation:
     def test_identity(self):
-        rep = total_variation(MSF.identity(F(-1), F(1)))
+        rep = total_variation(identity(F(-1), F(1)))
         assert rep.value == 2
 
     def test_single_jump(self):
@@ -58,7 +62,7 @@ class TestVariation:
             f = random_monotone_step(rng, F(-1), F(1), max_jumps=10)
             a1, b1 = F(-1, 2), F(3, 4)
             rep = total_variation(f, a1, b1)
-            assert rep.value == f.value(b1) - f.value(a1)
+            assert rep.value == value(f, b1) - value(f, a1)
 
     def test_difference_bounded_by_sum(self):
         rng = np.random.default_rng(1)
@@ -95,12 +99,12 @@ class TestVariation:
             assert inner <= outer <= total_variation(f).value
 
     def test_overlapping_intervals_rejected(self):
-        f = MSF.identity(F(-1), F(1))
+        f = identity(F(-1), F(1))
         with pytest.raises(ValueError):
             variation_subadditivity_check(f, [(F(0), F(1, 2)), (F(1, 4), F(3, 4))])
 
     def test_cover_bound_single_interval(self):
-        f = MSF.identity(F(-1), F(1))
+        f = identity(F(-1), F(1))
         assert variation_cover_bound(f, [(F(-1), F(1))], F(-1, 2), F(1, 2))
 
     def test_cover_bound_two_tiles(self):
@@ -112,8 +116,6 @@ class TestVariation:
 
     def test_cover_bound_on_random_differences(self):
         # take [c, d] = a maximal covered component of the joint image
-        from skewlab.monotone import _image_intervals, _merge_intervals
-
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(30):
@@ -133,7 +135,7 @@ class TestVariation:
         assert checked >= 20
 
     def test_cover_bound_degenerate_target(self):
-        f = MSF.identity(F(-1), F(1))
+        f = identity(F(-1), F(1))
         assert variation_cover_bound(f, [(F(-1), F(1))], F(0), F(0))
 
     def test_cover_gap_detected(self):
@@ -144,7 +146,7 @@ class TestVariation:
 
 class TestJumps:
     def test_continuous_function_has_none(self):
-        assert find_jumps(MSF.identity(F(-1), F(1)), F(1, 100)) == []
+        assert find_jumps(identity(F(-1), F(1)), F(1, 100)) == []
 
     def test_planted_jump(self):
         f = step_with_jump(F(3, 10))
@@ -170,7 +172,7 @@ class TestJumps:
                 x1 = x0 + delta * F(9, 10)
                 if x1 > F(1):
                     continue
-                rise = f.value(x1) - f.value(x0)
+                rise = value(f, x1) - value(f, x0)
                 if rise >= eps:
                     found = [z for z, s in find_jumps(f, eps / 2) if x0 <= z <= x1]
                     assert found, (f, x0, x1)
@@ -178,14 +180,14 @@ class TestJumps:
 
 class TestFixedPointSet:
     def test_identity_whole_domain(self):
-        s = fixed_point_set(MSF.identity(F(-1), F(1)), F(0))
+        s = fixed_point_set(identity(F(-1), F(1)), F(0))
         assert s.parts == ((F(-1), F(1)),)
 
     def test_identity_shifted_empty(self):
-        assert fixed_point_set(MSF.identity(F(-1), F(1)), F(1, 20)).is_empty()
+        assert fixed_point_set(identity(F(-1), F(1)), F(1, 20)).is_empty()
 
     def test_constant_single_point(self):
-        s = fixed_point_set(MSF.constant(F(0), F(-1), F(1)), F(3, 10))
+        s = fixed_point_set(constant(F(0), F(-1), F(1)), F(3, 10))
         assert s.parts == ((F(3, 10), F(3, 10)),)
 
     def test_jump_skips_diagonal(self):
@@ -193,7 +195,7 @@ class TestFixedPointSet:
         f = MSF((F(-1), F(0), F(1)), (F(-1, 4), F(1, 4)), (F(-1, 4), F(1, 4)))
         s = fixed_point_set(f, F(0))
         assert all(not (lo < 0 < hi) for lo, hi in s.parts)
-        assert s.contains(F(-1, 4)) and s.contains(F(1, 4))
+        assert contains(s, F(-1, 4)) and contains(s, F(1, 4))
 
     def test_level_set_is_shifted_fixed_set(self):
         f = step_with_jump(F(1, 2))
@@ -208,24 +210,24 @@ class TestClosedSet:
         assert a.intersect(b).parts == ((F(3, 2), F(2)),)
 
     def test_image_and_preimage(self):
-        phi = MSF.identity(F(-1), F(1))
+        phi = identity(F(-1), F(1))
         s = ClosedSet.from_parts([(F(-1, 2), F(1, 2))])
         assert s.image_under(phi).parts == s.parts
-        assert s.preimage_under(phi).parts == s.parts
+        assert preimage_under(s, phi).parts == s.parts
 
     def test_preimage_of_plateau(self):
-        phi = MSF.constant(F(0), F(-1), F(1))
+        phi = constant(F(0), F(-1), F(1))
         s = ClosedSet.from_parts([(F(0), F(0))])
-        assert s.preimage_under(phi).parts == ((F(-1), F(1)),)
+        assert preimage_under(s, phi).parts == ((F(-1), F(1)),)
 
     def test_finite_points(self):
         s = ClosedSet.from_parts([(F(1), F(1)), (F(2), F(2))])
-        assert s.is_finite() and s.points() == [F(1), F(2)]
+        assert is_finite(s) and points(s) == [F(1), F(2)]
 
 
 class TestPbbSearch:
     def test_identity_triple(self):
-        ident = MSF.identity(F(-1), F(1))
+        ident = identity(F(-1), F(1))
         s, t = pbb_search(ident, ident, ident, F(1, 10))
         assert abs(s) <= F(1, 10) and abs(t) <= F(1, 10)
         fix2 = fixed_point_set(ident, t)
@@ -233,8 +235,8 @@ class TestPbbSearch:
         assert fix2.image_under(ident).intersect(fix1).is_empty()
 
     def test_constant_zero_maps(self):
-        zero = MSF.constant(F(0), F(-1), F(1))
-        ident = MSF.identity(F(-1), F(1))
+        zero = constant(F(0), F(-1), F(1))
+        ident = identity(F(-1), F(1))
         s, t = pbb_search(zero, zero, ident, F(1, 10))
         assert s != t  # Fix(l2+t) = {t}, Fix(l1+s) = {s}
 
@@ -250,17 +252,17 @@ class TestPbbSearch:
             assert _pbb_oracle(l1, l2, phi, s, t)
 
     def test_oracle_rejects_bad_pair(self):
-        ident = MSF.identity(F(-1), F(1))
+        ident = identity(F(-1), F(1))
         assert not _pbb_oracle(ident, ident, ident, F(0), F(0))
 
     def test_epsilon_validation(self):
-        ident = MSF.identity(F(-1), F(1))
+        ident = identity(F(-1), F(1))
         with pytest.raises(ValueError):
             pbb_search(ident, ident, ident, F(0))
 
     def test_phi_range_validation(self):
-        ident = MSF.identity(F(-1), F(1))
-        phi_bad = MSF.constant(F(2), F(-1), F(1))
+        ident = identity(F(-1), F(1))
+        phi_bad = constant(F(2), F(-1), F(1))
         with pytest.raises(ValueError):
             pbb_search(ident, ident, phi_bad, F(1, 10))
 
@@ -275,7 +277,7 @@ def test_variation_counting_bound():
     for i in range(k + 1):
         vals.append(xs[i] + (eps if i % 2 else -eps))
     l2 = MSF(xs, tuple(vals[:-1]), tuple(vals[1:]))
-    ident = MSF.identity(F(0), F(1))
+    ident = identity(F(0), F(1))
     g2 = MonotoneDifference(l2, ident)
     assert total_variation(g2).value >= 2 * eps * k
     for i in range(k):
