@@ -93,7 +93,7 @@ def _plan(legs):
     return "steps", (family, points, inverse)
 
 
-def loop_actions(actions, ys) -> np.ndarray:
+def loop_actions(actions, ys, select=None) -> np.ndarray:
     """Images of one fiber batch under many loop actions, in lockstep.
 
     An action is a pair (loop, inverse): the LoopMap, or its inverse where
@@ -104,6 +104,12 @@ def loop_actions(actions, ys) -> np.ndarray:
     action is a list of family steps, and an action with a step is one row
     of a fiber.run_steps call per family: one FiberFamily.act call per
     composition depth moves every such action, not one per action and step.
+
+    select, if given, is a (len(actions), points) bool array over the points
+    of ys flattened to (points, 2).  Row a is then the image under action a
+    only where select[a] is set, and unspecified elsewhere: family steps
+    move the selected points alone.  A translation family's shifts move
+    every point, which costs less than picking some out.
     """
     ys = np.asarray(ys, dtype=float)
     flat = mod1(ys.reshape(-1, 2))
@@ -114,12 +120,13 @@ def loop_actions(actions, ys) -> np.ndarray:
         if kind == "shift":
             for shift in plan:
                 out[a] = mod1(out[a] + shift)
-        elif len(plan[1]):
+        elif len(plan[1]) and (select is None or select[a].any()):
             family, points, inverse = plan
             lockstep.setdefault(id(family), (family, []))[1].append(
                 (np.full(len(points), a), points, inverse))
     for family, members in lockstep.values():
-        run_steps(family, *(np.concatenate(col) for col in zip(*members)), out)
+        run_steps(family, *(np.concatenate(col) for col in zip(*members)), out,
+                  select=select)
     return out.reshape((len(actions),) + ys.shape)
 
 
@@ -287,9 +294,16 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
     """Lockstep breadth-first orbits of many seeds under all loop maps and
     their inverses.
 
-    Each seed's sample is exactly the one it gets when explored alone;
-    batching exists because generator evaluation is vectorized and dominated
-    by per-call overhead.
+    Each level sends the frontier points through the actions in one
+    loop_actions call, and each seed takes its first K - count new points in
+    candidate order (action, then frontier point).  Two kinds of image are
+    not computed, because no seed could take them:
+    - a point made by action a is not sent through a's inverse, which
+      returns it to its parent, a point an earlier level took (reduced
+      words);
+    - a seed that holds K points leaves the frontier (saturated seeds).
+    So each seed's sample is exactly the one it gets when explored alone,
+    and the one every action on every frontier point would give.
     """
     seeds = mod1(np.asarray(seeds, dtype=float).reshape(-1, 2))
     gens = standard_generators(sp, quads) if generators is None else list(generators)
@@ -308,15 +322,22 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
         key.imag = q[:, 1]
         return key
 
-    frontier_pts, frontier_sid = seeds, np.arange(m)
+    # per frontier point, the inverse of the action that made it (-1: a seed)
+    frontier_pts, frontier_sid, back = seeds, np.arange(m), np.full(m, -1)
     seen = np.sort(keys_of(seeds, frontier_sid))
     taken_pts, taken_sid = [seeds], [frontier_sid]
     counts = np.ones(m, dtype=int)
     for _ in range(word_length):
-        if len(frontier_pts) == 0 or np.all(counts >= K):
+        live = np.flatnonzero(counts[frontier_sid] < K)
+        frontier_pts, frontier_sid, back = (frontier_pts.take(live, axis=0),
+                                            frontier_sid[live], back[live])
+        n = len(frontier_pts)
+        if n == 0:
             break
-        pts = mod1(loop_actions(actions, frontier_pts).reshape(-1, 2))
-        sids = np.tile(frontier_sid, len(actions))
+        select = np.arange(len(actions))[:, None] != back
+        cand = np.flatnonzero(select)
+        pts = mod1(loop_actions(actions, frontier_pts, select).reshape(-1, 2).take(cand, axis=0))
+        sids = frontier_sid[cand % n]
         keys = keys_of(pts, sids)
         # first occurrence of each key in this level, if no earlier level took it
         _, first = np.unique(keys, return_index=True)
@@ -331,7 +352,8 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
         counts += np.bincount(sids[take], minlength=m)
         new_keys = np.sort(keys[take])
         seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
-        frontier_pts, frontier_sid = pts[take], sids[take]
+        frontier_pts, frontier_sid = pts.take(take, axis=0), sids[take]
+        back = (cand[take] // n + len(gens)) % len(actions)
         taken_pts.append(frontier_pts)
         taken_sid.append(frontier_sid)
 

@@ -35,6 +35,9 @@ from .perturbation import DestroyParams, destroy_trivial_class
 from .torus import Region, wrap
 
 
+CSV_ROWS = 1024   # rows of a CSV table formatted at a time
+
+
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -43,12 +46,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def _cells(column) -> list[str]:
+    """One column's cells as _fmt writes each value, formatted in one pass
+    where the column is a bool or float array."""
+    if isinstance(column, np.ndarray) and column.dtype == bool:
+        return np.where(column, "true", "false").tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return [_fmt(x) for x in column]
+
+
+def _write_csv(path: Path, header, columns):
+    """A CSV table of one sequence of values per header entry, formatted
+    CSV_ROWS rows at a time so that its cells never all exist at once."""
+    columns = list(columns)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        for lo in range(0, len(columns[0]) if columns else 0, CSV_ROWS):
+            writer.writerows(zip(*(_cells(c[lo:lo + CSV_ROWS]) for c in columns)))
 
 
 def _write_summary(path: Path, summary: dict):
@@ -72,8 +88,8 @@ def _scenario_certify(config, out):
     est = certify_partial_hyperbolicity(sp, grid_n=16)
     _write_csv(out / "certify.csv",
                ["lambda_s", "lambda_u", "L_plus", "L_minus", "dominated", "bunched", "grid_n"],
-               [[est.lambda_s, est.lambda_u, est.L_plus, est.L_minus,
-                 est.dominated, est.bunched, est.grid_n]])
+               zip([est.lambda_s, est.lambda_u, est.L_plus, est.L_minus,
+                    est.dominated, est.bunched, est.grid_n]))
     return {"estimates": est.as_dict()}
 
 
@@ -85,7 +101,7 @@ def _scenario_holonomy(config, out):
     y = wrap(np.asarray(list(x), float) + config.holonomy.leaf_offset * e)
     h = leaf_holonomy(sp, kind, x, y, tol=config.tolerances.holonomy_tol)
     _write_csv(out / "holonomy.csv", ["n", "cauchy_increment"],
-               [[i + 1, d] for i, d in enumerate(h.increments)])
+               [range(1, len(h.increments) + 1), h.increments])
     return {"kind": kind, "truncation_n": h.truncation_n,
             "certified_tol": h.certified_tol, "tol": h.tol,
             "n_increments": len(h.increments)}
@@ -111,7 +127,7 @@ def _scenario_classify(config, out):
                      cls.dim_estimate, cls.n_points])
     _write_csv(out / "classify.csv",
                ["seed_u", "seed_v", "verdict", "diameter", "dim_estimate", "n_points"],
-               rows)
+               zip(*rows))
     return {"verdict_counts": tallies, "n_seeds": len(rows),
             "quad": {"p1": list(quad.p1), "p2": list(quad.p2),
                      "periods": [quad.k1, quad.k2],
@@ -129,10 +145,9 @@ def _scenario_destroy(config, out):
                            rng_seed=config.destroy.rng_seed)
     result = destroy_trivial_class(sp, quad, config.destroy.epsilon, params)
     scan = result.scan_double
-    rows = [[g[0], g[1], d, bool(f)] for g, d, f in
-            zip(scan.grid, scan.max_displacement, scan.fixed_mask)]
     _write_csv(out / "destroy_scan.csv",
-               ["fiber_u", "fiber_v", "max_displacement", "fixed_by_all"], rows)
+               ["fiber_u", "fiber_v", "max_displacement", "fixed_by_all"],
+               [scan.grid[:, 0], scan.grid[:, 1], scan.max_displacement, scan.fixed_mask])
     gens = standard_generators(sp, [quad], tol=params.holonomy_tol)
     control = trivial_set_scan(sp, [quad], config.destroy.scan_grid_n,
                                config.tolerances.scan_tol, region=result.region,
@@ -152,7 +167,7 @@ def _scenario_ergodic(config, out):
     report = ergodic_scan(sp, config.ergodic.observable, config.ergodic.n,
                           config.ergodic.m_ics, config.seed)
     _write_csv(out / "ergodic.csv", ["checkpoint_n", "sigma"],
-               list(zip(report.checkpoints, report.sigma)))
+               [report.checkpoints, report.sigma])
     return {"observable": report.observable, "verdict": report.verdict,
             "checkpoints": list(report.checkpoints), "sigma": list(report.sigma),
             "decay_ratio": report.decay_ratio, "n": report.n_iterations,
@@ -180,7 +195,7 @@ def _scenario_pbb(config, out):
             continue
         verified = _pbb_oracle(l1, l2, phi, s, t)
         rows.append([k, str(s), str(t), verified])
-    _write_csv(out / "pbb.csv", ["instance", "s", "t", "oracle_verified"], rows)
+    _write_csv(out / "pbb.csv", ["instance", "s", "t", "oracle_verified"], zip(*rows))
     if failures:
         raise PostconditionFailure(f"{failures} SearchExhausted events in pbb scenario")
     return {"instances": config.pbb.instances, "epsilon": str(eps),
@@ -200,7 +215,7 @@ def _scenario_sweep(config, out):
                      est.L_plus, est.L_minus])
     _write_csv(out / "sweep.csv",
                ["c", "trace", "fixed_point_type", "dominated", "bunched",
-                "L_plus", "L_minus"], rows)
+                "L_plus", "L_minus"], zip(*rows))
     elliptic = [r[0] for r in rows if r[2] == "elliptic"]
     return {"c_values": [str(c) for c in config.sweep.c_values],
             "elliptic_window": elliptic}

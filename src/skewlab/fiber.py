@@ -266,19 +266,39 @@ class LewowiczFamily(FiberFamily):
         return self.field.lipschitz() / TWO_PI
 
 
-def run_steps(family, rows, xs, inverse, states, record=None):
+def row_elements(a):
+    """A C-contiguous, non-empty array as a 1-D view with one element per
+    index of its first axis.  numpy gathers and scatters such elements by a
+    1-D index several times faster than the rows of an (n, 2) or (n, 2, 2)
+    array, and moves the same bytes."""
+    a = a.reshape(len(a), -1)
+    return a.view(np.dtype((np.void, a.strides[0]))).reshape(-1)
+
+
+def run_steps(family, rows, xs, inverse, states, record=None, select=None):
     """Compose fiber steps on the rows of a (rows, points, 2) state batch, in place.
 
     Step j moves states[rows[j]] by g_{xs[j]}, or by its inverse where
     inverse[j] is set; rows is sorted, and a row's steps act in the order
     given.  The d-th steps of all rows go through one family.act call, so a
     bump kernel's fixed cost is paid once per depth.  record[j], if given,
-    receives the state step j leaves."""
+    receives the state step j leaves.
+
+    select, if given, is a (rows, points) bool array: a step then moves only
+    the selected points of its row, each with its step's base point, and the
+    others keep their bits.  states must then be C-contiguous."""
     depth = np.arange(len(rows)) - np.searchsorted(rows, rows)
     order = np.argsort(depth, kind="stable")   # by depth; rows in order within a depth
+    flat = None if select is None else states.reshape(-1, 2)
     for grp in np.split(order, np.cumsum(np.bincount(depth)))[:-1]:
         at = rows[grp]
-        states[at] = family.act(xs[grp, None], states[at], inverse[grp, None])
+        if select is None:
+            states[at] = family.act(xs[grp, None], states[at], inverse[grp, None])
+        else:
+            r, p = np.nonzero(select[at])
+            idx, step = at[r] * states.shape[1] + p, grp[r]
+            got = family.act(xs.take(step, axis=0), flat.take(idx, axis=0), inverse[step])
+            row_elements(flat)[idx] = row_elements(np.ascontiguousarray(got))
         if record is not None:
             record[grp] = states[at]
 

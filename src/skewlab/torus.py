@@ -130,6 +130,11 @@ class Region:
         return mod1(c + offs)
 
 
+# smoothstep's coefficients as 0-d float64 arrays: numpy takes one with less
+# per-call work than a Python float, and computes the same bits
+_C = {c: np.array(float(c)) for c in (0, 1, -2, 6, 10, -15, -30, 60, 120, -180)}
+
+
 def smoothstep(r, inner, band, n_derivs: int = 2):
     """Radial quintic profile 1 - (10t^3 - 15t^4 + 6t^5) of
     t = clip((r - inner) / band, 0, 1), and its first ``n_derivs`` derivatives
@@ -137,16 +142,16 @@ def smoothstep(r, inner, band, n_derivs: int = 2):
     which must be nonnegative (not checked here)."""
     # min(max(.)) is np.clip without its Python-level argument handling;
     # t is never -0.0 (r >= 0 and inner > 0), the one input where they differ
-    t = np.minimum(np.maximum((r - inner) / band, 0.0), 1.0)
+    t = np.minimum(np.maximum((r - inner) / band, _C[0]), _C[1])
     # s, s', s'' all reach their clip values exactly (s(1) = 1 in exact
     # float arithmetic), so no branch masks are needed.
     t2 = t * t
-    s = t2 * t * (10.0 + t * (-15.0 + 6.0 * t))
-    out = [1.0 - s]
+    s = t2 * t * (_C[10] + t * (_C[-15] + _C[6] * t))
+    out = [_C[1] - s]
     if n_derivs >= 1:
-        out.append(t2 * (1.0 + t * (-2.0 + t)) * (-30.0 / band))
+        out.append(t2 * (_C[1] + t * (_C[-2] + t)) * (_C[-30] / band))
     if n_derivs >= 2:
-        out.append(t * (60.0 + t * (-180.0 + 120.0 * t)) / -band**2)
+        out.append(t * (_C[60] + t * (_C[-180] + _C[120] * t)) / -band**2)
     return tuple(out)
 
 

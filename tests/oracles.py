@@ -1,5 +1,6 @@
 """Test oracles that no scenario runs: the fiber cocycle, the shadowing table
-along an su-leg, and the decay rate of a holonomy's Cauchy increments."""
+along an su-leg, the decay rate of a holonomy's Cauchy increments, and class
+exploration by every word."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from skewlab.accessibility import _QUANT, ClassSample, loop_actions, standard_generators
 from skewlab.holonomy import N_MAX_COMPOSITIONS, leaf_holonomy
-from skewlab.torus import torus_dist
+from skewlab.torus import mod1, torus_dist
 
 _DECAY_FLOOR = 1e-13    # increments at or below this are rounding, not decay
 
@@ -102,3 +104,52 @@ def shadow_check(sp, leg, v, n_max: int = 50) -> ShadowReport:
                 raise AssertionError("distances not eventually decreasing")
     est = float(np.exp(np.mean(np.log(step_ratios)))) if step_ratios else lam
     return ShadowReport(kind=kind, distances=dist, ratio_estimate=est)
+
+
+def explore_all_words(sp, quads, seeds, K: int = 2000, word_length: int = 12,
+                      generators=None) -> list[ClassSample]:
+    """explore_classes as it was before it skipped images: every level sends
+    every frontier point through every action, the inverse of the action
+    that made it included, and keeps the points of seeds that hold K."""
+    seeds = mod1(np.asarray(seeds, dtype=float).reshape(-1, 2))
+    gens = standard_generators(sp, quads) if generators is None else list(generators)
+    actions = [(g, False) for g in gens] + [(g, True) for g in gens]
+    m = len(seeds)
+
+    def keys_of(pts, sids):
+        q = np.round(pts * (1.0 / _QUANT))
+        key = np.empty(len(pts), dtype=complex)
+        key.real = sids * 2.0 ** 30 + q[:, 0]
+        key.imag = q[:, 1]
+        return key
+
+    frontier_pts, frontier_sid = seeds, np.arange(m)
+    seen = np.sort(keys_of(seeds, frontier_sid))
+    taken_pts, taken_sid = [seeds], [frontier_sid]
+    counts = np.ones(m, dtype=int)
+    for _ in range(word_length):
+        if len(frontier_pts) == 0 or np.all(counts >= K):
+            break
+        pts = mod1(loop_actions(actions, frontier_pts).reshape(-1, 2))
+        sids = np.tile(frontier_sid, len(actions))
+        keys = keys_of(pts, sids)
+        _, first = np.unique(keys, return_index=True)
+        at = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
+        first = np.sort(first[seen[at] != keys[first]])
+        sid = sids[first]
+        by_seed = np.argsort(sid, kind="stable")
+        rank = np.empty(len(first), dtype=int)
+        rank[by_seed] = np.arange(len(first)) - np.searchsorted(sid[by_seed], sid[by_seed])
+        take = first[rank < K - counts[sid]]
+        counts += np.bincount(sids[take], minlength=m)
+        new_keys = np.sort(keys[take])
+        seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
+        frontier_pts, frontier_sid = pts[take], sids[take]
+        taken_pts.append(frontier_pts)
+        taken_sid.append(frontier_sid)
+
+    by_seed = np.argsort(np.concatenate(taken_sid), kind="stable")
+    points = np.split(np.concatenate(taken_pts)[by_seed], np.cumsum(counts)[:-1])
+    return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i],
+                        generators_used=2 * len(gens), word_length=word_length)
+            for i, s in enumerate(seeds)]

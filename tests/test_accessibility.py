@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab import perturbation
+from skewlab import accessibility, perturbation
 from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample, LoopMap,
                                    _refine_by_scan, box_counts, classify_class,
                                    explore_classes, find_fixed_points, loop_actions,
@@ -20,6 +20,8 @@ from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamil
                            lewowicz_raw)
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
+
+from oracles import explore_all_words
 
 CAT = [[2, 1], [1, 1]]
 
@@ -197,12 +199,18 @@ FIBERS = np.concatenate([np.random.default_rng(11).random((400, 2)),
 
 
 def assert_lockstep_bitwise(loops, ys=FIBERS):
-    """Every loop's map and inverse, evaluated together, bitwise as each alone."""
+    """Every loop's map and inverse, evaluated together, bitwise as each alone,
+    and at every point a selection picks, bitwise as without one."""
     actions = [(loop, inverse) for loop in loops for inverse in (False, True)]
     images = loop_actions(actions, ys)
     assert images.shape == (len(actions),) + np.shape(ys)
     for image, (loop, inverse) in zip(images, actions):
         assert image.tobytes() == one_leg_at_a_time(loop, inverse, ys).tobytes()
+    select = np.random.default_rng(len(actions)).random((len(actions), len(ys))) < 0.3
+    select[0], select[-1] = False, True   # an action that moves no point, one that moves all
+    masked = loop_actions(actions, ys, select)
+    assert masked.shape == images.shape
+    assert masked[select].tobytes() == images[select].tobytes()
 
 
 class TestLoopActions:
@@ -301,6 +309,70 @@ class TestLoopActions:
         explore_classes(fine, [quad], [[0.5, 0.1], [0.9, 0.5]], K=10**5,
                         word_length=levels, generators=gens)
         assert 0 < len(calls) <= levels
+
+    @pytest.mark.parametrize("name", ["fine", "strong", "horizontal"])
+    def test_explore_equals_every_word(self, destroyed, horiz_sp, quad, name):
+        # explore_classes skips the images no seed can take; the samples are
+        # bitwise those of every action on every frontier point
+        sp = {"horizontal": horiz_sp, **destroyed}[name]
+        gens = standard_generators(sp, [quad])
+        # plateau, band and outside points of the destroyed systems' supports
+        seeds = [[0.5, 0.55], [0.5, 0.1], [0.9, 0.5], [0.3, 0.6]]
+        K, levels = 300, 7
+        got = explore_classes(sp, [quad], seeds, K=K, word_length=levels, generators=gens)
+        want = explore_all_words(sp, [quad], seeds, K=K, word_length=levels, generators=gens)
+        for g, w in zip(got, want, strict=True):
+            assert g == dataclasses.replace(w, points=g.points)
+            assert g.points.tobytes() == w.points.tobytes()
+        if name != "fine":
+            return
+        # on the fine system seed 1 reaches K partway through level 5, while
+        # seed 0 still takes new points at levels 6 and 7
+        sizes = [[len(s.points) for s in explore_all_words(sp, [quad], seeds, K=10**6,
+                                                           word_length=n, generators=gens)]
+                 for n in range(8)]
+        assert sizes[4][1] < K < sizes[5][1] and len(got[1].points) == K
+        assert sizes[5][0] < sizes[6][0] < sizes[7][0] == len(got[0].points) < K
+
+    def test_open_battery_work(self, destroyed, quad, monkeypatch):
+        """The open-battery benchmark operation's inputs at seed 1: generators
+        and exploration send 24,393 band points to the bump kernel in 16
+        calls (38,118 when every action meets every frontier point), and no
+        point goes through the inverse of the action that made it."""
+        fine = destroyed["fine"]
+        core = Region(center=(0.5, 0.5), half=(0.6 * 0.20662190476356812,) * 2)
+        seeds = core.sample(np.random.default_rng(1), 4)
+        band_points = []
+        flow = perturbation._flow
+        monkeypatch.setattr(perturbation, "_flow", lambda y0, *args, **kw:
+                            band_points.append(len(y0)) or flow(y0, *args, **kw))
+        levels = []
+        actions_of = accessibility.loop_actions
+
+        def recording(actions, ys, select=None):
+            images = (actions_of(actions, ys) if select is None
+                      else actions_of(actions, ys, select))
+            levels.append((np.copy(ys), np.ones(images.shape[:2], bool)
+                           if select is None else select.copy(), images))
+            return images
+
+        monkeypatch.setattr(accessibility, "loop_actions", recording)
+        gens = standard_generators(fine, [quad])
+        samples = explore_classes(fine, [quad], seeds, K=4000, word_length=32,
+                                  generators=gens)
+        assert [len(s.points) for s in samples] == [4000] * 4
+        assert (len(band_points), sum(band_points)) == (16, 24393)
+        assert sum(int(select.sum()) for _, select, _ in levels) == 41881
+        # each frontier point's action, looked up by its bits among the images
+        # of the level before, and the actions the point was sent through
+        n_gens = len(gens)
+        for (_, select, images), (ys, select_next, _) in zip(levels, levels[1:]):
+            made_by = {}
+            for a, j in zip(*np.nonzero(select)):
+                made_by.setdefault(images[a, j].tobytes(), a)
+            for i, y in enumerate(ys):
+                back = (made_by[y.tobytes()] + n_gens) % (2 * n_gens)
+                assert not select_next[back, i]
 
 
 class TestFindFixedPoints:

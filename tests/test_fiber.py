@@ -339,6 +339,30 @@ class TestRunSteps:
         assert len(calls) == max(self.LENGTHS)
         assert states.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("inner", ["identity", "lewowicz"])
+    def test_selected_points_match_the_whole_rows(self, fine, inner, monkeypatch):
+        # a selection moves only its points, each bitwise as its whole row
+        # moves it, in the same one act call per depth
+        family, quad = fine
+        if inner == "lewowicz":
+            family = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), family.bumps)
+        rows, xs, inverse, ys = self.program(quad)
+        select = np.random.default_rng(3).random(ys.shape[:2]) < 0.4
+        select[1] = False   # a row with steps and no selected point
+        select[4] = True
+        whole = ys.copy()
+        run_steps(family, rows, xs, inverse, whole)
+        calls = []
+        act = PerturbedFamily.act
+        monkeypatch.setattr(PerturbedFamily, "act",
+                            lambda self, *args: calls.append(1) or act(self, *args))
+        states = ys.copy()
+        run_steps(family, rows, xs, inverse, states, select=select)
+        assert len(calls) == max(self.LENGTHS)
+        assert states[select].tobytes() == whole[select].tobytes()
+        assert states[~select].tobytes() == ys[~select].tobytes()
+        assert not np.array_equal(states[select], ys[select])
+
 
 def test_only_the_executor_composes_fiber_steps():
     # composing fiber steps means calling FiberFamily.act; run_steps does,
