@@ -77,20 +77,13 @@ def _plan(legs):
     - ("shift", T) for a translation family, and for no legs: one
       closed-form translation per leg, as HolonomyMap.evaluate_at adds it;
     - ("steps", (family, points, inverse)) for any other family: the steps
-      of every leg (HolonomyMap.steps), legs in order.  Where the family has
-      a quiet mask, each step whose own base point is quiet is dropped.
-      That is exact: a quiet g_x returns every point of [0, 1)^2 bitwise,
-      and every point it would get is wrapped.
+      of every leg (HolonomyMap.steps, quiet ones dropped), legs in order.
     """
     shifts = [h._translation_steps(h.truncation_n) for h in legs]
     if all(s is not None for s in shifts):
         return "shift", [s.sum(axis=0) for s, h in zip(shifts, legs) if h.truncation_n]
-    family = legs[0].sp.family
     points, inverse = (np.concatenate(col) for col in zip(*(h.steps() for h in legs)))
-    quiet = family.quiet(points)
-    if quiet is not None:
-        points, inverse = points[~quiet], inverse[~quiet]
-    return "steps", (family, points, inverse)
+    return "steps", (legs[0].sp.family, points, inverse)
 
 
 def loop_actions(actions, ys, select=None) -> np.ndarray:

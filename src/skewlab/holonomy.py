@@ -6,13 +6,13 @@ holonomy from fiber(x0) to fiber(y0) is the C^0 limit of
     H_n = (g^(n) over y0)^{-1} o (g^(n) over x0),
 
 certified by a Cauchy test on a fiber grid, or on exact step lengths for a
-translation family, whose H_n is one translation.  A step whose two base
-points are both quiet (g is the identity there, bitwise) is skipped: it
-leaves H_n equal to H_{n-1} bitwise.  Both base orbits are
-derived from a single *anchor* orbit plus analytic leaf offsets s * rate^k
-along the eigendirection: iterating the two base points independently in
-floating point would inject noise growing like lambda_u^n and destroy the
-limit.  All the correctness oracles (equivariance, composition, inverse,
+translation family, whose H_n is one translation.  A push or pull over a
+quiet base point (g is the identity there, bitwise) is skipped; where both
+base points of step n are quiet, H_n equals H_{n-1} bitwise.  Both base
+orbits are derived from a single *anchor* orbit plus analytic leaf offsets
+s * rate^k along the eigendirection: iterating the two base points
+independently in floating point would inject noise growing like lambda_u^n
+and destroy the limit.  All the correctness oracles (equivariance, composition, inverse,
 shadowing) are stated against this evaluation.
 """
 
@@ -41,7 +41,8 @@ class HolonomyMap:
     common leaf; from_pts/to_pts hold their anchored orbits in visiting order,
     so composition k steps over index k for either kind.  loud marks the
     steps where from_pts[k] or to_pts[k] is not quiet for the family
-    (_loud_steps); with None every step is composed.
+    (_loud_steps), the ones whose Cauchy increment is measured; with None
+    every increment is.
     """
 
     sp: SkewProduct
@@ -66,12 +67,14 @@ class HolonomyMap:
         """The steps of H_n (n = truncation_n by default) in acting order:
         base points (S, 2) and, per step, True where it is family.inverse.
         The pushes along from_pts come first, then the pulls back over
-        to_pts; only the loud ones unless the loud mask is None."""
+        to_pts.  Each step whose own base point family.quiet marks is
+        dropped: a quiet g_x returns every wrapped point bitwise."""
         n = self.truncation_n if n is None else n
-        ks = np.arange(n) if self.loud is None else np.flatnonzero(self.loud[:n])
-        push_inverse = self.kind == "unstable"
-        return (np.concatenate([self.from_pts[ks], self.to_pts[ks[::-1]]]),
-                np.repeat([push_inverse, not push_inverse], len(ks)))
+        points = np.concatenate([self.from_pts[:n], self.to_pts[:n][::-1]])
+        inverse = np.repeat([self.kind == "unstable", self.kind == "stable"], n)
+        quiet = self.sp.family.quiet(points)
+        keep = slice(None) if quiet is None else ~quiet
+        return points[keep], inverse[keep]
 
     def _translation_steps(self, n: int):
         """The n per-composition translations of a translation family, or None.

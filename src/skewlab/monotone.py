@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import SearchExhausted
 
-Frac = Fraction
 PBB_MAX_REFINEMENTS = 14    # step halvings of pbb_search before SearchExhausted
 
 
@@ -300,21 +299,21 @@ def random_monotone_step(rng, a, b, max_jumps: int = 20,
     span = b - a
     n_nodes = int(rng.integers(1, max_jumps + 1))
     ticks = sorted(set(int(k) for k in rng.integers(1, denominator, size=n_nodes)))
-    xs = [a] + [a + span * Frac(k, denominator) for k in ticks] + [b]
-    cur = a + span * Frac(int(rng.integers(-8, 9)), 64)
+    xs = [a] + [a + span * Fraction(k, denominator) for k in ticks] + [b]
+    cur = a + span * Fraction(int(rng.integers(-8, 9)), 64)
     starts, ends = [], []
     for i in range(len(xs) - 1):
         if i > 0 and rng.random() < 0.4:
-            cur += span * Frac(int(rng.integers(0, 9)), 96)  # upward jump
+            cur += span * Fraction(int(rng.integers(0, 9)), 96)  # upward jump
         starts.append(cur)
         width = xs[i + 1] - xs[i]
         r = rng.random()
         if r < 0.25:
-            rise = Frac(0)                      # flat piece
+            rise = Fraction(0)                  # flat piece
         elif r < 0.45:
             rise = width                        # slope exactly one
         else:
-            rise = width * Frac(int(rng.integers(0, 25)), 8)
+            rise = width * Fraction(int(rng.integers(0, 25)), 8)
         cur = cur + rise
         ends.append(cur)
     return MonotoneStepFunction(tuple(xs), tuple(starts), tuple(ends))
@@ -327,14 +326,14 @@ def random_phi(rng, b, a, max_jumps: int = 20, denominator: int = 48) -> Monoton
     hi = max(raw.ends)
     a = _as_frac(a)
     if hi == lo:
-        mid = Frac(0)
+        mid = Fraction(0)
         starts = tuple(mid for _ in raw.starts)
         ends = tuple(mid for _ in raw.ends)
     else:
         scale = 2 * a / (hi - lo)
         # keep strictly inside [-a, a] to dodge endpoint degeneracies
-        scale = scale * Frac(7, 8)
-        shift = -a * Frac(7, 8) - lo * scale
+        scale = scale * Fraction(7, 8)
+        shift = -a * Fraction(7, 8) - lo * scale
         starts = tuple(y * scale + shift for y in raw.starts)
         ends = tuple(y * scale + shift for y in raw.ends)
     return MonotoneStepFunction(raw.xs, starts, ends)

@@ -10,13 +10,11 @@ from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 import skewlab as sl
 from skewlab.accessibility import (classify_class, explore_classes,
                                    standard_generators, trivial_set_scan)
 from skewlab.ergodic import ergodic_scan
-from skewlab.fiber import FieldBump
 from skewlab.monotone import (_image_intervals, _merge_intervals, _pbb_oracle,
                               random_monotone_step, random_phi)
 
@@ -24,64 +22,11 @@ from bounded_variation import (MonotoneDifference, total_variation, variation_co
                                variation_subadditivity_check)
 from oracles import measured_decay_ratio, shadow_check
 
-CAT = [[2, 1], [1, 1]]
-
 
 def report(criterion: int, ok: bool, detail: str):
     line = f"ACCEPTANCE {criterion:2d} {'PASS' if ok else 'FAIL'}: {detail}"
     print("\n" + line, flush=True)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return sl.make_anosov(CAT)
-
-
-@pytest.fixture(scope="module")
-def id_sp(cat):
-    return sl.SkewProduct(base=cat, family=sl.ConstantFamily(sl.IdentityMap()))
-
-
-@pytest.fixture(scope="module")
-def quad(cat):
-    return sl.build_quad(cat, (0, 0), 0.2, 10, 50)
-
-
-@pytest.fixture(scope="module")
-def rot_sp(cat):
-    """Rotation family with a broad bump field: every orbit step contributes."""
-    bump = FieldBump(center=sl.wrap((0.5, 0.5)), profile=sl.BumpProfile(0.05, 0.49),
-                     amplitude=(0.17, 0.09))
-    return sl.SkewProduct(base=cat,
-                          family=sl.RotationFamily(sl.VectorField((0.0, 0.0), (bump,))))
-
-
-@pytest.fixture(scope="module")
-def horiz_sp(cat, quad):
-    """Horizontal-translation family: bumps on p-orbit points, amplitudes (a, 0)."""
-    b1 = FieldBump(center=sl.wrap(tuple(quad.p1_orbit[2])),
-                   profile=sl.BumpProfile(0.05, 0.14), amplitude=(0.3, 0.0))
-    b2 = FieldBump(center=sl.wrap(tuple(quad.p2_orbit[2])),
-                   profile=sl.BumpProfile(0.05, 0.14), amplitude=(-0.23, 0.0))
-    return sl.SkewProduct(base=cat,
-                          family=sl.RotationFamily(sl.VectorField((0.0, 0.0), (b1, b2))))
-
-
-@pytest.fixture(scope="module")
-def destroyed_strong(id_sp, quad):
-    """Destruction with |v| ~ 0.05 and antipodal fiber supports: discs of
-    radius 0.46 about (1/2, 1/2) and (0, 0).  They do not cover the fiber
-    torus: (1/2, 0) and (0, 1/2) lie 1/2 from both centres, and a fiber point
-    outside both supports is fixed by every g_x."""
-    params = sl.DestroyParams(v_frac=0.9, fiber_anchor2=(0.0, 0.0))
-    return sl.destroy_trivial_class(id_sp, quad, 0.12, params)
-
-
-@pytest.fixture(scope="module")
-def destroyed_fine(id_sp, quad):
-    """Destruction with |v| = 0.015: the classification battery system."""
-    return sl.destroy_trivial_class(id_sp, quad, 0.03)
 
 
 def test_c01_lewowicz_ellipticity_window():
@@ -101,24 +46,24 @@ def test_c01_lewowicz_ellipticity_window():
            f"elliptic exactly on 1 < c < 5 ({results}), {dt:.3f}s < 1s")
 
 
-def test_c02_holonomy_equivariance_and_series(rot_sp, cat):
+def test_c02_holonomy_equivariance_and_series(broad_rot_sp, cat):
     t0 = time.perf_counter()
     x = np.array([0.13, 0.41])
     s_off = 0.12
     y = (x + s_off * cat.e_s) % 1.0
-    h = sl.leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
+    h = sl.leaf_holonomy(broad_rot_sp, "stable", x, y, tol=1e-10)
     ticks = (np.arange(32) + 0.5) / 32
     grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
-    h_push = sl.leaf_holonomy(rot_sp, "stable", cat.apply(x), cat.apply(y), tol=1e-10)
-    lhs = h_push(rot_sp.family.apply(x, grid))
-    rhs = rot_sp.family.apply(y, h(grid))
+    h_push = sl.leaf_holonomy(broad_rot_sp, "stable", cat.apply(x), cat.apply(y), tol=1e-10)
+    lhs = h_push(broad_rot_sp.family.apply(x, grid))
+    rhs = broad_rot_sp.family.apply(y, h(grid))
     equi = float(np.max(sl.torus_dist(lhs, rhs)))
 
     n = 80
     xs = cat.orbit(x, n)
     lam = cat.lambda_s ** np.arange(n + 1)
     ys = (xs + np.multiply.outer(s_off * lam, cat.e_s)) % 1.0
-    series = np.sum(rot_sp.family.field(xs) - rot_sp.family.field(ys), axis=0)
+    series = np.sum(broad_rot_sp.family.field(xs) - broad_rot_sp.family.field(ys), axis=0)
     probes = np.random.default_rng(0).random((64, 2))
     ser = float(np.max(sl.torus_dist(h(probes), (probes + series) % 1.0)))
     dt = time.perf_counter() - t0
@@ -127,13 +72,13 @@ def test_c02_holonomy_equivariance_and_series(rot_sp, cat):
            f"{dt:.1f}s < 10s")
 
 
-def test_c03_holonomy_convergence(rot_sp, cat):
+def test_c03_holonomy_convergence(broad_rot_sp, cat):
     t0 = time.perf_counter()
     x = np.array([0.13, 0.41])
     y = (x + 0.12 * cat.e_s) % 1.0
-    h = sl.leaf_holonomy(rot_sp, "stable", x, y, tol=1e-10)
+    h = sl.leaf_holonomy(broad_rot_sp, "stable", x, y, tol=1e-10)
     lam = abs(cat.lambda_s)
-    bound = lam * (1.0 + rot_sp.family.base_lipschitz()) + 0.1
+    bound = lam * (1.0 + broad_rot_sp.family.base_lipschitz()) + 0.1
     ratio = measured_decay_ratio(h)
     dt = time.perf_counter() - t0
     report(3, 0 < ratio <= bound and h.truncation_n <= 40 and dt < 10.0,
@@ -310,13 +255,13 @@ def test_c09_ergodic_probes(cat, id_sp, destroyed_strong):
            f"seed-deterministic={deterministic}; {dt:.0f}s < 600s")
 
 
-def test_c10_shadowing_recovers_contraction(cat, rot_sp):
+def test_c10_shadowing_recovers_contraction(cat, broad_rot_sp):
     # on the broad rotation family the fiber distance decays with the base
     # gap, so the estimate is measured, not the given rate recomputed
     t0 = time.perf_counter()
     x = np.array([0.13, 0.41])
     y = (x + 0.12 * cat.e_s) % 1.0
-    rep = shadow_check(rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=40)
+    rep = shadow_check(broad_rot_sp, ("stable", x, y), np.array([0.3, 0.8]), n_max=40)
     lam = abs(cat.lambda_s)
     rel_err = abs(rep.ratio_estimate - lam) / lam
     dt = time.perf_counter() - t0

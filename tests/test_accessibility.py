@@ -13,42 +13,14 @@ from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample,
                                    explore_classes, find_fixed_points, loop_actions,
                                    loop_map, sample_diameter, standard_generators,
                                    trivial_set_scan)
-from skewlab.anosov import build_quad, make_anosov
 from skewlab.holonomy import leaf_holonomy
-from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
-                           RotationFamily, ScalarField, SkewProduct, VectorField,
-                           lewowicz_raw)
+from skewlab.fiber import (ConstantFamily, IdentityMap, LewowiczFamily, ScalarField,
+                           SkewProduct, lewowicz_raw)
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
 
 from oracles import explore_all_words
-
-CAT = [[2, 1], [1, 1]]
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return make_anosov(CAT)
-
-
-@pytest.fixture(scope="module")
-def quad(cat):
-    return build_quad(cat, (0, 0), 0.2, 10, 50)
-
-
-@pytest.fixture(scope="module")
-def id_sp(cat):
-    return SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
-
-
-@pytest.fixture(scope="module")
-def horiz_sp(cat, quad):
-    # bumps centered on p-orbit points so the loop holonomies sample them
-    b1 = FieldBump(center=wrap(tuple(quad.p1_orbit[2])), profile=BumpProfile(0.05, 0.14),
-                   amplitude=(0.3, 0.0))
-    b2 = FieldBump(center=wrap(tuple(quad.p2_orbit[2])), profile=BumpProfile(0.05, 0.14),
-                   amplitude=(-0.23, 0.0))
-    return SkewProduct(base=cat, family=RotationFamily(VectorField((0.0, 0.0), (b1, b2))))
+from systems import DESTROYED, workloads
 
 
 class TestLoopMap:
@@ -134,36 +106,12 @@ class TestLoopMap:
         assert np.max(torus_dist(lhs, rhs)) < 1e-9
 
 
-# the benchmark's fine and strong destroyed systems: per loop, the bump's
-# translation and fiber centre
-DESTROYED = {
-    "fine": (((-0.009780243953765491, -0.011373074703211682), (0.5, 0.5)),
-             ((0.009389670321860106, -0.011697610493035726), (0.5, 0.5))),
-    "strong": (((-0.03344843432187798, -0.03889591548498395), (0.5, 0.5)),
-               ((0.03211267250076156, -0.040005827886182184), (0.0, 0.0))),
-}
-
-
-@pytest.fixture(scope="module")
-def destroyed(id_sp, quad):
-    systems = {}
-    for name, spec in DESTROYED.items():
-        bumps = []
-        for i, (v, centre) in enumerate(spec, start=1):
-            r = quad.ball_radius(i)
-            bumps.append(BumpTranslation(
-                base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
-                fiber_center=wrap(centre), fiber_bump=BumpProfile(0.34, 0.46), v=v))
-        systems[name] = perturb_skew(id_sp, bumps)
-    return systems
-
-
-def lewowicz_loops(destroyed, quad):
+def lewowicz_loops(destroyed_systems, quad):
     """The fine system's loops with a Lewowicz map under its bumps: no quiet
     mask, so every step of every leg is taken.  No Lewowicz holonomy
     certifies (its pushes and pulls amplify rounding), so the fine system's
     certified legs carry it."""
-    fine = destroyed["fine"]
+    fine = destroyed_systems["fine"]
     lew = SkewProduct(base=fine.base, family=PerturbedFamily(LewowiczFamily(ScalarField(0.5)),
                                                              fine.family.bumps))
     return [LoopMap(tuple(dataclasses.replace(h, sp=lew, loud=None) for h in g.maps))
@@ -215,8 +163,8 @@ def assert_lockstep_bitwise(loops, ys=FIBERS):
 
 class TestLoopActions:
     @pytest.mark.parametrize("name", sorted(DESTROYED))
-    def test_destroyed_system_bitwise(self, destroyed, quad, name):
-        gens = standard_generators(destroyed[name], [quad])
+    def test_destroyed_system_bitwise(self, destroyed_systems, quad, name):
+        gens = standard_generators(destroyed_systems[name], [quad])
         # destroy's loops, rotated to start at w_i
         rotated = [LoopMap(g.maps[-1:] + g.maps[:-1]) for g in gens]
         # loop 1's legs that miss both base supports: an action with no step
@@ -244,9 +192,9 @@ class TestLoopActions:
         assert len(lengths) > 1 and min(lengths) > 1
         assert_lockstep_bitwise(loops)
 
-    def test_translation_and_lewowicz_families_bitwise(self, horiz_sp, destroyed, quad):
+    def test_translation_and_lewowicz_families_bitwise(self, horiz_sp, destroyed_systems, quad):
         rotation = standard_generators(horiz_sp, [quad])
-        lewowicz = lewowicz_loops(destroyed, quad)
+        lewowicz = lewowicz_loops(destroyed_systems, quad)
         # with no quiet mask every step of every leg is kept; legs stretched
         # to truncations 7, 12, 3 and 9 give long step lists, of different
         # lengths per action, in an order that matters
@@ -261,8 +209,8 @@ class TestLoopActions:
         assert_lockstep_bitwise(rotation)
         assert_lockstep_bitwise(lewowicz, FIBERS[::8])
 
-    def test_mixed_families_rejected(self, horiz_sp, destroyed, quad):
-        fine = standard_generators(destroyed["fine"], [quad])[0].maps
+    def test_mixed_families_rejected(self, horiz_sp, destroyed_systems, quad):
+        fine = standard_generators(destroyed_systems["fine"], [quad])[0].maps
         rotation = standard_generators(horiz_sp, [quad])[0].maps
         with pytest.raises(ValueError, match="one fiber family"):
             LoopMap(fine[:2] + rotation[2:])
@@ -270,21 +218,21 @@ class TestLoopActions:
         for image in loop_actions([(LoopMap(()), False), (LoopMap(()), True)], FIBERS):
             assert image.tobytes() == mod1(FIBERS).tobytes()
 
-    def test_families_mixed_in_one_call(self, horiz_sp, destroyed, quad):
-        loops = [g for sp in (destroyed["fine"], horiz_sp, destroyed["strong"])
+    def test_families_mixed_in_one_call(self, horiz_sp, destroyed_systems, quad):
+        loops = [g for sp in (destroyed_systems["fine"], horiz_sp, destroyed_systems["strong"])
                  for g in standard_generators(sp, [quad])]
-        assert_lockstep_bitwise(loops + lewowicz_loops(destroyed, quad)[:1], FIBERS[::4])
+        assert_lockstep_bitwise(loops + lewowicz_loops(destroyed_systems, quad)[:1], FIBERS[::4])
 
-    def test_loop_map_keeps_the_shape_of_its_argument(self, destroyed, quad):
-        loop = standard_generators(destroyed["strong"], [quad])[1]
+    def test_loop_map_keeps_the_shape_of_its_argument(self, destroyed_systems, quad):
+        loop = standard_generators(destroyed_systems["strong"], [quad])[1]
         for ys in ([0.9, 0.5], FIBERS.reshape(-1, 3, 2)[:5]):
             for got, inverse in ((loop(ys), False), (loop.inverse(ys), True)):
                 assert got.shape == np.shape(ys)
                 assert got.tobytes() == one_leg_at_a_time(loop, inverse, ys).tobytes()
 
-    def test_act_matches_apply_and_inverse(self, destroyed, quad, horiz_sp):
+    def test_act_matches_apply_and_inverse(self, destroyed_systems, quad, horiz_sp):
         rng = np.random.default_rng(5)
-        fine = destroyed["fine"].family
+        fine = destroyed_systems["fine"].family
         ws = np.array([tuple(quad.loop_points(i)[1]) for i in (1, 2)])
         near = ws[rng.integers(2, size=120)] + rng.normal(scale=0.3 * quad.ball_radius(1),
                                                           size=(120, 2))
@@ -297,8 +245,8 @@ class TestLoopActions:
                              for xi, yi, inv in zip(x, y, inverse)])
             assert fam.act(x, y, inverse).tobytes() == want.tobytes()
 
-    def test_explore_makes_one_kernel_call_per_level(self, destroyed, quad, monkeypatch):
-        fine = destroyed["fine"]
+    def test_explore_makes_one_kernel_call_per_level(self, destroyed_systems, quad, monkeypatch):
+        fine = destroyed_systems["fine"]
         gens = standard_generators(fine, [quad])   # certifying the legs flows too
         calls = []
         flow = perturbation._flow
@@ -311,10 +259,10 @@ class TestLoopActions:
         assert 0 < len(calls) <= levels
 
     @pytest.mark.parametrize("name", ["fine", "strong", "horizontal"])
-    def test_explore_equals_every_word(self, destroyed, horiz_sp, quad, name):
+    def test_explore_equals_every_word(self, destroyed_systems, horiz_sp, quad, name):
         # explore_classes skips the images no seed can take; the samples are
         # bitwise those of every action on every frontier point
-        sp = {"horizontal": horiz_sp, **destroyed}[name]
+        sp = {"horizontal": horiz_sp, **destroyed_systems}[name]
         gens = standard_generators(sp, [quad])
         # plateau, band and outside points of the destroyed systems' supports
         seeds = [[0.5, 0.55], [0.5, 0.1], [0.9, 0.5], [0.3, 0.6]]
@@ -334,13 +282,13 @@ class TestLoopActions:
         assert sizes[4][1] < K < sizes[5][1] and len(got[1].points) == K
         assert sizes[5][0] < sizes[6][0] < sizes[7][0] == len(got[0].points) < K
 
-    def test_open_battery_work(self, destroyed, quad, monkeypatch):
+    def test_open_battery_work(self, destroyed_systems, quad, monkeypatch):
         """The open-battery benchmark operation's inputs at seed 1: generators
         and exploration send 24,393 band points to the bump kernel in 16
         calls (38,118 when every action meets every frontier point), and no
         point goes through the inverse of the action that made it."""
-        fine = destroyed["fine"]
-        core = Region(center=(0.5, 0.5), half=(0.6 * 0.20662190476356812,) * 2)
+        fine = destroyed_systems["fine"]
+        core = Region(center=(0.5, 0.5), half=(0.6 * workloads.FINE.region_half,) * 2)
         seeds = core.sample(np.random.default_rng(1), 4)
         band_points = []
         flow = perturbation._flow

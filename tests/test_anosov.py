@@ -11,17 +11,7 @@ from skewlab.config import MAX_BUDGETS, HolonomyConfig
 from skewlab.errors import AmbiguousBranch, ConstructionFailed, NotAnosov
 from skewlab.torus import lift, mod1, torus_dist
 
-CAT = [[2, 1], [1, 1]]
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return make_anosov(CAT)
-
-
-@pytest.fixture(scope="module")
-def cat_quad(cat):
-    return build_quad(cat, (0, 0), 0.2, 10, 50)
+from systems import workloads
 
 
 class TestMakeAnosov:
@@ -49,7 +39,8 @@ class TestMakeAnosov:
     def test_inverse_matrix(self, cat):
         assert np.all(cat.matrix @ cat.inverse == np.eye(2, dtype=int))
 
-    @pytest.mark.parametrize("matrix", [CAT, [[3, 2], [1, 1]], [[-3, 1], [-1, 0]], [[3, 1], [1, 0]]])
+    @pytest.mark.parametrize("matrix", [workloads.CAT, [[3, 2], [1, 1]], [[-3, 1], [-1, 0]],
+                                        [[3, 1], [1, 0]]])
     def test_orbit_is_applys_orbit_bitwise(self, matrix):
         a = make_anosov(matrix)
         rng = np.random.default_rng(0)
@@ -70,9 +61,8 @@ class TestMakeAnosov:
             with pytest.raises(ValueError, match="non-finite"):
                 cat.orbit(bad, 3)
 
-    def test_powers_square_eigenvalues(self):
-        a3 = make_anosov(np.linalg.matrix_power(np.array(CAT), 3))
-        cat = make_anosov(CAT)
+    def test_powers_square_eigenvalues(self, cat):
+        a3 = make_anosov(np.linalg.matrix_power(cat.matrix, 3))
         assert a3.lambda_u == pytest.approx(cat.lambda_u**3, rel=1e-12)
 
 
@@ -234,12 +224,12 @@ class TestRationalCandidates:
 
 
 class TestBuildQuad:
-    def test_invariants(self, cat, cat_quad):
-        validate_quad(cat, cat_quad)  # must not raise
+    def test_invariants(self, cat, quad):
+        validate_quad(cat, quad)  # must not raise
 
-    def test_default_quad_pinned(self, cat_quad):
+    def test_default_quad_pinned(self, quad):
         # the quad of the default config and of every acceptance test, bit for bit
-        q = cat_quad
+        q = quad
         assert (tuple(q.x), tuple(q.p1), tuple(q.p2)) == ((0.0, 0.0), (0.0, 0.125),
                                                           (0.0, 0.875))
         assert tuple(q.w1) == (0.9440983005625052, 0.09045084971874737)
@@ -257,8 +247,8 @@ class TestBuildQuad:
         np.testing.assert_array_equal(q.p1_orbit, np.array(eighths[0]) / 8)
         np.testing.assert_array_equal(q.p2_orbit, np.array(eighths[1]) / 8)
 
-    def test_leg_residuals(self, cat, cat_quad):
-        q = cat_quad
+    def test_leg_residuals(self, cat, quad):
+        q = quad
         for kind, frm, to in [("stable", q.x, q.w1), ("unstable", q.p1, q.w1),
                               ("unstable", q.x, q.z1), ("stable", q.p1, q.z1),
                               ("stable", q.x, q.w2), ("unstable", q.p2, q.w2),
@@ -266,18 +256,18 @@ class TestBuildQuad:
             _, resid = leaf_coordinate(cat, kind, frm, to)
             assert resid < 1e-10
 
-    def test_legs_alternate_kinds(self, cat_quad):
+    def test_legs_alternate_kinds(self, quad):
         # the closing path x ->(s) w_i ->(u) p_i ->(s) z_i ->(u) x
-        q = cat_quad
+        q = quad
         assert q.s_w[0] != 0 and q.u_w[0] != 0 and q.s_z[0] != 0 and q.u_z[0] != 0
 
-    def test_distinct_periodic_points(self, cat_quad):
-        assert torus_dist(cat_quad.p1, cat_quad.p2) > 1e-6
-        assert cat_quad.k1 >= 1 and cat_quad.k2 >= 1
+    def test_distinct_periodic_points(self, quad):
+        assert torus_dist(quad.p1, quad.p2) > 1e-6
+        assert quad.k1 >= 1 and quad.k2 >= 1
 
-    def test_exactly_periodic_orbits(self, cat, cat_quad):
-        for orbit, period in ((cat_quad.p1_orbit, cat_quad.k1),
-                              (cat_quad.p2_orbit, cat_quad.k2)):
+    def test_exactly_periodic_orbits(self, cat, quad):
+        for orbit, period in ((quad.p1_orbit, quad.k1),
+                              (quad.p2_orbit, quad.k2)):
             assert len(orbit) == period
             back = cat.apply(orbit[-1])
             assert torus_dist(back, orbit[0]) < 1e-12
@@ -286,18 +276,18 @@ class TestBuildQuad:
         with pytest.raises(ConstructionFailed):
             build_quad(cat, (0, 0), 0.0, 10, 50)
 
-    def test_separation_violation_detected(self, cat, cat_quad):
+    def test_separation_violation_detected(self, cat, quad):
         import dataclasses
 
-        bloated = dataclasses.replace(cat_quad, U1_radius=0.2, U2_radius=0.2)
+        bloated = dataclasses.replace(quad, U1_radius=0.2, U2_radius=0.2)
         with pytest.raises(ConstructionFailed):
             validate_quad(cat, bloated)
 
-    def test_stored_leaf_coordinate_mismatch_detected(self, cat, cat_quad):
+    def test_stored_leaf_coordinate_mismatch_detected(self, cat, quad):
         # loop maps build their legs from the stored coordinates alone
         import dataclasses
 
-        shifted = dataclasses.replace(cat_quad, s_w=(cat_quad.s_w[0] + 1e-6, cat_quad.s_w[1]))
+        shifted = dataclasses.replace(quad, s_w=(quad.s_w[0] + 1e-6, quad.s_w[1]))
         with pytest.raises(ConstructionFailed, match="stores"):
             validate_quad(cat, shifted)
 
@@ -308,6 +298,6 @@ class TestBuildQuad:
             quad = build_quad(cat, (0, 0), 0.2, 10, MAX_BUDGETS["quad.n_check"])
             validate_quad(cat, quad)
 
-    def test_tail_certified_at_fixed_point(self, cat_quad):
-        assert cat_quad.x_period == 1
-        assert cat_quad.tail_certified
+    def test_tail_certified_at_fixed_point(self, quad):
+        assert quad.x_period == 1
+        assert quad.tail_certified

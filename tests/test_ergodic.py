@@ -5,25 +5,13 @@ import numpy as np
 import pytest
 
 from skewlab import ergodic
-from skewlab.anosov import build_quad, make_anosov
 from skewlab.ergodic import _scan_event_driven, _scan_generic, ergodic_scan, observable
 from skewlab.fiber import (ConstantFamily, IdentityMap, RotationFamily, SkewProduct,
                            VectorField)
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, lift, mod1, wrap
 
-CAT = [[2, 1], [1, 1]]
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return make_anosov(CAT)
-
-
-@pytest.fixture(scope="module")
-def product_sp(cat):
-    """A x id: fiber coordinates frozen, nothing ergodic about the fibers."""
-    return SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
+from systems import destroy_bump
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +21,11 @@ def irrational_sp(cat):
 
 
 @pytest.fixture(scope="module")
-def destroyed_sp(cat, product_sp):
+def destroyed_sp(id_sp, quad):
     """Shaped like the strong destroyed system: bumps at the quad's w_1, w_2
     whose fiber supports are centred at (1/2, 1/2) and (0, 0)."""
-    quad = build_quad(cat, (0, 0), 0.2, 10, 50)
-    bumps = []
-    for i, v, centre in ((1, (-0.0334, -0.0389), (0.5, 0.5)),
-                         (2, (0.0321, -0.0400), (0.0, 0.0))):
-        r = quad.ball_radius(i)
-        bumps.append(BumpTranslation(
-            base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
-            fiber_center=wrap(centre), fiber_bump=BumpProfile(0.34, 0.46), v=v))
-    return perturb_skew(product_sp, bumps)
+    return perturb_skew(id_sp, [destroy_bump(quad, 1, (-0.0334, -0.0389), (0.5, 0.5)),
+                                destroy_bump(quad, 2, (0.0321, -0.0400), (0.0, 0.0))])
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +56,16 @@ class TestBirkhoff:
     XS = np.array([[0.1, 0.2], [0.15, 0.25], [0.7, 0.05]])
     YS = np.array([[0.3, 0.4], [0.35, 0.45], [0.9, 0.6]])
 
-    def test_constant_observable(self, product_sp):
+    def test_constant_observable(self, id_sp):
         n = 50
-        sigma, avgs = _scan_generic(product_sp, lambda xs, ys: np.ones(len(xs)),
+        sigma, avgs = _scan_generic(id_sp, lambda xs, ys: np.ones(len(xs)),
                                     self.XS, self.YS, n, [n])
         assert np.all(avgs == 1.0) and sigma == [0.0]
 
-    def test_frozen_fiber_observable(self, product_sp):
+    def test_frozen_fiber_observable(self, id_sp):
         expected = np.cos(2 * math.pi * self.YS[:, 0])
         for n in (1, 10, 200):
-            _, avgs = _scan_generic(product_sp, observable("fiber_cos"), self.XS, self.YS,
+            _, avgs = _scan_generic(id_sp, observable("fiber_cos"), self.XS, self.YS,
                                     n, [n])
             np.testing.assert_allclose(avgs, expected, rtol=0, atol=1e-12)
 
@@ -105,10 +86,10 @@ class TestBirkhoff:
         boundary = (fn(x_end, y_end) - fn(self.XS, self.YS)) / n
         np.testing.assert_allclose(a1 - a0, boundary, rtol=0, atol=1e-14)
 
-    def test_n_validation(self, product_sp):
+    def test_n_validation(self, id_sp):
         for n in (0, -3):
             with pytest.raises(ValueError):
-                ergodic_scan(product_sp, "fiber_cos", n, 5, seed=0)
+                ergodic_scan(id_sp, "fiber_cos", n, 5, seed=0)
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):
@@ -116,8 +97,8 @@ class TestBirkhoff:
 
 
 class TestErgodicScan:
-    def test_product_shows_no_decay(self, product_sp):
-        rep = ergodic_scan(product_sp, "fiber_cos", 2000, 20, seed=1)
+    def test_product_shows_no_decay(self, id_sp):
+        rep = ergodic_scan(id_sp, "fiber_cos", 2000, 20, seed=1)
         assert rep.verdict == "NON-ERGODIC-LIKE"
         assert rep.sigma[-1] == pytest.approx(rep.sigma[0], rel=1e-9)
 
@@ -132,14 +113,14 @@ class TestErgodicScan:
         assert r1.sigma == r2.sigma
         assert r1.per_ic_averages == r2.per_ic_averages
 
-    def test_checkpoints(self, product_sp):
-        rep = ergodic_scan(product_sp, "base_cos", 1000, 5, seed=0)
+    def test_checkpoints(self, id_sp):
+        rep = ergodic_scan(id_sp, "base_cos", 1000, 5, seed=0)
         assert rep.checkpoints == (250, 500, 1000)
         assert len(rep.sigma) == 3
 
-    def test_mic_validation(self, product_sp):
+    def test_mic_validation(self, id_sp):
         with pytest.raises(ValueError):
-            ergodic_scan(product_sp, "fiber_cos", 100, 1, seed=0)
+            ergodic_scan(id_sp, "fiber_cos", 100, 1, seed=0)
 
     def test_event_path_matches_generic(self, destroyed_sp, three_bump_sp, seam_sp,
                                         monkeypatch):
@@ -210,13 +191,13 @@ class TestErgodicScan:
         want = (fam.bumps[0].base_value(orbit) > 0) | (fam.bumps[1].base_value(orbit) > 0)
         assert np.array_equal(~fam.quiet(orbit), want)
 
-    def test_scan_memory_does_not_grow_with_n(self, product_sp):
+    def test_scan_memory_does_not_grow_with_n(self, id_sp):
         # one (n, m, 2) orbit of this scan takes 102 MB; a family that never
         # fires keeps the event path at blocks of SUM_BLOCK_POINTS (1 MB of
         # orbit), and one that fires at SCAN_BLOCK_POINTS (32 MB)
         tracemalloc.start()
         try:
-            rep = ergodic_scan(product_sp, "fiber_cos", 100_000, 64, seed=0)
+            rep = ergodic_scan(id_sp, "fiber_cos", 100_000, 64, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,22 +6,15 @@ import numpy as np
 import pytest
 
 from skewlab import fiber
-from skewlab.anosov import build_quad, make_anosov
+from skewlab.anosov import make_anosov
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField,
                            certify_partial_hyperbolicity, lewowicz_fixed_point_type,
                            run_steps)
-from skewlab.perturbation import BumpTranslation, PerturbedFamily
+from skewlab.perturbation import PerturbedFamily
 from skewlab.torus import BumpProfile, mod1, torus_dist, wrap
 
 from oracles import cocycle
-
-CAT = [[2, 1], [1, 1]]
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return make_anosov(CAT)
 
 
 def lewowicz_constant(c):
@@ -219,9 +212,8 @@ class TestCocycle:
 
 
 class TestCertification:
-    def test_identity_fiber(self, cat):
-        sp = SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
-        est = certify_partial_hyperbolicity(sp, 16)
+    def test_identity_fiber(self, id_sp):
+        est = certify_partial_hyperbolicity(id_sp, 16)
         assert est.L_plus == est.L_minus == 1.0
         assert est.dominated and est.bunched
 
@@ -244,7 +236,7 @@ class TestCertification:
         assert est.L_minus == pytest.approx(float(np.min(svals)), rel=1e-12)
 
     def test_cubed_base_dominates_lewowicz(self, cat):
-        a3 = make_anosov(np.linalg.matrix_power(np.array(CAT), 3))
+        a3 = make_anosov(np.linalg.matrix_power(cat.matrix, 3))
         sp = SkewProduct(base=a3, family=lewowicz_constant(2.0))
         est = certify_partial_hyperbolicity(sp, 16)
         assert est.lambda_u == pytest.approx(cat.lambda_u**3, rel=1e-12)
@@ -254,7 +246,7 @@ class TestCertification:
     def test_monotone_in_base_strength(self, cat):
         fam = lewowicz_field_family(c_max=1.2)
         est1 = certify_partial_hyperbolicity(SkewProduct(base=cat, family=fam), 16)
-        a2 = make_anosov(np.linalg.matrix_power(np.array(CAT), 2))
+        a2 = make_anosov(np.linalg.matrix_power(cat.matrix, 2))
         est2 = certify_partial_hyperbolicity(SkewProduct(base=a2, family=fam), 16)
         if est1.dominated:
             assert est2.dominated
@@ -268,25 +260,9 @@ class TestCertification:
         assert est.L_minus == pytest.approx(1.0 / est.L_plus, rel=1e-9)
         assert not est.dominated and not est.bunched
 
-    def test_grid_floor(self, cat):
-        sp = SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
+    def test_grid_floor(self, id_sp):
         with pytest.raises(ValueError):
-            certify_partial_hyperbolicity(sp, 8)
-
-
-@pytest.fixture(scope="module")
-def fine(cat):
-    """The benchmark's fine destroyed family (bumps at the quad's w_1 and w_2)
-    and its quad."""
-    quad = build_quad(cat, (0, 0), 0.2, 10, 50)
-    bumps = []
-    for i, v in ((1, (-0.009780243953765491, -0.011373074703211682)),
-                 (2, (0.009389670321860106, -0.011697610493035726))):
-        r = quad.ball_radius(i)
-        bumps.append(BumpTranslation(
-            base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
-            fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.34, 0.46), v=v))
-    return PerturbedFamily(ConstantFamily(IdentityMap()), tuple(bumps)), quad
+            certify_partial_hyperbolicity(id_sp, 8)
 
 
 class TestRunSteps:
@@ -310,10 +286,10 @@ class TestRunSteps:
         return rows, xs, inverse, ys
 
     @pytest.mark.parametrize("inner", ["identity", "lewowicz"])
-    def test_matches_one_step_at_a_time(self, fine, inner, monkeypatch):
+    def test_matches_one_step_at_a_time(self, destroyed_systems, quad, inner, monkeypatch):
         # over the identity act is one kernel call; over f_0.5, which has no
         # quiet mask, it is the default's apply/inverse split
-        family, quad = fine
+        family = destroyed_systems["fine"].family
         quiet = family.quiet
         if inner == "lewowicz":
             family = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), family.bumps)
@@ -340,10 +316,11 @@ class TestRunSteps:
         assert states.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("inner", ["identity", "lewowicz"])
-    def test_selected_points_match_the_whole_rows(self, fine, inner, monkeypatch):
+    def test_selected_points_match_the_whole_rows(self, destroyed_systems, quad, inner,
+                                                  monkeypatch):
         # a selection moves only its points, each bitwise as its whole row
         # moves it, in the same one act call per depth
-        family, quad = fine
+        family = destroyed_systems["fine"].family
         if inner == "lewowicz":
             family = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), family.bumps)
         rows, xs, inverse, ys = self.program(quad)

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from skewlab.anosov import build_quad, make_anosov
 from skewlab.errors import BrokenPath, NoConvergence
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField)
@@ -13,13 +12,7 @@ from skewlab.perturbation import BumpTranslation, PerturbedFamily, _bump_fiber_a
 from skewlab.torus import BumpProfile, lift, mod1, torus_dist, wrap
 
 from oracles import measured_decay_ratio, shadow_check
-
-CAT = [[2, 1], [1, 1]]
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return make_anosov(CAT)
+from systems import DESTROYED
 
 
 @pytest.fixture(scope="module")
@@ -27,20 +20,6 @@ def rot_sp(cat):
     bump = FieldBump(center=wrap((0.31, 0.64)), profile=BumpProfile(0.07, 0.22),
                      amplitude=(0.21, -0.13))
     return SkewProduct(base=cat, family=RotationFamily(VectorField((0.0, 0.0), (bump,))))
-
-
-@pytest.fixture(scope="module")
-def broad_rot_sp(cat):
-    # support covering most of the torus: every orbit step contributes, so the
-    # Cauchy increments form a genuine geometric sequence
-    bump = FieldBump(center=wrap((0.5, 0.5)), profile=BumpProfile(0.05, 0.49),
-                     amplitude=(0.17, 0.09))
-    return SkewProduct(base=cat, family=RotationFamily(VectorField((0.0, 0.0), (bump,))))
-
-
-@pytest.fixture(scope="module")
-def id_sp(cat):
-    return SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
 
 
 def stable_pair(cat, x=(0.13, 0.41), offset=0.12):
@@ -327,42 +306,9 @@ class TestShadowing:
         assert rep.ratio_estimate <= abs(cat.lambda_s) + 0.1
 
 
-# The two destroyed systems of the benchmark: the translations that
-# destroy_trivial_class drew for the default quad at epsilon 0.03 (fine) and
-# at 0.12 with v_frac 0.9 and the second fiber anchor at (0, 0) (strong).
-DESTROYED = {
-    "fine": (((-0.009780243953765491, -0.011373074703211682), (0.5, 0.5)),
-             ((0.009389670321860106, -0.011697610493035726), (0.5, 0.5))),
-    "strong": (((-0.03344843432187798, -0.03889591548498395), (0.5, 0.5)),
-               ((0.03211267250076156, -0.040005827886182184), (0.0, 0.0))),
-}
-
-
-@pytest.fixture(scope="module")
-def quad(cat):
-    return build_quad(cat, (0.0, 0.0), 0.2, 10, 50)
-
-
-def destroyed_bumps(quad, name):
-    bumps = []
-    for i, (v, centre) in enumerate(DESTROYED[name], start=1):
-        r = quad.ball_radius(i)
-        bumps.append(BumpTranslation(
-            base_center=quad.loop_points(i)[1], base_bump=BumpProfile(0.45 * r, 0.9 * r),
-            fiber_center=wrap(centre), fiber_bump=BumpProfile(0.34, 0.46), v=v))
-    return tuple(bumps)
-
-
 SEAM_BUMP = BumpTranslation(base_center=wrap((0.995, 0.005)), base_bump=BumpProfile(0.03, 0.06),
                             fiber_center=wrap((0.25, 0.75)), fiber_bump=BumpProfile(0.3, 0.42),
                             v=(0.02, -0.03))
-
-
-@pytest.fixture(scope="module")
-def destroyed(quad, id_sp):
-    return {name: SkewProduct(base=id_sp.base,
-                              family=PerturbedFamily(id_sp.family, destroyed_bumps(quad, name)))
-            for name in DESTROYED}
 
 
 def edge_points(bumps, rng):
@@ -386,9 +332,9 @@ class TestQuietSteps:
     FIBER = np.concatenate([GRID[::8], np.random.default_rng(5).random((200, 2)),
                             [[0.0, 0.0], [np.nextafter(1.0, 0.0), 0.5], [0.5, 0.0]]])
 
-    def test_quiet_base_points_map_fibers_bitwise(self, id_sp, destroyed):
-        strong = destroyed["strong"].family
-        families = {"identity": id_sp.family, "fine": destroyed["fine"].family,
+    def test_quiet_base_points_map_fibers_bitwise(self, id_sp, destroyed_systems):
+        strong = destroyed_systems["strong"].family
+        families = {"identity": id_sp.family, "fine": destroyed_systems["fine"].family,
                     "strong": strong,
                     "seam": PerturbedFamily(id_sp.family, strong.bumps + (SEAM_BUMP,))}
         rng = np.random.default_rng(4)
@@ -420,17 +366,17 @@ class TestQuietSteps:
                 for x, w in zip(xs, want):
                     assert np.array_equal(fn(x, self.FIBER), w), (name, x)
 
-    def test_families_that_cannot_say(self, rot_sp, destroyed):
-        bumps = destroyed["fine"].family.bumps
+    def test_families_that_cannot_say(self, rot_sp, destroyed_systems):
+        bumps = destroyed_systems["fine"].family.bumps
         for fam in (rot_sp.family, LewowiczFamily(ScalarField(0.5)),
                     PerturbedFamily(LewowiczFamily(ScalarField(0.5)), bumps)):
             assert fam.quiet(GRID) is None
 
-    def test_every_step_composed_over_a_lewowicz_inner(self, quad, destroyed, monkeypatch):
+    def test_every_step_composed_over_a_lewowicz_inner(self, quad, destroyed_systems, monkeypatch):
         # a Lewowicz fiber map is hyperbolic, so its pushes and pulls amplify
         # rounding and no Lewowicz holonomy certifies: take a certified leg of
         # the fine system and swap the family under it
-        fine = destroyed["fine"]
+        fine = destroyed_systems["fine"]
         lew = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), fine.family.bumps)
         leg = standard_generators(fine, [quad])[0].maps[-1]
         loud = _loud_steps(lew, leg.from_pts, leg.to_pts)
@@ -453,8 +399,9 @@ class TestQuietSteps:
         assert np.array_equal(h(GRID), composed(h, GRID, h.truncation_n))
 
     @pytest.mark.parametrize("name", sorted(DESTROYED))
-    def test_legs_match_all_step_composition(self, quad, destroyed, name):
-        legs = [h for loop in standard_generators(destroyed[name], [quad]) for h in loop.maps]
+    def test_legs_match_all_step_composition(self, quad, destroyed_systems, name):
+        legs = [h for loop in standard_generators(destroyed_systems[name], [quad])
+                for h in loop.maps]
         assert len(legs) == 8
         for h in legs:
             self.check_leg(h)

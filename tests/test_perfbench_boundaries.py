@@ -5,35 +5,18 @@ reads its metrics as 0, so a rename in skewlab would silently zero a layer of
 the benchmark.  This resolves each boundary the way ``Tracer.install`` does,
 without installing any wrapper, and runs the set-up of every workload in
 ``perfbench/workloads.py``, which builds its inputs through the public API.
-It also runs the two destructions whose translations ``workloads.py`` pins,
-so that a change to ``destroy_trivial_class`` cannot leave the benchmark's
-destroyed systems behind unnoticed.
+It also checks the two destructions whose translations ``workloads.py`` pins
+against a run of each, so that a change to ``destroy_trivial_class`` cannot
+leave the benchmark's destroyed systems behind unnoticed.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-from skewlab.perturbation import DestroyParams, destroy_trivial_class
+from systems import DESTROYED, tracing, workloads
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their defining module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-BOUNDARIES = _load("tracing").BOUNDARIES
-workloads = _load("workloads")
+BOUNDARIES = tracing.BOUNDARIES
 WORKLOADS = workloads.WORKLOADS
 
 
@@ -53,12 +36,9 @@ def test_workload_setup(name, tmp_path):
 
 
 @pytest.mark.parametrize("name, epsilon, params", [
-    ("FINE", 0.03, DestroyParams()),
-    ("STRONG", 0.12, DestroyParams(v_frac=0.9, fiber_anchor2=(0.0, 0.0))),
-])
-def test_destroyed_specs_match_destroy(name, epsilon, params):
-    _, id_sp, quad = workloads.base_objects()
-    res = destroy_trivial_class(id_sp, quad, epsilon, params)
+    (name.upper(), epsilon, params) for name, (_, epsilon, params) in DESTROYED.items()])
+def test_destroyed_specs_match_destroy(destroy, name, epsilon, params):
+    res = destroy(epsilon, params)
     spec = getattr(workloads, name)
     assert res.draws_used == (1, 1)
 

@@ -1,44 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from skewlab.accessibility import loop_map, standard_generators, trivial_set_scan
-from skewlab.anosov import build_quad, make_anosov
 from skewlab import perturbation
 from skewlab.errors import BumpEscape, NoConvergence, OverlapError
-from skewlab.fiber import (ConstantFamily, IdentityMap, SkewProduct,
-                           certify_partial_hyperbolicity)
+from skewlab.fiber import ConstantFamily, IdentityMap, certify_partial_hyperbolicity
 from skewlab.holonomy import make_holonomy
 from skewlab.perturbation import (BumpTranslation, DestroyParams, PerturbedFamily,
                                   destroy_trivial_class, perturb_skew)
 from skewlab.torus import BumpProfile, lift, torus_dist, wrap, wrapped_diff
 
-CAT = [[2, 1], [1, 1]]
-
-
-@pytest.fixture(scope="module")
-def cat():
-    return make_anosov(CAT)
-
-
-@pytest.fixture(scope="module")
-def quad(cat):
-    return build_quad(cat, (0, 0), 0.2, 10, 50)
-
-
-@pytest.fixture(scope="module")
-def id_sp(cat):
-    return SkewProduct(base=cat, family=ConstantFamily(IdentityMap()))
-
-
-def make_bump(quad, i=1, v=(0.03, 0.012), fiber_center=(0.5, 0.5)):
-    r = quad.ball_radius(i)
-    w = quad.loop_points(i)[1]
-    return BumpTranslation(base_center=w,
-                           base_bump=BumpProfile(0.45 * r, 0.9 * r),
-                           fiber_center=wrap(fiber_center),
-                           fiber_bump=BumpProfile(0.34, 0.46), v=v)
+from systems import DESTROYED, destroy_bump
 
 
 def frozen_field(d0, d1, v0, v1, inner, band):
@@ -125,10 +100,9 @@ def band_batch(rng, n, centre=(0.5, 0.5), inner=0.34, outer=0.46):
     return (np.asarray(centre) + rr[:, None] * np.stack([np.cos(th), np.sin(th)], -1)) % 1.0
 
 
-# v1 of the fine and strong destroyed systems (perfbench/README.md), and the
-# largest |v| a BumpTranslation on the destroy fiber profile admits
-FINE_V1 = (-0.009780243953765491, -0.011373074703211682)
-STRONG_V1 = (-0.03344843432187798, -0.03889591548498395)
+# v1 of the fine and strong destroyed systems, and the largest |v| a
+# BumpTranslation on the destroy fiber profile admits
+FINE_V1, STRONG_V1 = DESTROYED["fine"][0].v1, DESTROYED["strong"][0].v1
 _VMAX = (perturbation.FIBER_OUTER - perturbation.FIBER_INNER) / 2.0
 LARGEST_V = (0.6 * _VMAX * (1 - 1e-9), -0.8 * _VMAX * (1 - 1e-9))
 
@@ -148,7 +122,7 @@ def newton_margin_residual(v, iters):
 
 @pytest.fixture(scope="module")
 def bump(quad):
-    return make_bump(quad)
+    return destroy_bump(quad)
 
 
 @pytest.fixture(scope="module")
@@ -166,11 +140,11 @@ def destroyed(id_sp, quad):
 class TestBumpTranslation:
     def test_geometry_validation(self, quad):
         with pytest.raises(BumpEscape):
-            make_bump(quad, v=(0.07, 0.0))   # |v| >= (outer - inner)/2
+            destroy_bump(quad, v=(0.07, 0.0))   # |v| >= (outer - inner)/2
         with pytest.raises(BumpEscape):
-            make_bump(quad, v=(0.0, 0.0))
+            destroy_bump(quad, v=(0.0, 0.0))
         with pytest.raises(BumpEscape):
-            make_bump(quad, v=(math.nan, 0.01))   # |v| is nan: every bound compares false
+            destroy_bump(quad, v=(math.nan, 0.01))   # |v| is nan: every bound compares false
         w = quad.w1
         with pytest.raises(BumpEscape):
             BumpTranslation(base_center=w, base_bump=BumpProfile(0.2, 0.6),
@@ -309,8 +283,8 @@ class TestBumpTranslation:
         # bitwise fixed point gives the same points and Jacobians as
         # NEWTON_ITERS full iterations; ``inverse`` flips the sign of t
         rng = np.random.default_rng(21)
-        b1 = make_bump(quad, 1, v=(0.03, 0.012))
-        b2 = make_bump(quad, 2, v=(-0.02, 0.035), fiber_center=(0.1, 0.85))
+        b1 = destroy_bump(quad, 1, v=(0.03, 0.012))
+        b2 = destroy_bump(quad, 2, v=(-0.02, 0.035), fiber_center=(0.1, 0.85))
         ys = np.concatenate([band_batch(rng, 60), band_batch(rng, 60, (0.1, 0.85))])
         owner = np.repeat([0, 1], 60)
         params = tuple(p[owner] for p in PerturbedFamily(
@@ -375,7 +349,7 @@ class TestBumpTranslation:
         # after NEWTON_ITERS iterations the midpoint residual is at least 100
         # times below NEWTON_TOL, on band points at partial activation, both
         # signs of t, up to the largest translation a BumpTranslation admits
-        make_bump(quad, v=v)   # admitted on the destroy fiber profile
+        destroy_bump(quad, v=v)   # admitted on the destroy fiber profile
         assert newton_margin_residual(v, perturbation.NEWTON_ITERS) \
             <= perturbation.NEWTON_TOL / 100
 
@@ -406,12 +380,9 @@ class TestBumpTranslation:
     def test_two_bumps_in_one_batch_match_each_point_alone_bitwise(self, quad):
         # one kernel call carries per-point fiber centre, v and profile; each
         # point gets the bits of its own bump applied to it alone
-        b1 = make_bump(quad, 1, v=(0.03, 0.012), fiber_center=(0.5, 0.5))
-        r2 = quad.ball_radius(2)
-        b2 = BumpTranslation(base_center=quad.w2,
-                             base_bump=BumpProfile(0.45 * r2, 0.9 * r2),
-                             fiber_center=wrap((0.1, 0.85)),
-                             fiber_bump=BumpProfile(0.3, 0.42), v=(-0.021, 0.034))
+        b1 = destroy_bump(quad, 1, v=(0.03, 0.012), fiber_center=(0.5, 0.5))
+        b2 = replace(destroy_bump(quad, 2, v=(-0.021, 0.034), fiber_center=(0.1, 0.85)),
+                     fiber_bump=BumpProfile(0.3, 0.42))
         fam = PerturbedFamily(ConstantFamily(IdentityMap()), (b1, b2))
         rng = np.random.default_rng(13)
         xs, ys, owner = [], [], []
@@ -462,36 +433,27 @@ class TestPerturbSkew:
         assert perturb_skew(id_sp, []) is id_sp
 
     def test_overlap_rejected(self, id_sp, quad):
-        b1 = make_bump(quad, 1)
-        b2 = BumpTranslation(base_center=quad.w1,
-                             base_bump=b1.base_bump,
-                             fiber_center=wrap((0.5, 0.5)),
-                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
+        b1 = destroy_bump(quad, 1)
+        b2 = destroy_bump(quad, 1, v=(0.01, 0.0))
         with pytest.raises(OverlapError):
             perturb_skew(id_sp, [b1, b2])
 
     def test_overlap_rejected_on_direct_family(self, quad):
         # the family itself refuses overlapping supports: at most one bump
         # may be active over a base point
-        b1 = make_bump(quad, 1)
-        b2 = BumpTranslation(base_center=quad.w1,
-                             base_bump=b1.base_bump,
-                             fiber_center=wrap((0.5, 0.5)),
-                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
+        b1 = destroy_bump(quad, 1)
+        b2 = destroy_bump(quad, 1, v=(0.01, 0.0))
         with pytest.raises(OverlapError):
             PerturbedFamily(ConstantFamily(IdentityMap()), (b1, b2))
-        PerturbedFamily(ConstantFamily(IdentityMap()), (b1, make_bump(quad, 2)))
+        PerturbedFamily(ConstantFamily(IdentityMap()), (b1, destroy_bump(quad, 2)))
 
     def test_overlap_with_earlier_bumps_rejected(self, id_sp, quad):
         # post-composing one bump at a time is checked like one call with both
-        b1 = make_bump(quad, 1)
-        b2 = BumpTranslation(base_center=quad.w1,
-                             base_bump=b1.base_bump,
-                             fiber_center=wrap((0.5, 0.5)),
-                             fiber_bump=BumpProfile(0.34, 0.46), v=(0.01, 0.0))
+        b1 = destroy_bump(quad, 1)
+        b2 = destroy_bump(quad, 1, v=(0.01, 0.0))
         with pytest.raises(OverlapError):
             perturb_skew(perturb_skew(id_sp, [b1]), [b2])
-        b3 = make_bump(quad, 2)
+        b3 = destroy_bump(quad, 2)
         chained = perturb_skew(perturb_skew(id_sp, [b1]), [b3])
         assert chained.family == perturb_skew(id_sp, [b1, b3]).family
 
@@ -499,7 +461,7 @@ class TestPerturbSkew:
         # |det - 1| <= 1e-8 per map; <= 1e-7 after the 1000-step cocycle
         # (fiber maps composed along a base orbit, the composition dynamics
         # actually performs)
-        bump = make_bump(quad, v=(0.045, 0.018))
+        bump = destroy_bump(quad, v=(0.045, 0.018))
         sp = perturb_skew(id_sp, [bump])
         rng = np.random.default_rng(7)
         ys = rng.random((200, 2))
@@ -522,7 +484,7 @@ class TestPerturbSkew:
 
     def test_remark_equal_relations(self, id_sp, quad):
         """The four holonomy identities: three legs unchanged, one composes the bump."""
-        bump = make_bump(quad, 1)
+        bump = destroy_bump(quad, 1)
         sp_g = perturb_skew(id_sp, [bump])
         grid = np.random.default_rng(8).random((400, 2))
         x = lift(quad.x)
@@ -550,7 +512,7 @@ class TestPerturbSkew:
         assert np.max(torus_dist(h_g(grid), expected)) < 10 * tol
 
     def test_still_dominated_for_small_v(self, id_sp, quad):
-        bump = make_bump(quad, v=(0.008, 0.004))
+        bump = destroy_bump(quad, v=(0.008, 0.004))
         sp = perturb_skew(id_sp, [bump])
         est = certify_partial_hyperbolicity(sp, 16)
         assert est.dominated
