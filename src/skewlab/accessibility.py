@@ -229,10 +229,9 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
 
     # chunks of len(seeds) // 25 seeds: no refinement scan outgrows the seed grid
     singular = np.reshape(singular_seeds, (-1, 2))
-    chunk = max(1, len(seeds) // 25)
-    span = 2.2 * np.max(region.half) / seed_grid_n
-    for lo in range(0, len(singular), chunk):
-        converged.append(_refine_by_scan(map_fn, singular[lo:lo + chunk], span))
+    if len(singular):
+        converged.append(_refine_by_scan(map_fn, singular, 2.2 * np.max(region.half) / seed_grid_n,
+                                         max(1, len(seeds) // 25)))
 
     if not converged:
         return FixedPointResult(identity_like=False, points=np.empty((0, 2)))
@@ -243,20 +242,27 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
                             points=_dedup(pts, DEDUP_FACTOR * tol))
 
 
-def _refine_by_scan(map_fn, seeds: np.ndarray, span: float) -> np.ndarray:
+def _refine_by_scan(map_fn, seeds: np.ndarray, span: float, chunk: int) -> np.ndarray:
     """Per seed of an (S, 2) array, the least-displaced point of a 5x5 grid
-    around it, re-centred and shrunk fivefold per level: one map call a level."""
-    best = seeds
-    rows = np.arange(len(seeds))
+    around it, re-centred and shrunk fivefold per level: one map call a level
+    per chunk of seeds.  The grids of offsets are built once for all chunks."""
+    grids = []
     for _ in range(REFINE_LEVELS):
         offs = np.linspace(-span, span, 5)
         uu, vv = np.meshgrid(offs, offs, indexing="ij")
-        cand = mod1(best[:, None, :] + np.stack([uu.ravel(), vv.ravel()], axis=-1))
-        flat = cand.reshape(-1, 2)
-        d = torus_dist(map_fn(flat), flat).reshape(len(seeds), -1)
-        best = cand[rows, np.argmin(d, axis=1)]
+        grids.append(np.stack([uu.ravel(), vv.ravel()], axis=-1))
         span /= 5.0
-    return best
+    refined = []
+    for lo in range(0, len(seeds), chunk):
+        best = seeds[lo:lo + chunk]
+        rows = np.arange(len(best))
+        for offs in grids:
+            cand = mod1(best[:, None, :] + offs)
+            flat = cand.reshape(-1, 2)
+            d = torus_dist(map_fn(flat), flat).reshape(len(best), -1)
+            best = cand[rows, np.argmin(d, axis=1)]
+        refined.append(best)
+    return np.concatenate(refined)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +288,35 @@ class Classification:
     n_points: int
 
 
+def _seed_rank(sids):
+    """Per entry of an array of seed ids, how many entries before it have its id."""
+    by_seed = np.argsort(sids, kind="stable")
+    rank = np.empty(len(sids), dtype=int)
+    rank[by_seed] = np.arange(len(sids)) - np.searchsorted(sids[by_seed], sids[by_seed])
+    return rank
+
+
 def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
                     word_length: int = 12, generators=None) -> list[ClassSample]:
     """Lockstep breadth-first orbits of many seeds under all loop maps and
     their inverses.
 
-    Each level sends the frontier points through the actions in one
-    loop_actions call, and each seed takes its first K - count new points in
-    candidate order (action, then frontier point).  Two kinds of image are
-    not computed, because no seed could take them:
+    Each level sends the frontier points through the actions, and each seed
+    takes its first K - count new points in candidate order (action, then
+    frontier point).  Three kinds of image are not computed, because no
+    seed could take them:
     - a point made by action a is not sent through a's inverse, which
       returns it to its parent, a point an earlier level took (reduced
       words);
-    - a seed that holds K points leaves the frontier (saturated seeds).
+    - a seed that holds K points leaves the frontier (saturated seeds);
+    - a seed with more candidates at a level than it can take (it fills)
+      evaluates them in prefix order, in rounds, and stops once it has its
+      K - count new points.  Its first round evaluates as many candidates
+      as it needs, each later round as many as it still lacks, and from the
+      third round on at least twice the round before, so a level makes
+      fewer than 2 + log2(C) loop_actions calls, C the largest candidate
+      count of a seed; the seeds still short share each round's call.  A
+      level where no seed fills makes one call.
     So each seed's sample is exactly the one it gets when explored alone,
     and the one every action on every frontier point would give.
     """
@@ -329,24 +351,50 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
             break
         select = np.arange(len(actions))[:, None] != back
         cand = np.flatnonzero(select)
-        pts = mod1(loop_actions(actions, frontier_pts, select).reshape(-1, 2).take(cand, axis=0))
         sids = frontier_sid[cand % n]
-        keys = keys_of(pts, sids)
-        # first occurrence of each key in this level, if no earlier level took it
-        _, first = np.unique(keys, return_index=True)
-        at = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
-        first = np.sort(first[seen[at] != keys[first]])
-        # each seed takes its first K - counts new points, in candidate order
-        sid = sids[first]
-        by_seed = np.argsort(sid, kind="stable")
-        rank = np.empty(len(first), dtype=int)
-        rank[by_seed] = np.arange(len(first)) - np.searchsorted(sid[by_seed], sid[by_seed])
-        take = first[rank < K - counts[sid]]
-        counts += np.bincount(sids[take], minlength=m)
-        new_keys = np.sort(keys[take])
-        seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
-        frontier_pts, frontier_sid = pts.take(take, axis=0), sids[take]
-        back = (cand[take] // n + len(gens)) % len(actions)
+        need, size = K - counts, np.bincount(sids, minlength=m)
+        # per seed, the prefix of its candidates evaluated by the end of a round
+        start, end = np.zeros(m, dtype=int), np.minimum(size, need)
+        fills = bool(np.any(end < size))
+        rank = _seed_rank(sids) if fills else None
+        got, rounds = np.zeros(m, dtype=int), []
+        while True:
+            part, sid = cand, sids
+            if fills:
+                inside = (rank >= start[sids]) & (rank < end[sids])
+                part, sid = cand[inside], sids[inside]
+                select = np.zeros(select.shape, dtype=bool)
+                select.flat[part] = True
+            pts = mod1(loop_actions(actions, frontier_pts, select).reshape(-1, 2)
+                       .take(part, axis=0))
+            keys = keys_of(pts, sid)
+            # first occurrence of each key in this round, if no earlier level
+            # or round evaluated it
+            _, first = np.unique(keys, return_index=True)
+            at = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
+            first = np.sort(first[seen[at] != keys[first]])
+            new_keys = np.sort(keys[first])
+            seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
+            # a seed that fills takes its first need - got new points
+            found = np.bincount(sid[first], minlength=m)
+            if np.any(got + found > need):
+                first = first[_seed_rank(sid[first]) < (need - got)[sid[first]]]
+                found = np.minimum(found, need - got)
+            got += found
+            rounds.append((part[first], pts.take(first, axis=0), sid[first]))
+            short = (got < need) & (end < size)
+            if not np.any(short):
+                break
+            lack = need - got
+            request = lack if len(rounds) == 1 else np.maximum(lack, 2 * (end - start))
+            start, end = end, np.where(short, np.minimum(size, end + request), end)
+        made, frontier_pts, frontier_sid = (np.concatenate(col) for col in zip(*rounds))
+        if len(rounds) > 1:     # back to candidate order
+            order = np.argsort(made)
+            made, frontier_pts, frontier_sid = (made[order], frontier_pts[order],
+                                                frontier_sid[order])
+        counts += got
+        back = (made // n + len(gens)) % len(actions)
         taken_pts.append(frontier_pts)
         taken_sid.append(frontier_sid)
 

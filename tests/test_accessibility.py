@@ -161,6 +161,54 @@ def assert_lockstep_bitwise(loops, ys=FIBERS):
     assert masked[select].tobytes() == images[select].tobytes()
 
 
+@pytest.fixture
+def explore_levels(monkeypatch):
+    """Records the loop_actions calls made from here on.  Returns a function
+    that groups them by exploration level (the rounds of a level evaluate
+    one frontier, so consecutive calls on bitwise the same points are one
+    level) and gives per level (points, select, images, calls): the union of
+    its rounds' selections, each selected image from the round that
+    selected it, and its number of rounds."""
+    recorded = []
+    actions_of = accessibility.loop_actions
+
+    def recording(actions, ys, select=None):
+        images = actions_of(actions, ys, select)
+        recorded.append((np.copy(ys), np.ones(images.shape[:2], bool) if select is None
+                         else select.copy(), images))
+        return images
+
+    monkeypatch.setattr(accessibility, "loop_actions", recording)
+
+    def levels():
+        grouped = []
+        for ys, select, images in recorded:
+            if grouped and grouped[-1][0].tobytes() == ys.tobytes():
+                _, union, merged, calls = grouped[-1]
+                merged[select] = images[select]
+                grouped[-1] = (ys, union | select, merged, calls + 1)
+            else:
+                grouped.append((ys, select, images.copy(), 1))
+        return grouped
+
+    return levels
+
+
+def assert_reduced_words_in_order(levels, n_gens):
+    """Over explore_levels() levels: each frontier point's candidate (action,
+    point), looked up by its bits among the images of the level before, is
+    in candidate order, and the point is not sent through the inverse of
+    that action."""
+    for (_, select, images, _), (ys, select_next, _, _) in zip(levels, levels[1:]):
+        made_by = {}
+        for c in np.flatnonzero(select):
+            made_by.setdefault(images.reshape(-1, 2)[c].tobytes(), c)
+        made = np.array([made_by[y.tobytes()] for y in ys])
+        assert np.all(np.diff(made) > 0)
+        back = (made // select.shape[1] + n_gens) % (2 * n_gens)
+        assert not np.any(select_next[back, np.arange(len(ys))])
+
+
 class TestLoopActions:
     @pytest.mark.parametrize("name", sorted(DESTROYED))
     def test_destroyed_system_bitwise(self, destroyed_systems, quad, name):
@@ -282,45 +330,74 @@ class TestLoopActions:
         assert sizes[4][1] < K < sizes[5][1] and len(got[1].points) == K
         assert sizes[5][0] < sizes[6][0] < sizes[7][0] == len(got[0].points) < K
 
-    def test_open_battery_work(self, destroyed_systems, quad, monkeypatch):
-        """The open-battery benchmark operation's inputs at seed 1: generators
-        and exploration send 24,393 band points to the bump kernel in 16
-        calls (38,118 when every action meets every frontier point), and no
-        point goes through the inverse of the action that made it."""
-        fine = destroyed_systems["fine"]
-        core = Region(center=(0.5, 0.5), half=(0.6 * workloads.FINE.region_half,) * 2)
-        seeds = core.sample(np.random.default_rng(1), 4)
+    @pytest.mark.parametrize("seed", [1, 1017])
+    def test_open_battery_equals_every_word(self, explore_levels, seed):
+        # open-battery's inputs at its tuning and hold-out seeds: seeds fill
+        # partway through levels, and some levels take more than one round
+        inp = workloads.setup_open_battery(seed, None)
+        gens = standard_generators(inp.sp, [inp.quad])
+        args = dict(K=inp.K, word_length=inp.word_length, generators=gens)
+        got = explore_classes(inp.sp, [inp.quad], inp.seeds, **args)
+        assert max(calls for *_, calls in explore_levels()) >= 2
+        want = explore_all_words(inp.sp, [inp.quad], inp.seeds, **args)
+        for g, w in zip(got, want, strict=True):
+            assert g == dataclasses.replace(w, points=g.points)
+            assert g.points.tobytes() == w.points.tobytes()
+
+    @pytest.mark.parametrize("name", ["fine", "strong", "horizontal"])
+    def test_explore_prefix_rounds(self, destroyed_systems, horiz_sp, quad, name,
+                                   explore_levels):
+        # at K = 60 two seeds fill at one level (have more candidates than
+        # they can take), a level's later rounds give a filling seed the
+        # points it lacks, and a filling seed runs out of candidates short;
+        # on the strong system such a seed's later-round points stay in the
+        # frontier, so the frontier's candidate order is checked
+        sp = {"horizontal": horiz_sp, **destroyed_systems}[name]
+        gens = standard_generators(sp, [quad])
+        seeds = [[0.5, 0.55], [0.5, 0.1], [0.9, 0.5], [0.3, 0.6], [0.04, 0.02]]
+        K, levels = 60, 9
+        got = explore_classes(sp, [quad], seeds, K=K, word_length=levels, generators=gens)
+        recorded = explore_levels()
+        assert_reduced_words_in_order(recorded, len(gens))
+        rounds = np.zeros(levels, dtype=int)
+        rounds[:len(recorded)] = [calls for *_, calls in recorded]
+        want = explore_all_words(sp, [quad], seeds, K=K, word_length=levels, generators=gens)
+        for g, w in zip(got, want, strict=True):
+            assert g.points.tobytes() == w.points.tobytes()
+        # each seed's count after n levels, from every word; a level's
+        # candidates are every action on the seed and every action but one
+        # on each point the level before made
+        sizes = np.array([[len(s.points) for s in explore_all_words(
+            sp, [quad], seeds, K=K, word_length=n, generators=gens)] for n in range(levels + 1)])
+        cand = np.diff(sizes, axis=0, prepend=0)[:-1] * (2 * len(gens) - 1)
+        cand[0] += 1
+        fills = (sizes[:-1] < K) & (cand > K - sizes[:-1])
+        short = fills & (sizes[1:] < K)
+        assert np.any(fills.sum(axis=1) >= 2)
+        assert np.any(short)
+        assert np.any((rounds >= 2) & fills.any(axis=1) & ~short.any(axis=1))
+        assert rounds.max() == 3      # the third round, whose request doubles, ran
+
+    def test_open_battery_work(self, explore_levels, monkeypatch):
+        """The open-battery benchmark operation at seed 1: generators and
+        exploration send 10,445 band points to the bump kernel in 18 calls
+        (38,118 when every action meets every frontier point, and 24,393 in
+        16 calls when a seed that fills evaluated every candidate).  One
+        level takes three rounds, and each frontier is in candidate order."""
+        inp = workloads.setup_open_battery(1, None)
         band_points = []
         flow = perturbation._flow
         monkeypatch.setattr(perturbation, "_flow", lambda y0, *args, **kw:
                             band_points.append(len(y0)) or flow(y0, *args, **kw))
-        levels = []
-        actions_of = accessibility.loop_actions
-
-        def recording(actions, ys, select=None):
-            images = (actions_of(actions, ys) if select is None
-                      else actions_of(actions, ys, select))
-            levels.append((np.copy(ys), np.ones(images.shape[:2], bool)
-                           if select is None else select.copy(), images))
-            return images
-
-        monkeypatch.setattr(accessibility, "loop_actions", recording)
-        gens = standard_generators(fine, [quad])
-        samples = explore_classes(fine, [quad], seeds, K=4000, word_length=32,
-                                  generators=gens)
+        gens = standard_generators(inp.sp, [inp.quad])
+        samples = explore_classes(inp.sp, [inp.quad], inp.seeds, K=inp.K,
+                                  word_length=inp.word_length, generators=gens)
         assert [len(s.points) for s in samples] == [4000] * 4
-        assert (len(band_points), sum(band_points)) == (16, 24393)
-        assert sum(int(select.sum()) for _, select, _ in levels) == 41881
-        # each frontier point's action, looked up by its bits among the images
-        # of the level before, and the actions the point was sent through
-        n_gens = len(gens)
-        for (_, select, images), (ys, select_next, _) in zip(levels, levels[1:]):
-            made_by = {}
-            for a, j in zip(*np.nonzero(select)):
-                made_by.setdefault(images[a, j].tobytes(), a)
-            for i, y in enumerate(ys):
-                back = (made_by[y.tobytes()] + n_gens) % (2 * n_gens)
-                assert not select_next[back, i]
+        assert (len(band_points), sum(band_points)) == (18, 10445)
+        levels = explore_levels()
+        assert sorted(calls for *_, calls in levels) == [1] * 26 + [3]
+        assert sum(int(select.sum()) for _, select, _, _ in levels) == 23927
+        assert_reduced_words_in_order(levels, len(gens))
 
 
 class TestFindFixedPoints:
@@ -378,10 +455,10 @@ class TestFindFixedPoints:
         rng = np.random.default_rng(2)
         radius, angle = rng.uniform(0.35, 0.45, 30), rng.uniform(0.0, 2 * math.pi, 30)
         seeds = 0.5 + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-        batched = _refine_by_scan(bump_map, seeds, 0.02)
-        single = np.concatenate([_refine_by_scan(bump_map, s[None, :], 0.02) for s in seeds])
+        batched = _refine_by_scan(bump_map, seeds, 0.02, 30)
         assert batched.shape == (30, 2)
-        assert np.array_equal(batched, single)
+        for chunk in (1, 7):
+            assert np.array_equal(batched, _refine_by_scan(bump_map, seeds, 0.02, chunk))
 
 
 class TestExploreAndClassify:
