@@ -121,12 +121,14 @@ _TAIL_SAFETY = 100.0
 
 def _min_horizon(sp: SkewProduct, kind: str, s_from: float, s_to: float,
                  tol: float, n_max: int) -> int:
-    """Smallest n past which step-n contributions are provably below tol/2.
+    """A lower bound on the Cauchy scan's length, taken from the base
+    contraction with a safety factor.
 
-    The fiber maps at the paired base points differ by at most
-    base_lipschitz * |s_from - s_to| * rate^n, so a family that has not yet
-    shown an increment may still produce one until this horizon; the Cauchy
-    scan must not stop before it.
+    It is the smallest n with _TAIL_SAFETY * base_lipschitz * |s_from - s_to|
+    * rate^n <= tol/2, at most n_max - _LOOKAHEAD.  The term has no factor
+    for the growth of the fiber maps along the composition, so it bounds
+    nothing about step n's contribution; it only keeps a family that has not
+    yet shown an increment from stopping the scan before this horizon.
     """
     scale = sp.family.base_lipschitz() * abs(s_from - s_to) * _TAIL_SAFETY
     if scale == 0.0:

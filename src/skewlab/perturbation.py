@@ -386,6 +386,58 @@ def _min_singular_value(map_fn, points) -> float:
     return float(np.min(svals))
 
 
+def _regular_value(loop, region, target, tol) -> bool:
+    """Whether ``target`` is a numerically regular value of loop - id on
+    region: the search is not identity-like, and D(loop - id) has smallest
+    singular value above MIN_SINGULAR at every solution of loop(y) - y = target."""
+    res = find_fixed_points(lambda pts: mod1(loop(pts) - target), region, tol=tol,
+                            seed_grid_n=SEED_GRID_N)
+    return not res.identity_like and _min_singular_value(loop, res.points) > MIN_SINGULAR
+
+
+def _draw_translation(rng, loop, center, v_norm, tol, angle, lo, hi, admits=None):
+    """Draw translations v of norm v_norm at angle ``angle`` + U(lo, hi) until
+    both +v and -v are regular values of loop - id on the plateau region about
+    ``center`` and ``admits(v)`` holds; RegularValueFailure after MAX_DRAWS
+    draws.  Returns (v, that region, the draws used)."""
+    region = _plateau_region(center, FIBER_INNER - v_norm)
+    for draws in range(1, MAX_DRAWS + 1):
+        theta = angle + rng.uniform(lo, hi)
+        v = (v_norm * math.cos(theta), v_norm * math.sin(theta))
+        if all(_regular_value(loop, region, sign * np.asarray(v), tol) for sign in (1.0, -1.0)) \
+                and (admits is None or admits(v)):
+            return v, region, draws
+    raise RegularValueFailure(f"no admissible translation after {MAX_DRAWS} draws")
+
+
+def _mount(quad, i, v, fiber_center) -> BumpTranslation:
+    """Destroy's bump translation by v: its base bump at the quad's w_i, with
+    radii BASE_INNER_FRAC and BASE_OUTER_FRAC of loop i's ball radius, and its
+    fiber bump BumpProfile(FIBER_INNER, FIBER_OUTER) at fiber_center."""
+    r = quad.ball_radius(i)
+    return BumpTranslation(base_center=quad.loop_points(i)[1],
+                           base_bump=BumpProfile(BASE_INNER_FRAC * r, BASE_OUTER_FRAC * r),
+                           fiber_center=wrap(fiber_center),
+                           fiber_bump=BumpProfile(FIBER_INNER, FIBER_OUTER), v=v)
+
+
+def _postcondition(sp, quads, region, params):
+    """Destroy's postcondition: trivial-set scans of region at scan_grid_n and
+    at twice it, with one set of generators.  The first scan that finds grid
+    points fixed by every generator raises PostconditionFailure with them, so
+    the second runs only if the first is empty.  Returns (scan, scan_double)."""
+    gens = standard_generators(sp, quads, tol=params.holonomy_tol)
+    scans = []
+    for n in (params.scan_grid_n, 2 * params.scan_grid_n):
+        scan = trivial_set_scan(sp, quads, n, params.scan_tol, region=region, generators=gens)
+        if not scan.empty:
+            raise PostconditionFailure(
+                f"{len(scan.points)} points of the {n}x{n} grid remain fixed by all generators",
+                data=scan.points)
+        scans.append(scan)
+    return tuple(scans)
+
+
 def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
                           params: DestroyParams = DestroyParams()) -> DestroyResult:
     """Destroy every trivial accessibility class over the quad's base point.
@@ -396,134 +448,59 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     shared stable leaf, mounts a second non-parallel bump at w_2 that moves
     every projected point, and certifies by an independent trivial-set scan
     (plus one at double resolution) that the certified region V_x holds no
-    point fixed by all generators.
+    point fixed by all generators.  Its parts: ``_draw_translation`` (once
+    per bump), ``_mount`` and ``_postcondition``.
     """
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(params.rng_seed)
-    tol = params.fixed_point_tol
+    tol, htol = params.fixed_point_tol, params.holonomy_tol
 
     # l_i based at fiber(w_i): loop i rotated to w_i -> x -> z_i -> p_i -> w_i
-    l_paths = {}
-    for i in (1, 2):
-        maps = loop_map(sp, quad, i, params.holonomy_tol).maps
-        l_paths[i] = LoopMap(maps[-1:] + maps[:-1])
+    loops = [LoopMap(maps[-1:] + maps[:-1])
+             for maps in (loop_map(sp, quad, i, htol).maps for i in (1, 2))]
+    # bump i's fiber centre: the stable-holonomy image over w_i of its anchor over x
+    anchors = (FIBER_ANCHOR, FIBER_ANCHOR if params.fiber_anchor2 is None
+               else params.fiber_anchor2)
+    centers = [make_holonomy(sp, "stable", lift(quad.x), 0.0, s_w, tol=htol)(
+                   np.asarray(anchor, float)) for s_w, anchor in zip(quad.s_w, anchors)]
 
-    anchor_y = np.asarray(FIBER_ANCHOR, float)
-    anchor2 = anchor_y if params.fiber_anchor2 is None \
-        else np.asarray(params.fiber_anchor2, float)
-    centers = {}
-    for i, anch in ((1, anchor_y), (2, anchor2)):
-        s_w = quad.s_w[i - 1]
-        h_xw = make_holonomy(sp, "stable", lift(quad.x), 0.0, s_w,
-                             tol=params.holonomy_tol)
-        centers[i] = h_xw(anch)
-
-    fiber_prof = BumpProfile(FIBER_INNER, FIBER_OUTER)
     delta = min(epsilon, 0.95 * (FIBER_OUTER - FIBER_INNER) / 2.0,
                 0.9 * FIBER_INNER)
     v_norm = params.v_frac * delta
 
-    def regular_for(loop, center, v):
-        reg = _plateau_region(center, FIBER_INNER - v_norm)
-        for sign in (1.0, -1.0):
-            target = sign * np.asarray(v)
-
-            def shifted(pts):
-                return mod1(loop(pts) - target)
-
-            res = find_fixed_points(shifted, reg, tol=tol, seed_grid_n=SEED_GRID_N)
-            if res.identity_like:
-                return None
-            if len(res.points):
-                smin = _min_singular_value(loop, res.points)
-                if smin <= MIN_SINGULAR:
-                    return None
-        return reg
-
-    v1 = None
-    draws1 = 0
-    for k in range(MAX_DRAWS):
-        draws1 = k + 1
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        cand = (v_norm * math.cos(theta), v_norm * math.sin(theta))
-        reg1 = regular_for(l_paths[1], centers[1], cand)
-        if reg1 is not None:
-            v1 = cand
-            break
-    if v1 is None:
-        raise RegularValueFailure(
-            f"no regular translation for loop 1 after {MAX_DRAWS} draws")
-
-    def make_bump(i, v):
-        r_ball = quad.ball_radius(i)
-        base_prof = BumpProfile(BASE_INNER_FRAC * r_ball, BASE_OUTER_FRAC * r_ball)
-        _, w, _ = quad.loop_points(i)
-        return BumpTranslation(base_center=w, base_bump=base_prof,
-                               fiber_center=wrap(centers[i]), fiber_bump=fiber_prof,
-                               v=v)
-
-    def bump_after_loop(i, bt):
-        """h_i^{-1} o l_i on fiber(w_i), where bump i is fully active."""
+    def bumped(i, v):
+        """h_i^{-1} o l_i on fiber(w_i), where bump i by v is fully active."""
+        bt = _mount(quad, i, v, centers[i - 1])
         fam = PerturbedFamily(ConstantFamily(IdentityMap()), (bt,))
-        return lambda pts: fam.apply(bt.base_center, l_paths[i](pts))
+        return lambda pts: fam.apply(bt.base_center, loops[i - 1](pts))
 
-    bt1 = make_bump(1, v1)
-    m1 = bump_after_loop(1, bt1)
-
-    fp1 = find_fixed_points(m1, reg1, tol=tol, seed_grid_n=SEED_GRID_N)
+    v1, reg1, draws1 = _draw_translation(rng, loops[0], centers[0], v_norm, tol,
+                                         0.0, 0.0, 2.0 * math.pi)
+    fp1 = find_fixed_points(bumped(1, v1), reg1, tol=tol, seed_grid_n=SEED_GRID_N)
     if fp1.identity_like:
         raise RegularValueFailure("perturbed loop 1 is identity-like; bump ineffective")
 
-    proj = make_holonomy(sp, "stable", lift(quad.x), quad.s_w[0], quad.s_w[1],
-                         tol=params.holonomy_tol)
+    proj = make_holonomy(sp, "stable", lift(quad.x), quad.s_w[0], quad.s_w[1], tol=htol)
     projected = proj(fp1.points) if len(fp1.points) else np.empty((0, 2))
 
-    v2 = None
-    draws2 = 0
-    base_angle = math.atan2(v1[1], v1[0])
-    for k in range(MAX_DRAWS):
-        draws2 = k + 1
-        theta = base_angle + math.pi / 2.0 + rng.uniform(-0.4, 0.4)
-        cand = (v_norm * math.cos(theta), v_norm * math.sin(theta))
-        reg2 = regular_for(l_paths[2], centers[2], cand)
-        if reg2 is None:
-            continue
-        bt2_cand = make_bump(2, cand)
-        m2 = bump_after_loop(2, bt2_cand)
-        if len(projected):
-            moved = torus_dist(m2(projected), projected)
-            if np.min(moved) <= 10 * tol:
-                continue
-        v2 = cand
-        bt2 = bt2_cand
-        break
-    if v2 is None:
-        raise RegularValueFailure(
-            f"no admissible second translation after {MAX_DRAWS} draws")
+    def moves_projected(v):
+        """Whether h_2^{-1} o l_2 with bump 2 by v moves every projected point."""
+        return not len(projected) or \
+            np.min(torus_dist(bumped(2, v)(projected), projected)) > 10 * tol
 
-    perturbed = perturb_skew(sp, (bt1, bt2))
+    v2, _, draws2 = _draw_translation(rng, loops[1], centers[1], v_norm, tol,
+                                      math.atan2(v1[1], v1[0]) + math.pi / 2.0, -0.4, 0.4,
+                                      admits=moves_projected)
+    bumps = (_mount(quad, 1, v1, centers[0]), _mount(quad, 2, v2, centers[1]))
+    perturbed = perturb_skew(sp, bumps)
 
     # V_x certified through bump 1's plateau; when the second bump shares the
     # anchor its (identical) plateau certifies the same region
-    radius_eff = (FIBER_INNER - v_norm) * 0.9
-    vx = _plateau_region(anchor_y, radius_eff)
+    vx = _plateau_region(FIBER_ANCHOR, (FIBER_INNER - v_norm) * 0.9)
+    scan, scan_double = _postcondition(perturbed, [quad], vx, params)
 
-    gens = standard_generators(perturbed, [quad], tol=params.holonomy_tol)
-    scan = trivial_set_scan(perturbed, [quad], params.scan_grid_n, params.scan_tol,
-                            region=vx, generators=gens)
-    if not scan.empty:
-        raise PostconditionFailure(
-            f"{len(scan.points)} grid points remain fixed by all generators",
-            data=scan.points)
-    scan_double = trivial_set_scan(perturbed, [quad], 2 * params.scan_grid_n,
-                                   params.scan_tol, region=vx, generators=gens)
-    if not scan_double.empty:
-        raise PostconditionFailure(
-            "double-resolution scan found residual trivial points",
-            data=scan_double.points)
-
-    return DestroyResult(skew_product=perturbed, bumps=(bt1, bt2), region=vx,
+    return DestroyResult(skew_product=perturbed, bumps=bumps, region=vx,
                          v1=v1, v2=v2, residual_fixed_points=fp1.points,
                          projected_fixed_points=projected, delta=delta,
                          draws_used=(draws1, draws2), scan=scan,

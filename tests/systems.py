@@ -12,9 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from skewlab.perturbation import (BASE_INNER_FRAC, BASE_OUTER_FRAC, FIBER_ANCHOR,
-                                  FIBER_INNER, FIBER_OUTER, BumpTranslation, DestroyParams)
-from skewlab.torus import BumpProfile, wrap
+from skewlab.perturbation import FIBER_ANCHOR, DestroyParams, _mount
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,12 +40,7 @@ DESTROYED = {
 
 
 def destroy_bump(quad, i=1, v=(0.03, 0.012), fiber_center=FIBER_ANCHOR):
-    """A bump translation by v with destroy's geometry: its base bump at the
-    quad's w_i, with radii BASE_INNER_FRAC and BASE_OUTER_FRAC of loop i's
-    ball radius, and its fiber bump BumpProfile(FIBER_INNER, FIBER_OUTER)
-    at fiber_center."""
-    r = quad.ball_radius(i)
-    return BumpTranslation(base_center=quad.loop_points(i)[1],
-                           base_bump=BumpProfile(BASE_INNER_FRAC * r, BASE_OUTER_FRAC * r),
-                           fiber_center=wrap(fiber_center),
-                           fiber_bump=BumpProfile(FIBER_INNER, FIBER_OUTER), v=v)
+    """A bump translation by v with destroy's geometry, mounted by destroy's
+    own ``_mount``: its base bump at the quad's w_i, its fiber bump at
+    fiber_center."""
+    return _mount(quad, i, v, fiber_center)

@@ -1,12 +1,14 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from skewlab.accessibility import loop_map, standard_generators, trivial_set_scan
+from skewlab.accessibility import LoopMap, loop_map, standard_generators, trivial_set_scan
 from skewlab import perturbation
-from skewlab.errors import BumpEscape, NoConvergence, OverlapError
+from skewlab.errors import (BumpEscape, NoConvergence, OverlapError, PostconditionFailure,
+                            RegularValueFailure)
 from skewlab.fiber import ConstantFamily, IdentityMap, certify_partial_hyperbolicity
 from skewlab.holonomy import make_holonomy
 from skewlab.perturbation import (BumpTranslation, DestroyParams, PerturbedFamily,
@@ -119,6 +121,16 @@ def newton_margin_residual(v, iters):
                            iters=iters)[3]
                for sign in (1.0, -1.0))
 
+
+# sha256 over the bytes of grid, fixed_mask and max_displacement of the two
+# postcondition scans (scan, scan_double) of FINE's and STRONG's destructions,
+# taken at commit feae0bf; the same under OPENBLAS_CORETYPE=Prescott
+SCAN_SHA256 = {
+    "fine": ("5949e9d223a078de0442e2f282d1a7d62c8ec477b9b20cc8f35e5d3228002f57",
+             "64af0d5efb6c367b38b13d005e038aeabfbbb8fd1d1d2e3e8085fbf94099b272"),
+    "strong": ("0d03d5c5af6afa91ce80757ab4941a00f9d847a16d968b93d51523519aa2c55f",
+               "2ac48914165b32a0807bb17689e20989f64a650d59ecdc06c59b7c804dc0bd37"),
+}
 
 @pytest.fixture(scope="module")
 def bump(quad):
@@ -600,3 +612,46 @@ class TestDestroy:
         r2 = destroy_trivial_class(id_sp, quad, 0.04,
                                    DestroyParams(rng_seed=3, scan_grid_n=16))
         assert r1.v1 == r2.v1 and r1.v2 == r2.v2
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SHA256))
+    def test_postcondition_scans_bitwise(self, request, name):
+        res = request.getfixturevalue(f"destroyed_{name}")
+        digests = []
+        for scan in (res.scan, res.scan_double):
+            h = hashlib.sha256()
+            for arr in (scan.grid, scan.fixed_mask, scan.max_displacement):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            digests.append(h.hexdigest())
+        assert tuple(digests) == SCAN_SHA256[name]
+
+    def test_postcondition_fails_on_the_unperturbed_system(self, id_sp, quad, destroyed_fine,
+                                                            monkeypatch):
+        # over A x id every grid point is fixed by every generator; the
+        # failing first scan stops the postcondition before the double one
+        sizes = []
+        scan = perturbation.trivial_set_scan
+
+        def recorded(sp, quads, n, *args, **kwargs):
+            sizes.append(n)
+            return scan(sp, quads, n, *args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "trivial_set_scan", recorded)
+        region = destroyed_fine.region
+        with pytest.raises(PostconditionFailure) as err:
+            perturbation._postcondition(id_sp, [quad], region, DestroyParams())
+        assert np.array_equal(err.value.data, region.grid(32))
+        assert sizes == [32]
+
+    def test_draw_fails_after_max_draws(self, id_sp, quad):
+        # over A x id the loop is the identity, so at |v| = 0 the shifted loop
+        # is identity-like at every draw and no draw is regular
+        maps = loop_map(id_sp, quad, 1).maps
+        loop = LoopMap(maps[-1:] + maps[:-1])
+        rng = np.random.default_rng(0)
+        with pytest.raises(RegularValueFailure):
+            perturbation._draw_translation(rng, loop, perturbation.FIBER_ANCHOR, 0.0, 1e-8,
+                                           0.0, 0.0, 2.0 * math.pi)
+        fresh = np.random.default_rng(0)
+        for _ in range(perturbation.MAX_DRAWS):
+            fresh.uniform()
+        assert rng.bit_generator.state == fresh.bit_generator.state
