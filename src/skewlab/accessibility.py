@@ -31,7 +31,8 @@ FD_STEP = 1e-6          # central-difference step of displacement_jacobian
 NEWTON_MAX_ITER = 50    # damped Newton iterations of find_fixed_points
 DEDUP_FACTOR = 10.0     # fixed points closer than DEDUP_FACTOR * tol are one
 REFINE_LEVELS = 3       # fivefold shrinks of a singular seed's refinement scan
-DIAMETER_CELLS = 256    # sample_diameter's grid: the finest with this many cells occupied
+DIAMETER_CELLS = 64     # sample_diameter's cells: the finest level with at most this many
+                        # occupied, or 16 x 16 where that has more
 DIAMETER_RUN = 256      # points per run of one cell; DIAMETER_RUN**2 pairs per kernel call
 # Rounding slack of sample_diameter: both its cheap kernel and torus_dist are
 # within 1e-15 (absolute plus relative) of the exact distance, so widening by
@@ -405,10 +406,28 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
             for i, s in enumerate(seeds)]
 
 
-def _cell_keys(points: np.ndarray, j: int) -> np.ndarray:
-    """One int64 key per point: its cell of the 2^j x 2^j dyadic grid."""
-    cells = np.minimum(np.floor(points * (1 << j)).astype(np.int64), (1 << j) - 1)
-    return (cells[:, 0] << j) | cells[:, 1]
+_KEY_LEVEL = 30         # the dyadic level of _morton_keys' cells
+# (shift, mask) steps that spread the 30 bits of a cell index to the even bits
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+           (2, 0x3333333333333333), (1, 0x5555555555555555))
+
+
+def _morton_keys(points: np.ndarray) -> np.ndarray:
+    """One int64 key per point of the torus: its cell of the 2^30 x 2^30 dyadic
+    grid, the bits of the two axes interleaved (Morton order), x's above y's.
+
+    ``key >> 2 * (30 - j)`` is then the point's cell at any level j <= 30,
+    bitwise floor(p * 2^j) of its coordinates p mod 1: scaling by a power of
+    two is exact, floor(x / 2) == floor(floor(x) / 2), and p < 1 needs no
+    clamp to 2^j - 1.  So sorted keys order every level at once, each
+    level's cells contiguous.  Non-finite points raise ValueError, as mod1
+    does.
+    """
+    cells = np.floor(mod1(points).reshape(-1, 2) * float(1 << _KEY_LEVEL)).astype(np.int64)
+    for shift, mask in _SPREAD:
+        cells |= cells << shift
+        cells &= mask
+    return (cells[:, 0] << 1) | cells[:, 1]
 
 
 def _reach(lo, hi):
@@ -440,8 +459,10 @@ def sample_diameter(points: np.ndarray) -> float:
     ordered pairs, found by pruning pairs of dyadic cells instead of
     evaluating every pair.
 
-    The points are binned on the finest dyadic grid with at most
-    DIAMETER_CELLS occupied cells, from 16 x 16 up, and each cell's points
+    One stable sort of the points' Morton keys orders every dyadic level at
+    once.  The points are grouped into the cells of the finest level with at
+    most DIAMETER_CELLS occupied cells, or of the 16 x 16 grid where that
+    has more; each cell is contiguous in the sorted order, and its points
     are cut into runs of at most DIAMETER_RUN.  Run pairs are visited by
     decreasing upper bound of their distance, at most DIAMETER_RUN**2 point
     pairs at a time, and the visit stops once no bound reaches the best
@@ -453,14 +474,17 @@ def sample_diameter(points: np.ndarray) -> float:
     n = len(pts)
     if n < 2:
         return 0.0
-    j = 4
-    while j < 30 and len(np.unique(_cell_keys(pts, j + 1))) <= DIAMETER_CELLS:
-        j += 1
-    keys = _cell_keys(pts, j)
+    keys = _morton_keys(pts)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    # consecutive points share their level-j cell iff split < 1 << 2 * (30 - j)
+    split = keys[1:] ^ keys[:-1]
+    j = 4
+    while j < _KEY_LEVEL and np.count_nonzero(
+            split >= 1 << 2 * (_KEY_LEVEL - j - 1)) < DIAMETER_CELLS:
+        j += 1
     x, y = pts[order, 0], pts[order, 1]
-    new_cell = np.r_[True, keys[1:] != keys[:-1]]
+    new_cell = np.r_[True, split >= 1 << 2 * (_KEY_LEVEL - j)]
     rank = np.arange(n) - np.flatnonzero(new_cell)[np.cumsum(new_cell) - 1]
     start = np.flatnonzero(rank % DIAMETER_RUN == 0)
     count = np.diff(np.r_[start, n])
@@ -510,7 +534,13 @@ def sample_diameter(points: np.ndarray) -> float:
 
 
 def box_counts(points: np.ndarray, scales=DYADIC_SCALES) -> tuple[int, ...]:
-    return tuple(int(len(np.unique(_cell_keys(points, j)))) for j in scales)
+    """Occupied cells of the 2^j x 2^j dyadic grid of the torus, per scale
+    j <= 30 of scales (points taken mod 1; none for no points): one sort of
+    the Morton keys, then per scale a count of the level-j cell changes."""
+    keys = np.sort(_morton_keys(points))
+    split = keys[1:] ^ keys[:-1]
+    return tuple(min(len(keys), 1) + int(np.count_nonzero(split >= 1 << 2 * (_KEY_LEVEL - j)))
+                 for j in scales)
 
 
 def classify_class(sample: ClassSample) -> Classification:

@@ -644,6 +644,54 @@ class TestSampleDiameter:
                     np.array([[0.0, 0.0], [BELOW_ONE, BELOW_ONE], [0.5, BELOW_ONE]])):
             assert box_counts(pts, DYADIC_SCALES) == brute_box_counts(pts, DYADIC_SCALES)
 
+    def test_curve_battery_samples_match_oracles(self):
+        # the samples the 64-cell diameter grid was tuned on: curve-battery's
+        # first 10 classes at seed 1 (a seed's sample does not depend on the
+        # other seeds explored with it)
+        inp = workloads.setup_curve_battery(1, None)
+        samples = explore_classes(inp.sp, [inp.quad], inp.seeds[:10], K=inp.K,
+                                  word_length=inp.word_length)
+        for s in samples:
+            assert box_counts(s.points) == brute_box_counts(s.points, DYADIC_SCALES)
+            assert sample_diameter(s.points) == brute_diameter(s.points)
+
+
+ALL_LEVELS = range(3, 31)
+
+
+class TestBoxCounts:
+    def test_every_level_matches_row_unique(self):
+        # 4 x 4 points 2^-30 apart split only at levels 29 and 30
+        corner = np.floor(np.array([0.3, 0.7]) * 2 ** 28) / 2 ** 28
+        k = np.arange(4) * 2.0 ** -30
+        fine = corner + np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)
+        assert box_counts(fine, (28, 29, 30)) == (1, 4, 16)
+        edges = np.array([[0.0, 0.0], [BELOW_ONE, BELOW_ONE], [0.0, BELOW_ONE],
+                          [BELOW_ONE, 0.0], [0.5, 0.5]])
+        dups = np.repeat(np.random.default_rng(2).random((30, 2)), 4, axis=0)
+        for pts in (fine, edges, dups, np.concatenate([fine, edges, dups])):
+            assert box_counts(pts, ALL_LEVELS) == brute_box_counts(pts, ALL_LEVELS)
+
+    @given(st.lists(st.tuples(unit_coord, unit_coord), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_every_level_matches_row_unique_property(self, coords):
+        pts = np.array(coords, dtype=float)
+        assert box_counts(pts, ALL_LEVELS) == brute_box_counts(pts, ALL_LEVELS)
+
+    def test_cells_are_torus_cells(self):
+        # -0.25 is 0.75 on the torus; a negative y keeps its x's cell apart
+        pts = np.array([[0.1, -0.25], [0.6, -0.25], [-0.25, 0.1], [0.75, 0.1], [1.5, 2.0]])
+        assert box_counts(pts, ALL_LEVELS) == brute_box_counts(mod1(pts), ALL_LEVELS)
+        assert box_counts(pts, (1, 2)) == (3, 4)
+
+    def test_no_points_no_cells(self):
+        assert box_counts(np.empty((0, 2)), ALL_LEVELS) == (0,) * len(ALL_LEVELS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError):
+            box_counts(np.array([[0.2, 0.3], [0.4, bad]]))
+
 
 class TestTrivialScan:
     def test_constant_family_all_trivial(self, id_sp, quad):
