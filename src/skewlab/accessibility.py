@@ -29,8 +29,9 @@ MIN_BOXES = 24
 _QUANT = 1e-9
 FD_STEP = 1e-6          # central-difference step of displacement_jacobian
 NEWTON_MAX_ITER = 50    # damped Newton iterations of find_fixed_points
-DEDUP_FACTOR = 10.0     # fixed points closer than DEDUP_FACTOR * tol are one
-REFINE_LEVELS = 3       # fivefold shrinks of a singular seed's refinement scan
+# Fixed points in one cell of side DEDUP_FACTOR * tol (cells wrap around the
+# torus) are one; two points closer than that can still fall in two cells.
+DEDUP_FACTOR = 10.0
 DIAMETER_CELLS = 64     # sample_diameter's cells: the finest level with at most this many
                         # occupied, or 16 x 16 where that has more
 DIAMETER_RUN = 256      # points per run of one cell; DIAMETER_RUN**2 pairs per kernel call
@@ -155,7 +156,7 @@ class FixedPointResult:
 def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     if len(points) == 0:
         return points.reshape(0, 2)
-    keys = np.round(points / radius).astype(np.int64)
+    keys = np.round(points / radius).astype(np.int64) % max(1, round(1.0 / radius))
     _, idx = np.unique(keys, axis=0, return_index=True)
     pts = points[np.sort(idx)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
@@ -177,11 +178,15 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
                       seed_grid_n: int = 64) -> FixedPointResult:
     """All fixed points of a fiber self-map inside a chart rectangle.
 
-    Grid seeding + damped Newton on the wrapped displacement with
-    finite-difference derivatives; seeds with a singular derivative fall back,
-    len(seeds) // 25 at a time, to a 5x5 grid about each that shrinks fivefold
-    per level for REFINE_LEVELS levels (``_refine_by_scan``).  If more than
-    half of the seed grid is already fixed, the map is flagged identity-like instead.
+    Damped Newton on the wrapped displacement, with finite-difference
+    derivatives, from every point of a seed_grid_n x seed_grid_n grid of the
+    region: a seed stops when its displacement is below tol / 4 (a fixed
+    point), when its derivative is singular (|det| < 1e-12: locally a
+    translation, which has no fixed point, or the identity, already stopped
+    as fixed), or when it leaves the region.  A search calls map_fn once on
+    the grid, five times per Newton step and, if a seed converged, once on
+    the converged points.  If more than half of the seed grid is already
+    fixed, the map is flagged identity-like instead.
     """
     center = np.asarray(region.center, float)
     seeds = region.grid(seed_grid_n)
@@ -196,7 +201,6 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
 
     xi = wrapped_diff(seeds, center)
     active = np.ones(len(seeds), dtype=bool)
-    singular_seeds = []
     converged = []
     for _ in range(NEWTON_MAX_ITER):
         if not np.any(active):
@@ -209,10 +213,7 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
             converged.append(mod1(center + xi[active][done]))
         j00_01, j10_11 = displacement_jacobian(map_fn, q)
         det = j00_01[:, 0] * j10_11[:, 1] - j00_01[:, 1] * j10_11[:, 0]
-        sing = (np.abs(det) < 1e-12) & ~done
-        if np.any(sing):
-            singular_seeds.extend(mod1(center + xi[active][sing]))
-        ok = ~done & ~sing
+        ok = ~done & ~(np.abs(det) < 1e-12)
         step = np.zeros_like(d)
         safe_det = np.where(np.abs(det) < 1e-300, 1.0, det)
         step[:, 0] = (d[:, 0] * j10_11[:, 1] - d[:, 1] * j10_11[:, 0]) / safe_det
@@ -228,12 +229,6 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
         xi[idx] = new_xi
         active[idx[~keep]] = False
 
-    # chunks of len(seeds) // 25 seeds: no refinement scan outgrows the seed grid
-    singular = np.reshape(singular_seeds, (-1, 2))
-    if len(singular):
-        converged.append(_refine_by_scan(map_fn, singular, 2.2 * np.max(region.half) / seed_grid_n,
-                                         max(1, len(seeds) // 25)))
-
     if not converged:
         return FixedPointResult(identity_like=False, points=np.empty((0, 2)))
     pts = np.concatenate(converged, axis=0)
@@ -241,29 +236,6 @@ def find_fixed_points(map_fn, region: Region, tol: float = 1e-8,
     pts = pts[(resid < tol) & region.contains(pts, margin=1e-9)]
     return FixedPointResult(identity_like=False,
                             points=_dedup(pts, DEDUP_FACTOR * tol))
-
-
-def _refine_by_scan(map_fn, seeds: np.ndarray, span: float, chunk: int) -> np.ndarray:
-    """Per seed of an (S, 2) array, the least-displaced point of a 5x5 grid
-    around it, re-centred and shrunk fivefold per level: one map call a level
-    per chunk of seeds.  The grids of offsets are built once for all chunks."""
-    grids = []
-    for _ in range(REFINE_LEVELS):
-        offs = np.linspace(-span, span, 5)
-        uu, vv = np.meshgrid(offs, offs, indexing="ij")
-        grids.append(np.stack([uu.ravel(), vv.ravel()], axis=-1))
-        span /= 5.0
-    refined = []
-    for lo in range(0, len(seeds), chunk):
-        best = seeds[lo:lo + chunk]
-        rows = np.arange(len(best))
-        for offs in grids:
-            cand = mod1(best[:, None, :] + offs)
-            flat = cand.reshape(-1, 2)
-            d = torus_dist(map_fn(flat), flat).reshape(len(best), -1)
-            best = cand[rows, np.argmin(d, axis=1)]
-        refined.append(best)
-    return np.concatenate(refined)
 
 
 # ---------------------------------------------------------------------------

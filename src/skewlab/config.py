@@ -22,6 +22,7 @@ from .ergodic import OBSERVABLES
 from .errors import ConfigError, NotAnosov
 from .fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                     RotationFamily, ScalarField, SkewProduct, VectorField)
+from .perturbation import DestroyParams
 from .torus import BumpProfile, Region, wrap
 
 SCENARIOS = ("certify", "holonomy", "classify", "destroy", "ergodic", "pbb", "sweep")
@@ -197,9 +198,9 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    holonomy_tol: float = 1e-10
-    fixed_point_tol: float = 1e-8
-    scan_tol: float = 1e-6
+    holonomy_tol: float = DestroyParams.holonomy_tol
+    fixed_point_tol: float = DestroyParams.fixed_point_tol
+    scan_tol: float = DestroyParams.scan_tol
 
     def __post_init__(self):
         for name in ("holonomy_tol", "fixed_point_tol", "scan_tol"):
@@ -231,8 +232,8 @@ class ClassifyConfig:
 @dataclass(frozen=True)
 class DestroyConfig:
     epsilon: float = 0.05
-    scan_grid_n: int = 32
-    rng_seed: int = 0
+    scan_grid_n: int = DestroyParams.scan_grid_n
+    rng_seed: int = DestroyParams.rng_seed
 
     def __post_init__(self):
         if not (self.epsilon > 0):

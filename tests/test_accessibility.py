@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from skewlab import accessibility, perturbation
 from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample, LoopMap,
-                                   _refine_by_scan, box_counts, classify_class,
+                                   box_counts, classify_class,
                                    explore_classes, find_fixed_points, loop_actions,
                                    loop_map, sample_diameter, standard_generators,
                                    trivial_set_scan)
 from skewlab.holonomy import leaf_holonomy
-from skewlab.fiber import (ConstantFamily, IdentityMap, LewowiczFamily, ScalarField,
-                           SkewProduct, lewowicz_raw)
+from skewlab.fiber import LewowiczFamily, ScalarField, SkewProduct, lewowicz_raw
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
 
@@ -408,14 +407,23 @@ class TestFindFixedPoints:
         assert res.identity_like
 
     def test_translation_fixed_point_free(self):
-        res = find_fixed_points(lambda p: (p + np.array([0.1, 0.0])) % 1.0,
-                                self.REGION, tol=1e-8)
+        calls = []
+
+        def translation(p):
+            calls.append(len(p))
+            return (p + np.array([0.1, 0.0])) % 1.0
+
+        res = find_fixed_points(translation, self.REGION, tol=1e-8)
         assert not res.identity_like and len(res.points) == 0
+        # the seed grid, then one Newton step: its displacement and the four
+        # finite differences, after which every (singular) seed stops
+        assert calls == [64 * 64] * 6
 
     def test_lewowicz_contains_origin(self):
         region = Region(center=(0.0, 0.0), half=(0.2, 0.2))
         res = find_fixed_points(lambda p: lewowicz_raw(2.0, p), region, tol=1e-8)
-        assert len(res.points) >= 1
+        # Newton lands on both sides of the seam; the copies are one point
+        assert len(res.points) == 1
         assert np.min(torus_dist(res.points, (0.0, 0.0))) < 1e-8
 
     def test_planted_affine_fixed_point(self):
@@ -429,6 +437,20 @@ class TestFindFixedPoints:
         assert len(res.points) == 1
         assert torus_dist(res.points[0], target) < 1e-10
 
+    def test_planted_point_in_a_translated_fiber(self):
+        # a contraction toward target inside a disc and a translation outside
+        # it: the seeds outside are singular, the ones inside converge
+        target = np.array([0.3, 0.6])
+
+        def disc_contraction(p):
+            d = wrapped_diff(p, target)
+            inside = np.hypot(d[:, 0], d[:, 1]) < 0.1
+            return np.where(inside[:, None], mod1(target + 0.5 * d), mod1(p + [0.05, 0.02]))
+
+        res = find_fixed_points(disc_contraction, self.REGION, tol=1e-10)
+        assert not res.identity_like and len(res.points) == 1
+        assert torus_dist(res.points[0], target) < 1e-10
+
     def test_residuals_below_tol(self):
         def twist(p):
             d = ((p - 0.5 + 0.5) % 1.0) - 0.5
@@ -440,25 +462,6 @@ class TestFindFixedPoints:
         assert len(res.points) == 1
         q = res.points[0]
         assert torus_dist(twist(q[None, :]), q)[0] < 1e-9
-
-
-    def test_refine_batch_matches_single(self):
-        bt = BumpTranslation(base_center=wrap((0.0, 0.0)), base_bump=BumpProfile(0.05, 0.1),
-                             fiber_center=wrap((0.5, 0.5)), fiber_bump=BumpProfile(0.34, 0.46),
-                             v=(0.03, 0.012))
-        fam = PerturbedFamily(ConstantFamily(IdentityMap()), (bt,))
-
-        def bump_map(p):   # h^{-1}: the bump is fully active at its base centre
-            return fam.apply(bt.base_center, p)
-
-        # seeds on the flowed band, where the map is not a translation
-        rng = np.random.default_rng(2)
-        radius, angle = rng.uniform(0.35, 0.45, 30), rng.uniform(0.0, 2 * math.pi, 30)
-        seeds = 0.5 + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-        batched = _refine_by_scan(bump_map, seeds, 0.02, 30)
-        assert batched.shape == (30, 2)
-        for chunk in (1, 7):
-            assert np.array_equal(batched, _refine_by_scan(bump_map, seeds, 0.02, chunk))
 
 
 class TestExploreAndClassify:

@@ -613,6 +613,25 @@ class TestDestroy:
                                    DestroyParams(rng_seed=3, scan_grid_n=16))
         assert r1.v1 == r2.v1 and r1.v2 == r2.v2
 
+    def test_plateau_searches_make_six_map_calls(self, id_sp, quad, monkeypatch):
+        # every seed of a plateau search sees a translation: its Newton step
+        # finds the derivative singular, so the search stops after one step
+        calls = []
+        search = perturbation.find_fixed_points
+
+        def counted(map_fn, *args, **kwargs):
+            calls.append(0)
+
+            def map_counted(pts):
+                calls[-1] += 1
+                return map_fn(pts)
+
+            return search(map_counted, *args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "find_fixed_points", counted)
+        destroy_trivial_class(id_sp, quad, 0.03)
+        assert calls == [6] * 5
+
     @pytest.mark.parametrize("name", sorted(SCAN_SHA256))
     def test_postcondition_scans_bitwise(self, request, name):
         res = request.getfixturevalue(f"destroyed_{name}")
