@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .accessibility import (LoopMap, displacement_jacobian, find_fixed_points,
-                            loop_map, standard_generators, trivial_set_scan)
+                            standard_generators, trivial_set_scan)
 from .errors import (BumpEscape, NoConvergence, OverlapError, PostconditionFailure,
                      RegularValueFailure)
 from .fiber import ConstantFamily, FiberFamily, IdentityMap, SkewProduct, row_elements
@@ -370,6 +370,7 @@ class DestroyResult:
     draws_used: tuple[int, int]
     scan: object
     scan_double: object
+    generators: list[LoopMap]           # the unperturbed system's standard generators
 
 
 def _plateau_region(center, radius_eff: float) -> Region:
@@ -381,7 +382,7 @@ def _min_singular_value(map_fn, points) -> float:
     """Smallest singular value of the FD derivative of (map - id) over points."""
     if len(points) == 0:
         return math.inf
-    jac = np.stack(displacement_jacobian(map_fn, points), axis=-1)
+    jac = np.stack(displacement_jacobian(map_fn, points)[1:], axis=-1)
     svals = np.linalg.svd(jac, compute_uv=False)
     return float(np.min(svals))
 
@@ -457,8 +458,8 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     tol, htol = params.fixed_point_tol, params.holonomy_tol
 
     # l_i based at fiber(w_i): loop i rotated to w_i -> x -> z_i -> p_i -> w_i
-    loops = [LoopMap(maps[-1:] + maps[:-1])
-             for maps in (loop_map(sp, quad, i, htol).maps for i in (1, 2))]
+    gens = standard_generators(sp, [quad], tol=htol)
+    loops = [LoopMap(g.maps[-1:] + g.maps[:-1]) for g in gens]
     # bump i's fiber centre: the stable-holonomy image over w_i of its anchor over x
     anchors = (FIBER_ANCHOR, FIBER_ANCHOR if params.fiber_anchor2 is None
                else params.fiber_anchor2)
@@ -504,4 +505,4 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
                          v1=v1, v2=v2, residual_fixed_points=fp1.points,
                          projected_fixed_points=projected, delta=delta,
                          draws_used=(draws1, draws2), scan=scan,
-                         scan_double=scan_double)
+                         scan_double=scan_double, generators=gens)

@@ -1,6 +1,6 @@
 """Test oracles that no scenario runs: the fiber cocycle, the shadowing table
-along an su-leg, the decay rate of a holonomy's Cauchy increments, and class
-exploration by every word."""
+along an su-leg, the decay rate of a holonomy's Cauchy increments, class
+exploration by every word, and finite differences one shift at a time."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewlab.accessibility import _QUANT, ClassSample, loop_actions, standard_generators
+from skewlab.accessibility import (_QUANT, FD_STEP, ClassSample, loop_actions,
+                                   standard_generators)
 from skewlab.holonomy import N_MAX_COMPOSITIONS, leaf_holonomy
-from skewlab.torus import mod1, torus_dist
+from skewlab.torus import mod1, torus_dist, wrapped_diff
 
 _DECAY_FLOOR = 1e-13    # increments at or below this are rounding, not decay
 
@@ -153,3 +154,15 @@ def explore_all_words(sp, quads, seeds, K: int = 2000, word_length: int = 12,
     return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i],
                         generators_used=2 * len(gens), word_length=word_length)
             for i, s in enumerate(seeds)]
+
+
+def central_differences(map_fn, pts):
+    """displacement_jacobian as it was before its one batch: the wrapped
+    displacement, then each column of step FD_STEP from a forward and a
+    backward map_fn call of its own (five calls)."""
+    cols = []
+    for e in (np.array([FD_STEP, 0.0]), np.array([0.0, FD_STEP])):
+        fwd, back = mod1(pts + e), mod1(pts - e)
+        cols.append((wrapped_diff(map_fn(fwd), fwd) - wrapped_diff(map_fn(back), back))
+                    / (2 * FD_STEP))
+    return (wrapped_diff(map_fn(pts), pts), *cols)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skewlab import accessibility, perturbation
 from skewlab.accessibility import (DIAMETER_TRIVIAL, DYADIC_SCALES, ClassSample, LoopMap,
-                                   box_counts, classify_class,
+                                   box_counts, classify_class, displacement_jacobian,
                                    explore_classes, find_fixed_points, loop_actions,
                                    loop_map, sample_diameter, standard_generators,
                                    trivial_set_scan)
@@ -18,7 +18,7 @@ from skewlab.fiber import LewowiczFamily, ScalarField, SkewProduct, lewowicz_raw
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
 
-from oracles import explore_all_words
+from oracles import central_differences, explore_all_words
 from systems import DESTROYED, workloads
 
 
@@ -416,8 +416,43 @@ class TestFindFixedPoints:
         res = find_fixed_points(translation, self.REGION, tol=1e-8)
         assert not res.identity_like and len(res.points) == 0
         # the seed grid, then one Newton step: its displacement and the four
-        # finite differences, after which every (singular) seed stops
-        assert calls == [64 * 64] * 6
+        # finite differences in one batch, after which every (singular) seed
+        # stops
+        assert calls == [64 * 64, 5 * 64 * 64]
+
+    def test_converging_search_makes_one_call_per_newton_step(self, monkeypatch):
+        # one call on the grid and one per Newton step; no call re-checks the
+        # converged points' residuals
+        calls, steps = [], []
+        jacobian = accessibility.displacement_jacobian
+        monkeypatch.setattr(accessibility, "displacement_jacobian", lambda map_fn, pts:
+                            steps.append(len(pts)) or jacobian(map_fn, pts))
+
+        def lewowicz(p):
+            calls.append(len(p))
+            return lewowicz_raw(2.0, p)
+
+        region = Region(center=(0.0, 0.0), half=(0.2, 0.2))
+        res = find_fixed_points(lewowicz, region, tol=1e-8)
+        assert len(res.points) == 1 and len(steps) > 1
+        assert calls == [64 * 64] + [5 * n for n in steps]
+
+    @pytest.mark.parametrize("system", ["lewowicz", "fine"])
+    def test_displacement_jacobian_is_the_per_shift_differences(self, system, quad,
+                                                                 destroyed_systems):
+        # bitwise the displacement and the columns of one forward and one
+        # backward call per shift, on a Lewowicz map and on a FINE generator
+        # over its bump's band (where the bump kernel flows each point)
+        rng = np.random.default_rng(5)
+        if system == "lewowicz":
+            map_fn, pts = (lambda p: lewowicz_raw(1.2, p)), rng.random((300, 2))
+        else:
+            map_fn = standard_generators(destroyed_systems["fine"], [quad])[0]
+            r, theta = rng.uniform(0.35, 0.45, 300), rng.uniform(0.0, 2.0 * math.pi, 300)
+            pts = mod1(0.5 + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1))
+            assert np.max(torus_dist(map_fn(pts), pts)) > 1e-3
+        got, want = displacement_jacobian(map_fn, pts), central_differences(map_fn, pts)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_lewowicz_contains_origin(self):
         region = Region(center=(0.0, 0.0), half=(0.2, 0.2))

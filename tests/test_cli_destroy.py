@@ -20,8 +20,8 @@ def test_destroy_scenario(tmp_path):
 
 def test_destroy_certifies_every_holonomy_at_the_configured_tol(tmp_path, monkeypatch):
     # every holonomy of the run: destroy's 8 loop legs, 2 centring legs and
-    # 1 projection, then the 8 legs of the postcondition scans' generators
-    # and the 8 of the control scan's
+    # 1 projection, then the 8 legs of the postcondition scans' generators;
+    # the control scan reuses destroy's 8 loop legs
     tols = []
     certify = holonomy._certify
     monkeypatch.setattr(holonomy, "_certify",
@@ -30,4 +30,4 @@ def test_destroy_certifies_every_holonomy_at_the_configured_tol(tmp_path, monkey
     cfg.write_text(json.dumps({"tolerances": {"holonomy_tol": 1e-7},
                                "destroy": {"epsilon": 0.05, "scan_grid_n": 16}}))
     assert main(["--config", str(cfg), "--out", str(tmp_path), "destroy"]) == 0
-    assert len(tols) == 27 and set(tols) == {1e-7}
+    assert len(tols) == 19 and set(tols) == {1e-7}

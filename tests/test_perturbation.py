@@ -613,9 +613,10 @@ class TestDestroy:
                                    DestroyParams(rng_seed=3, scan_grid_n=16))
         assert r1.v1 == r2.v1 and r1.v2 == r2.v2
 
-    def test_plateau_searches_make_six_map_calls(self, id_sp, quad, monkeypatch):
+    def test_plateau_searches_make_two_map_calls(self, id_sp, quad, monkeypatch):
         # every seed of a plateau search sees a translation: its Newton step
-        # finds the derivative singular, so the search stops after one step
+        # (one map call) finds the derivative singular, so the search stops
+        # after the grid's call and that one
         calls = []
         search = perturbation.find_fixed_points
 
@@ -630,7 +631,20 @@ class TestDestroy:
 
         monkeypatch.setattr(perturbation, "find_fixed_points", counted)
         destroy_trivial_class(id_sp, quad, 0.03)
-        assert calls == [6] * 5
+        assert calls == [2] * 5
+
+    def test_generators_are_the_standard_generators(self, id_sp, quad, destroyed):
+        # destroy's unperturbed generators, leg by leg, as standard_generators
+        # builds them at destroy's holonomy tol
+        want = standard_generators(id_sp, [quad], tol=DestroyParams().holonomy_tol)
+        assert len(destroyed.generators) == len(want) == 2
+        for got, ref in zip(destroyed.generators, want):
+            assert len(got.maps) == len(ref.maps) == 4
+            for g, r in zip(got.maps, ref.maps):
+                assert np.array_equal(g.from_pts, r.from_pts)
+                assert np.array_equal(g.to_pts, r.to_pts)
+                assert (g.truncation_n, g.certified_tol, g.increments) == \
+                    (r.truncation_n, r.certified_tol, r.increments)
 
     @pytest.mark.parametrize("name", sorted(SCAN_SHA256))
     def test_postcondition_scans_bitwise(self, request, name):
