@@ -240,8 +240,6 @@ class ClassSample:
 
     seed: tuple[float, float]
     points: np.ndarray
-    generators_used: int
-    word_length: int
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,6 @@ class Classification:
     verdict: str            # Trivial | Curve | Open | Indeterminate
     diameter: float
     dim_estimate: float
-    scales_used: tuple[int, ...]
     box_counts: tuple[int, ...]
     n_points: int
 
@@ -366,8 +363,7 @@ def explore_classes(sp: SkewProduct, quads, seeds, K: int = 2000,
 
     by_seed = np.argsort(np.concatenate(taken_sid), kind="stable")
     points = np.split(np.concatenate(taken_pts)[by_seed], np.cumsum(counts)[:-1])
-    return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i],
-                        generators_used=2 * len(gens), word_length=word_length)
+    return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i])
             for i, s in enumerate(seeds)]
 
 
@@ -523,13 +519,12 @@ def classify_class(sample: ClassSample) -> Classification:
         raise ValueError("empty class sample")
     diameter = sample_diameter(pts)
     if diameter < DIAMETER_TRIVIAL:
-        return Classification("Trivial", diameter, 0.0, (), (), n)
+        return Classification("Trivial", diameter, 0.0, (), n)
     counts = box_counts(pts, DYADIC_SCALES)
     cap = max(n / 4.0, 32.0)
     kept = [(j, c) for j, c in zip(DYADIC_SCALES, counts) if MIN_BOXES <= c <= cap]
     if len(kept) < 2:
-        return Classification("Indeterminate", diameter, float("nan"),
-                              tuple(j for j, _ in kept), counts, n)
+        return Classification("Indeterminate", diameter, float("nan"), counts, n)
     js = np.array([j for j, _ in kept], dtype=float)
     logs = np.log2([c for _, c in kept])
     slope = float(np.polyfit(js, logs, 1)[0])
@@ -539,7 +534,7 @@ def classify_class(sample: ClassSample) -> Classification:
         verdict = "Open"
     else:
         verdict = "Indeterminate"
-    return Classification(verdict, diameter, slope, tuple(int(j) for j in js), counts, n)
+    return Classification(verdict, diameter, slope, counts, n)
 
 
 # ---------------------------------------------------------------------------

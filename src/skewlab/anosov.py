@@ -224,8 +224,6 @@ class HeteroclinicQuad:
     x: TorusPoint
     p1: TorusPoint
     p2: TorusPoint
-    k1: int
-    k2: int
     w1: TorusPoint
     w2: TorusPoint
     z1: TorusPoint
@@ -237,10 +235,9 @@ class HeteroclinicQuad:
     u_w: tuple[float, float]    # unstable coordinate of w_i from p_i
     u_z: tuple[float, float]    # unstable coordinate of z_i from x
     s_z: tuple[float, float]    # stable coordinate of z_i from p_i
-    p1_orbit: np.ndarray
+    p1_orbit: np.ndarray        # exact orbit of p_1; its length is p_1's period
     p2_orbit: np.ndarray
     x_period: int | None        # exact period of x when x is periodic, else None
-    tail_certified: bool
 
     def loop_points(self, i: int):
         if i == 1:
@@ -409,14 +406,14 @@ def build_quad(a: LinearAnosov, x, search_radius: float, max_denominator: int,
 
 
 def _half_loop(a, x, rec) -> dict:
-    """One candidate's half of a quad: the periodic point p, its exact orbit
-    and period, the corners w = [x, p] and z = [p, x], and the leaf
-    coordinates s_w (x to w), u_w (p to w), u_z (x to z) and s_z (p to z)."""
+    """One candidate's half of a quad: the periodic point p, its exact orbit,
+    the corners w = [x, p] and z = [p, x], and the leaf coordinates s_w
+    (x to w), u_w (p to w), u_z (x to z) and s_z (p to z)."""
     _, _, fu, fv = rec
     p = wrap((float(fu), float(fv)))
     orbit = _exact_orbit(a.matrix, (fu, fv))
     w, z = bracket(a, x, p), bracket(a, p, x)
-    return dict(p=p, period=len(orbit), w=w, z=z,
+    return dict(p=p, w=w, z=z,
                 orbit=np.array([[float(ou), float(ov)] for ou, ov in orbit]),
                 s_w=leaf_coordinate(a, "stable", x, w)[0],
                 u_w=leaf_coordinate(a, "unstable", p, w)[0],
@@ -448,12 +445,12 @@ def _validated_quad(a, x, geo, n_check, x_period) -> HeteroclinicQuad:
     last_exc = None
     for _ in range(7):
         quad = HeteroclinicQuad(
-            x=x, p1=out[1]["p"], p2=out[2]["p"], k1=out[1]["period"], k2=out[2]["period"],
+            x=x, p1=out[1]["p"], p2=out[2]["p"],
             w1=out[1]["w"], w2=out[2]["w"], z1=out[1]["z"], z2=out[2]["z"],
             U1_radius=radii[0], U2_radius=radii[1], n_check=n_check,
             s_w=geo["s_w"], u_w=geo["u_w"], u_z=geo["u_z"], s_z=geo["s_z"],
             p1_orbit=out[1]["orbit"], p2_orbit=out[2]["orbit"],
-            x_period=x_period, tail_certified=x_period is not None)
+            x_period=x_period)
         try:
             validate_quad(a, quad)
             return quad

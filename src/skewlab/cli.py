@@ -130,8 +130,8 @@ def _scenario_classify(config, out):
                zip(*rows))
     return {"verdict_counts": tallies, "n_seeds": len(rows),
             "quad": {"p1": list(quad.p1), "p2": list(quad.p2),
-                     "periods": [quad.k1, quad.k2],
-                     "tail_certified": quad.tail_certified}}
+                     "periods": [len(quad.p1_orbit), len(quad.p2_orbit)],
+                     "tail_certified": quad.x_period is not None}}
 
 
 def _scenario_destroy(config, out):

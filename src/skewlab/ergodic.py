@@ -65,7 +65,7 @@ def _scan_generic(sp, fn, xs, ys, n, checkpoints):
 
 
 def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
-    """Path for families with a quiet mask; None when the family cannot say.
+    """Path for families with a quiet mask.
 
     The fiber state changes only where the base orbit is not quiet (an
     event).  The scan holds the base orbit one block of steps at a time and
@@ -91,10 +91,7 @@ def _scan_event_driven(sp, fn, xs, ys, n, checkpoints):
         after, orbit = orbit[steps], orbit[:steps]   # after starts the next block
         fired = np.empty((steps, m), dtype=bool)
         for s0 in range(0, steps, sub):
-            quiet = family.quiet(orbit[s0:s0 + sub])
-            if quiet is None:
-                return None
-            np.logical_not(quiet, out=fired[s0:s0 + sub])
+            np.logical_not(family.quiet(orbit[s0:s0 + sub]), out=fired[s0:s0 + sub])
         if width < full and fired.any():
             width = full   # the family fires: redo this block at full length
             continue
@@ -131,6 +128,8 @@ def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
     """Cross-IC deviation of running Birkhoff averages at n/4, n/2 and n.
 
     ERGODIC-LIKE means sigma(n) < sigma(n/4)/1.5; deterministic given the seed.
+    The family's quiet hook, asked once on the initial base points, picks
+    the path: the event scan where it gives a mask, else the generic loop.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -141,8 +140,8 @@ def ergodic_scan(sp: SkewProduct, obs_name: str, n: int, m_ics: int,
     xs = rng.random((m_ics, 2))
     ys = rng.random((m_ics, 2))
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
-    scan = _scan_event_driven(sp, fn, xs, ys, n, checkpoints)
-    sigma, finals = scan if scan is not None else _scan_generic(sp, fn, xs, ys, n, checkpoints)
+    scan = _scan_generic if sp.family.quiet(xs) is None else _scan_event_driven
+    sigma, finals = scan(sp, fn, xs, ys, n, checkpoints)
     s0, s_end = sigma[0], sigma[-1]
     verdict = "ERGODIC-LIKE" if s_end < s0 / ERGODIC_DECAY_FACTOR else "NON-ERGODIC-LIKE"
     return ErgodicReport(observable=obs_name, n_iterations=n,

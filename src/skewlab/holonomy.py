@@ -39,10 +39,7 @@ class HolonomyMap:
 
     The two base points are anchor + s_from * e and anchor + s_to * e on a
     common leaf; from_pts/to_pts hold their anchored orbits in visiting order,
-    so composition k steps over index k for either kind.  loud marks the
-    steps where from_pts[k] or to_pts[k] is not quiet for the family
-    (_loud_steps), the ones whose Cauchy increment is measured; with None
-    every increment is.
+    so composition k steps over index k for either kind.
     """
 
     sp: SkewProduct
@@ -56,7 +53,6 @@ class HolonomyMap:
     increments: tuple[float, ...] = field(repr=False, default=())
     from_pts: np.ndarray | None = field(repr=False, compare=False, default=None)
     to_pts: np.ndarray | None = field(repr=False, compare=False, default=None)
-    loud: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     def push_pull(self):
         """Fiber steps: push along the from-orbit, pull back over the to-orbit."""
@@ -108,10 +104,7 @@ class HolonomyMap:
         return states.reshape(v.shape)
 
     def inverse_map(self) -> "HolonomyMap":
-        """The reverse holonomy (same anchor, endpoints and orbits swapped).
-
-        The loud mask is symmetric in the two orbits, so it carries over.
-        """
+        """The reverse holonomy (same anchor, endpoints and orbits swapped)."""
         return replace(self, s_from=self.s_to, s_to=self.s_from,
                        from_pts=self.to_pts, to_pts=self.from_pts)
 
@@ -140,41 +133,37 @@ def _min_horizon(sp: SkewProduct, kind: str, s_from: float, s_to: float,
     return min(max(n, 0), n_max - _LOOKAHEAD)
 
 
-def _loud_steps(family, from_pts, to_pts):
-    """Bool mask of the steps where from_pts[k] or to_pts[k] is not quiet for
-    the family, or None when the family cannot say."""
-    quiet_from = family.quiet(from_pts)
-    if quiet_from is None:
-        return None
-    return ~(quiet_from & family.quiet(to_pts))
-
-
 def _increments(h: HolonomyMap, n_max: int):
     """Yield the Cauchy increment sup_y d(H_n(y), H_{n-1}(y)) for n = 1..n_max.
 
     A translation family moves every fiber point by the same step, so its
-    increments are the exact step lengths.  A quiet step leaves H_n equal to
-    H_{n-1} bitwise, so its increment is exactly 0.0 at every fiber point.
-    A loud step of any other family is sampled on a CERT_GRID_N^2 fiber grid;
-    the push is kept from one n to the next and the pull through the loud
-    steps so far is redone for each n.
+    increments are the exact step lengths.  Any other family's steps go by
+    the rule of HolonomyMap.steps: a push or pull over a base point that
+    family.quiet marks is skipped.  Where both base points of step n are
+    quiet, H_n equals H_{n-1} bitwise, so the increment is exactly 0.0 at
+    every fiber point; any other increment is sampled on a CERT_GRID_N^2
+    fiber grid.  The push is kept from one n to the next and the pull
+    through the loud to-points so far is redone for each n.
     """
     steps = h._translation_steps(n_max)
     if steps is not None:
         yield from torus_dist(steps, 0.0).tolist()
         return
     push, pull = h.push_pull()
-    grid = cell_grid(CERT_GRID_N)
-    ups = grid.copy()
-    h_prev = grid.copy()
-    loud = h.loud
+    fam = h.sp.family
+    quiet_from, quiet_to = fam.quiet(h.from_pts[:n_max]), fam.quiet(h.to_pts[:n_max])
+    if quiet_from is None:   # the family cannot say: every step is loud
+        quiet_from = quiet_to = np.zeros(n_max, dtype=bool)
+    ups = h_prev = cell_grid(CERT_GRID_N)
     pulled: list[int] = []
     for k in range(n_max):
-        if loud is not None and not loud[k]:
+        if quiet_from[k] and quiet_to[k]:
             yield 0.0
             continue
-        ups = push(h.from_pts[k], ups)
-        pulled.append(k)
+        if not quiet_from[k]:
+            ups = push(h.from_pts[k], ups)
+        if not quiet_to[k]:
+            pulled.append(k)
         v = ups
         for j in reversed(pulled):
             v = pull(h.to_pts[j], v)
@@ -187,8 +176,8 @@ def _certify(h: HolonomyMap, n_max: int):
 
     The scan stops once _LOOKAHEAD consecutive increments past the analytic
     horizon are below tol/2.  For a translation family the increments are the
-    exact step lengths, and at a quiet step they are exactly 0.0, both valid
-    at every fiber point; at the loud steps of any other family they are
+    exact step lengths, and where both base points are quiet they are
+    exactly 0.0, both valid at every fiber point; at any other step they are
     maxima over the fiber grid.
     """
     tol = h.tol
@@ -238,8 +227,7 @@ def make_holonomy(sp: SkewProduct, kind: str, anchor, s_from: float, s_to: float
     to_pts = mod1(anchors + np.multiply.outer(s_to * scales, e))
     h = HolonomyMap(sp=sp, kind=kind, anchor=anchor, s_from=s_from, s_to=s_to,
                     truncation_n=0, certified_tol=np.inf, tol=tol,
-                    from_pts=from_pts, to_pts=to_pts,
-                    loud=_loud_steps(sp.family, from_pts, to_pts))
+                    from_pts=from_pts, to_pts=to_pts)
     trunc, certified, increments = _certify(h, n_max)
     return replace(h, truncation_n=trunc, certified_tol=certified,
                    increments=increments)

@@ -364,8 +364,6 @@ class DestroyResult:
     region: Region                      # certified region V_x in fiber(x)
     v1: tuple[float, float]
     v2: tuple[float, float]
-    residual_fixed_points: np.ndarray   # Fix(h1^{-1} o l1) on the plateau
-    projected_fixed_points: np.ndarray
     delta: float
     draws_used: tuple[int, int]
     scan: object
@@ -502,7 +500,6 @@ def destroy_trivial_class(sp: SkewProduct, quad, epsilon: float,
     scan, scan_double = _postcondition(perturbed, [quad], vx, params)
 
     return DestroyResult(skew_product=perturbed, bumps=bumps, region=vx,
-                         v1=v1, v2=v2, residual_fixed_points=fp1.points,
-                         projected_fixed_points=projected, delta=delta,
+                         v1=v1, v2=v2, delta=delta,
                          draws_used=(draws1, draws2), scan=scan,
                          scan_double=scan_double, generators=gens)

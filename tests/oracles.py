@@ -1,6 +1,7 @@
 """Test oracles that no scenario runs: the fiber cocycle, the shadowing table
 along an su-leg, the decay rate of a holonomy's Cauchy increments, class
-exploration by every word, and finite differences one shift at a time."""
+exploration by every word, finite differences one shift at a time, and a
+holonomy's loud steps."""
 
 from __future__ import annotations
 
@@ -107,6 +108,15 @@ def shadow_check(sp, leg, v, n_max: int = 50) -> ShadowReport:
     return ShadowReport(kind=kind, distances=dist, ratio_estimate=est)
 
 
+def loud_steps(h, n=None):
+    """Per composition k < n (every stored one by default), whether
+    h.from_pts[k] or h.to_pts[k] is loud: not marked quiet by the family's
+    own per-point quiet hook, which must give a mask."""
+    n = len(h.from_pts) if n is None else n
+    fam = h.sp.family
+    return ~(fam.quiet(h.from_pts[:n]) & fam.quiet(h.to_pts[:n]))
+
+
 def explore_all_words(sp, quads, seeds, K: int = 2000, word_length: int = 12,
                       generators=None) -> list[ClassSample]:
     """explore_classes as it was before it skipped images: every level sends
@@ -151,8 +161,7 @@ def explore_all_words(sp, quads, seeds, K: int = 2000, word_length: int = 12,
 
     by_seed = np.argsort(np.concatenate(taken_sid), kind="stable")
     points = np.split(np.concatenate(taken_pts)[by_seed], np.cumsum(counts)[:-1])
-    return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i],
-                        generators_used=2 * len(gens), word_length=word_length)
+    return [ClassSample(seed=(float(s[0]), float(s[1])), points=points[i])
             for i, s in enumerate(seeds)]
 
 

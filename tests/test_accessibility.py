@@ -18,7 +18,7 @@ from skewlab.fiber import LewowiczFamily, ScalarField, SkewProduct, lewowicz_raw
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, perturb_skew
 from skewlab.torus import BumpProfile, Region, mod1, torus_dist, wrap, wrapped_diff
 
-from oracles import central_differences, explore_all_words
+from oracles import central_differences, explore_all_words, loud_steps
 from systems import DESTROYED, workloads
 
 
@@ -113,7 +113,7 @@ def lewowicz_loops(destroyed_systems, quad):
     fine = destroyed_systems["fine"]
     lew = SkewProduct(base=fine.base, family=PerturbedFamily(LewowiczFamily(ScalarField(0.5)),
                                                              fine.family.bumps))
-    return [LoopMap(tuple(dataclasses.replace(h, sp=lew, loud=None) for h in g.maps))
+    return [LoopMap(tuple(dataclasses.replace(h, sp=lew) for h in g.maps))
             for g in standard_generators(fine, [quad])]
 
 
@@ -215,7 +215,7 @@ class TestLoopActions:
         # destroy's loops, rotated to start at w_i
         rotated = [LoopMap(g.maps[-1:] + g.maps[:-1]) for g in gens]
         # loop 1's legs that miss both base supports: an action with no step
-        quiet = LoopMap(tuple(h for h in gens[0].maps if not h.loud.any()))
+        quiet = LoopMap(tuple(h for h in gens[0].maps if not loud_steps(h).any()))
         assert len(quiet.maps) == 3
         for loop, steps in [(g, 1) for g in gens + rotated] + [(quiet, 0)]:
             for inverse in (False, True):
@@ -553,7 +553,7 @@ class TestClassifierExactness:
         return (0.5 + pts @ np.array([[c, -s], [s, c]]).T) % 1.0
 
     def as_sample(self, pts):
-        return ClassSample(seed=(0.0, 0.0), points=pts, generators_used=0, word_length=0)
+        return ClassSample(seed=(0.0, 0.0), points=pts)
 
     def test_point_trivial(self):
         assert classify_class(self.as_sample(self.planted_point())).verdict == "Trivial"

@@ -7,11 +7,11 @@ from skewlab.errors import BrokenPath, NoConvergence
 from skewlab.fiber import (ConstantFamily, FieldBump, IdentityMap, LewowiczFamily,
                            RotationFamily, ScalarField, SkewProduct, VectorField)
 from skewlab.accessibility import LoopMap, standard_generators
-from skewlab.holonomy import N_MAX_COMPOSITIONS, _loud_steps, leaf_holonomy, make_holonomy
+from skewlab.holonomy import N_MAX_COMPOSITIONS, _increments, leaf_holonomy, make_holonomy
 from skewlab.perturbation import BumpTranslation, PerturbedFamily, _bump_fiber_action
 from skewlab.torus import BumpProfile, lift, mod1, torus_dist, wrap
 
-from oracles import measured_decay_ratio, shadow_check
+from oracles import loud_steps, measured_decay_ratio, shadow_check
 from systems import DESTROYED
 
 
@@ -116,6 +116,21 @@ class TestRotationFamily:
         assert sum(1 for d in h.increments if d > 1e-12) >= 8
         ratio = measured_decay_ratio(h)
         assert 0.0 < ratio <= bound
+
+
+def all_steps_scan(h, n):
+    """The Cauchy increments for 1..n through every step, one fiber map at a
+    time, on the certification grid: the push kept from one n to the next,
+    the pull redone."""
+    push, pull = h.push_pull()
+    ups, prev, scan = GRID, GRID, []
+    for m in range(1, n + 1):
+        ups = cur = push(h.from_pts[m - 1], ups)
+        for k in reversed(range(m)):
+            cur = pull(h.to_pts[k], cur)
+        scan.append(float(np.max(torus_dist(cur, prev))))
+        prev = cur
+    return scan
 
 
 def composed(h, ys, n):
@@ -379,10 +394,9 @@ class TestQuietSteps:
         fine = destroyed_systems["fine"]
         lew = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), fine.family.bumps)
         leg = standard_generators(fine, [quad])[0].maps[-1]
-        loud = _loud_steps(lew, leg.from_pts, leg.to_pts)
-        assert loud is None
-        h = replace(leg, sp=SkewProduct(base=fine.base, family=lew), loud=loud)
-        assert leg.loud.any() and not leg.loud.all()
+        assert lew.quiet(leg.from_pts) is None
+        h = replace(leg, sp=SkewProduct(base=fine.base, family=lew))
+        assert loud_steps(leg).any() and not loud_steps(leg).all()
         calls = []
         for name in ("apply", "inverse"):
             orig = getattr(PerturbedFamily, name)
@@ -398,6 +412,17 @@ class TestQuietSteps:
             assert np.array_equal(h.evaluate_at(GRID, n), composed(h, GRID, n)), n
         assert np.array_equal(h(GRID), composed(h, GRID, h.truncation_n))
 
+    def test_certificate_reads_the_family_it_runs_on(self, quad, destroyed_systems):
+        # the fine system's last leg moved onto a family whose hook cannot
+        # say: the Cauchy scan takes every step, as evaluation does, and
+        # keeps nothing of the fine family's quiet steps
+        fine = destroyed_systems["fine"]
+        leg = standard_generators(fine, [quad])[0].maps[-1]
+        lew = PerturbedFamily(LewowiczFamily(ScalarField(0.5)), fine.family.bumps)
+        h = replace(leg, sp=SkewProduct(base=fine.base, family=lew))
+        assert not loud_steps(leg, 8)[1:].any()
+        assert list(_increments(h, 8)) == all_steps_scan(h, 8)
+
     @pytest.mark.parametrize("name", sorted(DESTROYED))
     def test_legs_match_all_step_composition(self, quad, destroyed_systems, name):
         legs = [h for loop in standard_generators(destroyed_systems[name], [quad])
@@ -406,7 +431,7 @@ class TestQuietSteps:
         for h in legs:
             self.check_leg(h)
         # step 1 of each stable leg w_i -> x fires a bump; nothing else does
-        assert sum(bool(h.loud.any()) for h in legs) == 2
+        assert sum(bool(loud_steps(h).any()) for h in legs) == 2
 
     @pytest.mark.parametrize("kind", ["stable", "unstable"])
     def test_interleaved_loud_steps(self, id_sp, cat, kind):
@@ -418,30 +443,18 @@ class TestQuietSteps:
         sp = SkewProduct(base=cat, family=PerturbedFamily(id_sp.family, (bump,)))
         x, y = PAIRS[kind](cat, x=(0.45, 0.52))
         h = leaf_holonomy(sp, kind, x, y, tol=1e-10)
-        assert np.count_nonzero(h.loud[:len(h.increments)]) == 3
+        assert np.count_nonzero(loud_steps(h, len(h.increments))) == 3
         self.check_leg(h)
 
     def check_leg(self, h):
-        """Evaluation, the loud mask and the Cauchy increments against the
-        all-steps composition, bitwise."""
+        """Evaluation and the Cauchy increments against the all-steps
+        composition, bitwise, and an increment of exactly 0.0 wherever both
+        base points are quiet by the family's per-point marks."""
         n_scan = len(h.increments)
-        loud = h.loud[:n_scan]
-        fam = h.sp.family
-        assert np.array_equal(h.loud, _loud_steps(fam, h.from_pts, h.to_pts))
-        assert np.array_equal(_loud_steps(fam, h.to_pts, h.from_pts), h.loud)
-        assert h.inverse_map().loud is h.loud
+        loud = loud_steps(h, n_scan)
+        assert np.array_equal(loud_steps(h.inverse_map(), n_scan), loud)
         assert np.all(np.array(h.increments)[~loud] == 0.0)
-        # the Cauchy scan through every step, on the certification grid: the
-        # push kept from one n to the next, the pull redone
-        push, pull = h.push_pull()
-        ups, prev, scan = GRID, GRID, []
-        for n in range(1, n_scan + 1):
-            ups = cur = push(h.from_pts[n - 1], ups)
-            for k in reversed(range(n)):
-                cur = pull(h.to_pts[k], cur)
-            scan.append(float(np.max(torus_dist(cur, prev))))
-            prev = cur
-        assert tuple(scan) == h.increments
+        assert tuple(all_steps_scan(h, n_scan)) == h.increments
         for n in [*range(h.truncation_n + 3), n_scan, len(h.from_pts)]:
             assert np.array_equal(h.evaluate_at(self.FIBER, n),
                                   composed(h, self.FIBER, n)), (h.kind, n)
